@@ -58,6 +58,7 @@ from .pipeline import (
     RunState,
     bit_flip_augment,
     check_hardware_feasibility,
+    fit_and_sample,
     run_iteration,
     run_pipeline,
     write_convergence_csv,

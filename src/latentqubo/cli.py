@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bvae import BvaeArchitecture, bvae_train, decode, load_bvae, reconstruction_accuracy, save_bvae
-from .dataset import LabeledDataset, load_dataset, save_dataset
-from .fm import FmTrainConfig, apply_label_transform, fm_to_qubo, fm_train
+from .dataset import load_dataset, save_dataset
 from .images import load_images, load_pgm, save_images
 from .objectives import (
     ProductEfficiencyObjective,
@@ -31,9 +30,10 @@ from .objectives import (
 from .pipeline import (
     PipelineConfig,
     check_hardware_feasibility,
+    fit_and_sample,
     run_pipeline,
 )
-from .samplers import AnnealSchedule, brute_force_sample, simulated_annealing_sample
+from .samplers import AnnealSchedule
 
 __all__ = ["ConfigError", "main"]
 
@@ -290,20 +290,8 @@ def _cmd_sample_once(args) -> int:
         if not Path(path).exists():
             raise FileNotFoundError(f"required input file does not exist: {path}")
     data = load_dataset(cfg.dataset_path)
-    transformed, transform = apply_label_transform(data.Y, cfg.label_margin)
-    train_data = LabeledDataset(X=data.X, Y=transformed, provenance=data.provenance)
-    fm_cfg = FmTrainConfig(
-        epochs=cfg.fm_epochs,
-        learning_rate=cfg.fm_learning_rate,
-        rank=cfg.fm_rank,
-        seed=cfg.seed,
-    )
-    model, report = fm_train(train_data, fm_cfg)
-    q = fm_to_qubo(model, transform)
-    if cfg.sampler == "brute_force":
-        samples = brute_force_sample(q, top_k=cfg.samples_per_iteration)
-    else:
-        samples = simulated_annealing_sample(q, cfg.schedule, seed=cfg.seed)
+    # one loop iteration's fit and sample, both seeded with the configured seed
+    _, report, transform, samples = fit_and_sample(data, cfg, cfg.seed, cfg.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     samples.write_csv(out)
@@ -402,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="override the configured output directory")
     p.set_defaults(func=_cmd_run_loop)
 
-    p = sub.add_parser("sample-once", help="train the surrogate once and sample it")
+    p = sub.add_parser("sample-once", help="fit and sample once, as one loop iteration does")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="sample CSV output path")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledDataset
-from .qubo import FLOAT_FORMAT, QuboProblem, as_binary_vector
+from .qubo import FLOAT_FORMAT, QuboProblem, _count, _read_tagged, _records, as_binary_vector
 
 __all__ = [
     "FmModel",
@@ -274,16 +274,7 @@ def fm_to_qubo(m: FmModel, transform: LabelTransform | None = None) -> QuboProbl
     The optional transform is recorded on the problem so sampled energies can
     be mapped back to original-scale labels via transform.invert.
     """
-    gram = m.V @ m.V.T
-    quadratic = {
-        (i, j): float(gram[i, j]) for i in range(m.n) for j in range(i + 1, m.n)
-    }
-    return QuboProblem(
-        linear=m.w.copy(),
-        quadratic=quadratic,
-        offset=m.w0,
-        label_transform=transform,
-    )
+    return QuboProblem(m.w, np.triu(m.V @ m.V.T, 1), m.w0, label_transform=transform)
 
 
 def save_fm(m: FmModel, path) -> None:
@@ -297,32 +288,19 @@ def save_fm(m: FmModel, path) -> None:
 
 
 def load_fm(path) -> FmModel:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty model file: {path}")
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[:2] != ["FM", "v1"]
-        or not head[2].startswith("n=")
-        or not head[3].startswith("k=")
-    ):
-        raise ValueError(f"expected header 'FM v1 n=<n> k=<k>', got {lines[0]!r}")
-    n = int(head[2].removeprefix("n="))
-    k = int(head[3].removeprefix("k="))
+    where, (n_text, k_text), body = _read_tagged(path, "FM", ("n", "k"))
+    n = _count(n_text, "n", where)
+    k = _count(k_text, "k", where)
     w0 = None
     w = np.zeros(n)
     V = np.zeros((n, k))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "w0" and len(parts) == 2:
-            w0 = float(parts[1])
-        elif parts[0] == "w" and len(parts) == 3:
-            w[int(parts[1])] = float(parts[2])
-        elif parts[0] == "V" and len(parts) == 2 + k:
-            V[int(parts[1])] = [float(v) for v in parts[2:]]
+    for _, tag, idx, values in _records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}):
+        if tag == "w0":
+            w0 = values[0]
+        elif tag == "w":
+            w[idx] = values[0]
         else:
-            raise ValueError(f"unrecognized line in model file: {ln!r}")
+            V[idx] = values
     if w0 is None:
-        raise ValueError("model file is missing the w0 line")
+        raise ValueError(f"{path}: model file is missing the w0 line")
     return FmModel(w0=w0, w=w, V=V)

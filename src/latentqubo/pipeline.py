@@ -20,6 +20,7 @@ from .dataset import LabeledDataset, load_dataset, save_dataset
 from .fm import (
     FmModel,
     FmTrainConfig,
+    FmTrainReport,
     LabelTransform,
     apply_label_transform,
     fm_predict,
@@ -42,6 +43,7 @@ __all__ = [
     "ConvergenceRecord",
     "RunState",
     "bit_flip_augment",
+    "fit_and_sample",
     "run_iteration",
     "run_pipeline",
     "check_hardware_feasibility",
@@ -158,12 +160,28 @@ def bit_flip_augment(bits, copies: int, seed: int) -> list[np.ndarray]:
     return out
 
 
-def _sample(q: QuboProblem, cfg: PipelineConfig, dataset_size: int, seed: int) -> SampleSet:
+def fit_and_sample(
+    data: LabeledDataset, cfg: PipelineConfig, fm_seed: int, sampler_seed: int, warm_start=None
+) -> tuple[FmModel, FmTrainReport, LabelTransform, SampleSet]:
+    """Fit the surrogate to the negated labels, read it off as a QUBO and sample that.
+
+    warm_start, an FmModel or None, is where training starts.  Returns the
+    fitted model, its training report, the label transform and the samples.
+    """
+    transformed, transform = apply_label_transform(data.Y, cfg.label_margin)
+    train_data = LabeledDataset(X=data.X, Y=transformed, provenance=data.provenance)
+    fm_cfg = FmTrainConfig(
+        epochs=cfg.fm_epochs, learning_rate=cfg.fm_learning_rate, rank=cfg.fm_rank, seed=fm_seed
+    )
+    model, report = fm_train(train_data, fm_cfg, warm_start=warm_start)
+    q = fm_to_qubo(model, transform)
     if cfg.sampler == "brute_force":
         # request enough entries that already-seen vectors cannot crowd out
         # samples_per_iteration new ones
-        return brute_force_sample(q, top_k=cfg.samples_per_iteration + dataset_size)
-    return simulated_annealing_sample(q, cfg.schedule, seed=seed)
+        samples = brute_force_sample(q, top_k=cfg.samples_per_iteration + len(data))
+    else:
+        samples = simulated_annealing_sample(q, cfg.schedule, seed=sampler_seed)
+    return model, report, transform, samples
 
 
 def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
@@ -171,48 +189,33 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
     fm_seed, sampler_seed, augment_seed = (
         int(child.generate_state(1)[0]) for child in state.seed_seq.spawn(3)
     )
-    transformed, transform = apply_label_transform(state.dataset.Y, cfg.label_margin)
-    train_data = LabeledDataset(
-        X=state.dataset.X, Y=transformed, provenance=state.dataset.provenance
-    )
-    fm_cfg = FmTrainConfig(
-        epochs=cfg.fm_epochs,
-        learning_rate=cfg.fm_learning_rate,
-        rank=cfg.fm_rank,
-        seed=fm_seed,
-    )
     warm = state.fm if cfg.warm_start_fm else None
-    state.fm, _ = fm_train(train_data, fm_cfg, warm_start=warm)
+    state.fm, _, transform, sample_set = fit_and_sample(
+        state.dataset, cfg, fm_seed, sampler_seed, warm_start=warm
+    )
     state.transform = transform
-
-    q = fm_to_qubo(state.fm, transform)
-    sample_set = _sample(q, cfg, len(state.dataset), sampler_seed)
 
     selected: list[np.ndarray] = []
     selected_tags: list[str] = []
     seen_now: set[bytes] = set()
-    tag = f"iter{state.iteration}"
-    for entry in sample_set.entries:
-        if len(selected) >= cfg.samples_per_iteration:
-            break
-        key = entry.vector.tobytes()
-        if cfg.dedup and (state.dataset.contains(entry.vector) or key in seen_now):
-            continue
-        seen_now.add(key)
-        selected.append(entry.vector)
-        selected_tags.append(tag)
 
-    if len(selected) < cfg.samples_per_iteration and cfg.augmentation == "bit_flip":
-        source = selected[0] if selected else sample_set.best().vector
-        for flipped in bit_flip_augment(source, cfg.bit_flip_copies, augment_seed):
+    def take(candidates, tag: str) -> None:
+        """Select new candidates in order until samples_per_iteration are chosen."""
+        for x in candidates:
             if len(selected) >= cfg.samples_per_iteration:
-                break
-            key = flipped.tobytes()
-            if cfg.dedup and (state.dataset.contains(flipped) or key in seen_now):
+                return
+            key = x.tobytes()
+            if cfg.dedup and (state.dataset.contains(x) or key in seen_now):
                 continue
             seen_now.add(key)
-            selected.append(flipped)
-            selected_tags.append(f"{tag}_flip")
+            selected.append(x)
+            selected_tags.append(tag)
+
+    tag = f"iter{state.iteration}"
+    take((entry.vector for entry in sample_set.entries), tag)
+    if len(selected) < cfg.samples_per_iteration and cfg.augmentation == "bit_flip":
+        source = selected[0] if selected else sample_set.best().vector
+        take(bit_flip_augment(source, cfg.bit_flip_copies, augment_seed), f"{tag}_flip")
 
     labels = np.zeros(len(selected))
     surrogate_gaps = np.zeros(len(selected))
@@ -321,10 +324,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
 def check_hardware_feasibility(cfg: PipelineConfig, max_clique: int) -> ConnectivityReport:
     """Clique check for a fully connected problem of the configured size."""
     n = cfg.latent_bits
-    full = QuboProblem(
-        linear=np.zeros(n),
-        quadratic={(i, j): 1.0 for i in range(n) for j in range(i + 1, n)},
-    )
+    full = QuboProblem(linear=np.zeros(n), quadratic=np.triu(np.ones((n, n)), 1))
     report = analyze_connectivity(full, max_clique)
     if not report.fits_hardware:
         warnings.warn(

@@ -4,14 +4,16 @@ A QUBO instance is a second-order polynomial over binary vectors
 ``x in {0,1}^n``; the Ising form is the same polynomial over spin vectors
 ``s in {-1,+1}^n`` under the substitution ``s_i = 2*x_i - 1``.  Both carry an
 explicit constant offset so that energies (not just argmins) are preserved
-exactly by the conversions.
+exactly by the conversions.  Each problem holds its couplings as one dense,
+read-only, strictly upper-triangular matrix; the text files stay sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,24 +44,25 @@ __all__ = [
 FLOAT_FORMAT = "%.17g"
 
 
+def _checked_states(values, low: int, max_ndim: int = 1) -> np.ndarray:
+    """Array of one state (or, with max_ndim=2, a batch of rows) with entries low or 1."""
+    arr = np.asarray(values)
+    kind, allowed = ("binary", "0 or 1") if low == 0 else ("spin", "-1 or +1")
+    if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
+        raise ValueError(f"{kind} vector must be 1-D and nonempty, got shape {arr.shape}")
+    if not np.all((arr == low) | (arr == 1)):
+        raise ValueError(f"{kind} vector entries must be exactly {allowed}")
+    return arr
+
+
 def as_binary_vector(bits) -> np.ndarray:
     """Validate a {0,1} vector and return it as a 1-D uint8 array."""
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"binary vector must be 1-D and nonempty, got shape {arr.shape}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("binary vector entries must be exactly 0 or 1")
-    return arr.astype(np.uint8)
+    return _checked_states(bits, 0).astype(np.uint8)
 
 
 def as_spin_vector(spins) -> np.ndarray:
     """Validate a {-1,+1} vector and return it as a 1-D int8 array."""
-    arr = np.asarray(spins)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"spin vector must be 1-D and nonempty, got shape {arr.shape}")
-    if not np.all((arr == -1) | (arr == 1)):
-        raise ValueError("spin vector entries must be exactly -1 or +1")
-    return arr.astype(np.int8)
+    return _checked_states(spins, -1).astype(np.int8)
 
 
 def binary_to_spin(bits) -> np.ndarray:
@@ -74,130 +77,125 @@ def spin_to_binary(spins) -> np.ndarray:
     return ((s + 1) // 2).astype(np.uint8)
 
 
-def _validate_pairs(quadratic, n: int) -> dict[tuple[int, int], float]:
-    """Canonicalize a sparse pair map: strictly upper triangular, finite, no zeros."""
-    out: dict[tuple[int, int], float] = {}
-    for key, value in quadratic.items():
-        i, j = key
-        i, j = int(i), int(j)
-        if not (0 <= i < j < n):
-            raise ValueError(
-                f"quadratic key {key!r} must satisfy 0 <= i < j < n with n={n}"
-            )
-        c = float(value)
-        if not np.isfinite(c):
-            raise ValueError(f"quadratic coefficient for {key!r} is not finite: {value!r}")
-        if c != 0.0:
-            out[(i, j)] = c
-    return out
+def _coupling_matrix(pairs, n: int) -> np.ndarray:
+    """Read-only strictly upper-triangular (n, n) matrix from a pair map or an (n, n) array."""
+    if isinstance(pairs, Mapping):
+        keys = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        i, j = keys.T
+        bad = keys[~((0 <= i) & (i < j) & (j < n))]
+        if bad.size:
+            key = tuple(bad[0].tolist())
+            raise ValueError(f"coupling key {key} must satisfy 0 <= i < j < n with n={n}")
+        upper = np.zeros((n, n))
+        upper[i, j] = np.array(list(pairs.values()), dtype=np.float64)
+    else:
+        upper = np.zeros((n, n)) if pairs is None else np.array(pairs, dtype=np.float64)
+        if upper.shape != (n, n):
+            raise ValueError(f"coupling matrix must have shape ({n}, {n}), got {upper.shape}")
+    if not np.all(np.isfinite(upper)):
+        raise ValueError("coupling coefficients must be finite")
+    if np.tril(upper).any():
+        raise ValueError("coupling matrix must be strictly upper triangular")
+    upper.setflags(write=False)
+    return upper
 
 
-@dataclass(frozen=True)
-class QuboProblem:
+class _CoupledProblem:
+    """Immutable store of both models: a first-order vector, ``upper`` and ``offset``.
+
+    ``upper``, a read-only strictly upper-triangular float64 (n, n) matrix, is
+    the only stored form of the couplings; constructors also take them as a
+    ``{(i, j): c}`` map with i < j.  Equality ignores every other attribute.
+    """
+
+    _VECTOR = _WHAT = ""  # attribute name of the first-order vector; its name in errors
+
+    def __init__(self, vector, pairs, offset):
+        vector = np.array(vector, dtype=np.float64)
+        if vector.ndim != 1 or vector.size == 0:
+            raise ValueError(f"{self._WHAT} must form a nonempty 1-D vector, got {vector.shape}")
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{self._WHAT} must be finite")
+        if not np.isfinite(float(offset)):
+            raise ValueError(f"offset must be finite, got {offset!r}")
+        vector.setflags(write=False)
+        object.__setattr__(self, self._VECTOR, vector)
+        object.__setattr__(self, "upper", _coupling_matrix(pairs, vector.size))
+        object.__setattr__(self, "offset", float(offset))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.offset == other.offset
+            and np.array_equal(getattr(self, self._VECTOR), getattr(other, self._VECTOR))
+            and np.array_equal(self.upper, other.upper)
+        )
+
+    @property
+    def n(self) -> int:
+        return self.upper.shape[0]
+
+    def _pairs(self) -> Mapping[tuple[int, int], float]:
+        """Nonzero couplings as a read-only {(i, j): c} map in row-major order."""
+        rows, cols = np.nonzero(self.upper)
+        keys = zip(rows.tolist(), cols.tolist())
+        return MappingProxyType(dict(zip(keys, self.upper[rows, cols].tolist())))
+
+
+class QuboProblem(_CoupledProblem):
     """Quadratic unconstrained binary optimization problem.
 
     Energy of a binary assignment x:
 
-        E(x) = offset + sum_i linear[i] * x_i + sum_{i<j} quadratic[i,j] * x_i * x_j
+        E(x) = offset + sum_i linear[i] * x_i + sum_{i<j} upper[i, j] * x_i * x_j
 
-    Parameters
-    ----------
-    linear : array_like
-        Length-n vector of linear coefficients.
-    quadratic : dict[(int, int), float]
-        Strictly upper-triangular pair coefficients (keys require i < j).
-        Zero-valued entries are dropped so equality is canonical.
-    offset : float
-        Constant added to every energy; never changes the argmin.
-    label_transform : LabelTransform, optional
-        Metadata recorded when the problem was extracted from a surrogate
-        model trained on negated labels; lets callers map sampled energies
-        back to original-scale figures of merit.  Ignored by the energy.
+    ``quadratic`` takes the couplings as a map or a matrix (see the base
+    class); read back, it is the read-only map of the nonzero ones.
+    ``label_transform`` records the label negation of the surrogate the
+    problem came from, so sampled energies map back to figures of merit; the
+    energy and equality ignore it.
     """
 
-    linear: np.ndarray
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
-    label_transform: "LabelTransform | None" = field(
-        default=None, compare=False, repr=False
-    )
+    _VECTOR, _WHAT = "linear", "linear coefficients"
 
-    def __post_init__(self):
-        linear = np.array(self.linear, dtype=np.float64)
-        if linear.ndim != 1 or linear.size == 0:
-            raise ValueError(
-                f"linear coefficients must form a nonempty 1-D vector, got shape {linear.shape}"
-            )
-        if not np.all(np.isfinite(linear)):
-            raise ValueError("linear coefficients must be finite")
-        offset = float(self.offset)
-        if not np.isfinite(offset):
-            raise ValueError(f"offset must be finite, got {self.offset!r}")
-        linear.setflags(write=False)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "quadratic", _validate_pairs(self.quadratic, linear.size))
-        object.__setattr__(self, "offset", offset)
+    def __init__(
+        self, linear, quadratic=None, offset=0.0, label_transform: LabelTransform | None = None
+    ):
+        super().__init__(linear, quadratic, offset)
+        object.__setattr__(self, "label_transform", label_transform)
 
     @property
-    def n(self) -> int:
-        return self.linear.size
+    def quadratic(self) -> Mapping[tuple[int, int], float]:
+        return self._pairs()
 
-    @cached_property
-    def dense_upper(self) -> np.ndarray:
-        """Strictly upper-triangular dense (n, n) coefficient matrix."""
-        m = np.zeros((self.n, self.n))
-        for (i, j), c in self.quadratic.items():
-            m[i, j] = c
-        m.setflags(write=False)
-        return m
-
-    @cached_property
+    @property
     def dense_symmetric(self) -> np.ndarray:
-        """Symmetric zero-diagonal matrix W with W[i, j] = quadratic[min, max]."""
-        m = self.dense_upper + self.dense_upper.T
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-variable neighbor list [(j, coeff), ...] for O(degree) flip deltas."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for (i, j), c in self.quadratic.items():
-            adj[i].append((j, c))
-            adj[j].append((i, c))
-        return tuple(tuple(row) for row in adj)
+        """Symmetric zero-diagonal matrix upper + upper.T, built on each read."""
+        return self.upper + self.upper.T
 
 
-@dataclass(frozen=True)
-class IsingProblem:
+class IsingProblem(_CoupledProblem):
     """Classical Ising energy model.
 
     Energy of a spin assignment s in {-1,+1}^n:
 
-        H(s) = offset + sum_i h[i] * s_i + sum_{i<j} j[i,j] * s_i * s_j
+        H(s) = offset + sum_i h[i] * s_i + sum_{i<j} upper[i, j] * s_i * s_j
+
+    ``j`` plays the part of :attr:`QuboProblem.quadratic`.
     """
 
-    h: np.ndarray
-    j: dict[tuple[int, int], float] = field(default_factory=dict)
-    offset: float = 0.0
+    _VECTOR, _WHAT = "h", "local biases"
 
-    def __post_init__(self):
-        h = np.array(self.h, dtype=np.float64)
-        if h.ndim != 1 or h.size == 0:
-            raise ValueError(f"local biases must form a nonempty 1-D vector, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("local biases must be finite")
-        offset = float(self.offset)
-        if not np.isfinite(offset):
-            raise ValueError(f"offset must be finite, got {self.offset!r}")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "j", _validate_pairs(self.j, h.size))
-        object.__setattr__(self, "offset", offset)
+    def __init__(self, h, j=None, offset=0.0):
+        super().__init__(h, j, offset)
 
     @property
-    def n(self) -> int:
-        return self.h.size
+    def j(self) -> Mapping[tuple[int, int], float]:
+        return self._pairs()
 
 
 @dataclass(frozen=True)
@@ -211,27 +209,32 @@ class ConnectivityReport:
     fits_hardware: bool
 
 
-def qubo_energy(q: QuboProblem, bits) -> float:
-    """Evaluate the QUBO energy at a binary assignment."""
-    x = as_binary_vector(bits)
-    if x.size != q.n:
-        raise ValueError(f"dimension mismatch: problem has n={q.n}, vector has length {x.size}")
-    energy = q.offset + float(np.dot(q.linear, x))
-    for (i, j), c in q.quadratic.items():
-        if x[i] and x[j]:
-            energy += c
-    return energy
+def _energy_kernel(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: float):
+    """offset + x @ vector + x @ upper @ x for every float64 row x of X.
+
+    einsum rather than BLAS matmul: a row's energy is then bit-identical
+    whatever batch it is evaluated in.
+    """
+    return offset + np.einsum("bi,i->b", X, vector) + np.einsum("bi,ij,bj->b", X, upper, X)
 
 
-def ising_energy(m: IsingProblem, spins) -> float:
-    """Evaluate the Ising energy at a spin assignment."""
-    s = as_spin_vector(spins)
-    if s.size != m.n:
-        raise ValueError(f"dimension mismatch: problem has n={m.n}, vector has length {s.size}")
-    energy = m.offset + float(np.dot(m.h, s))
-    for (i, j), c in m.j.items():
-        energy += c * float(s[i]) * float(s[j])
-    return energy
+def _energies(problem: _CoupledProblem, vector: np.ndarray, states, low: int):
+    arr = _checked_states(states, low, max_ndim=2)
+    if (size := arr.shape[-1]) != problem.n:
+        raise ValueError(f"dimension mismatch: problem has n={problem.n}, vector has length {size}")
+    X = np.atleast_2d(arr).astype(np.float64)
+    energies = _energy_kernel(X, vector, problem.upper, problem.offset)
+    return float(energies[0]) if arr.ndim == 1 else energies
+
+
+def qubo_energy(q: QuboProblem, bits):
+    """QUBO energy of one binary vector (a float) or of each row of a 2-D batch (an array)."""
+    return _energies(q, q.linear, bits, 0)
+
+
+def ising_energy(m: IsingProblem, spins):
+    """Ising energy of one spin vector (a float) or of each row of a 2-D batch (an array)."""
+    return _energies(m, m.h, spins, -1)
 
 
 def qubo_to_ising(q: QuboProblem) -> IsingProblem:
@@ -240,28 +243,22 @@ def qubo_to_ising(q: QuboProblem) -> IsingProblem:
     Coefficients: J_ij = Q_ij / 4, h_i = Q_i / 2 + sum_{j != i} Q_ij / 4,
     offset' = offset + sum_i Q_i / 2 + sum_{i<j} Q_ij / 4.
     """
-    h = q.linear / 2.0
-    offset = q.offset + float(np.sum(q.linear)) / 2.0
-    j: dict[tuple[int, int], float] = {}
-    for (a, b), c in q.quadratic.items():
-        j[(a, b)] = c / 4.0
-        h[a] += c / 4.0
-        h[b] += c / 4.0
-        offset += c / 4.0
-    return IsingProblem(h=h, j=j, offset=offset)
+    touching = q.upper.sum(axis=0) + q.upper.sum(axis=1)
+    return IsingProblem(
+        h=q.linear / 2.0 + touching / 4.0,
+        j=q.upper / 4.0,
+        offset=q.offset + float(np.sum(q.linear)) / 2.0 + float(q.upper.sum()) / 4.0,
+    )
 
 
 def ising_to_qubo(m: IsingProblem) -> QuboProblem:
     """Convert to the QUBO form; exact inverse of :func:`qubo_to_ising`."""
-    linear = 2.0 * m.h
-    offset = m.offset - float(np.sum(m.h))
-    quad: dict[tuple[int, int], float] = {}
-    for (a, b), c in m.j.items():
-        quad[(a, b)] = 4.0 * c
-        linear[a] -= 2.0 * c
-        linear[b] -= 2.0 * c
-        offset += c
-    return QuboProblem(linear=linear, quadratic=quad, offset=offset)
+    touching = m.upper.sum(axis=0) + m.upper.sum(axis=1)
+    return QuboProblem(
+        linear=2.0 * m.h - 2.0 * touching,
+        quadratic=4.0 * m.upper,
+        offset=m.offset - float(np.sum(m.h)) + float(m.upper.sum()),
+    )
 
 
 def analyze_connectivity(q: QuboProblem, max_clique: int) -> ConnectivityReport:
@@ -273,7 +270,7 @@ def analyze_connectivity(q: QuboProblem, max_clique: int) -> ConnectivityReport:
     """
     if max_clique < 1:
         raise ValueError(f"max_clique must be >= 1, got {max_clique}")
-    edge_count = len(q.quadratic)
+    edge_count = int(np.count_nonzero(q.upper))
     full_edges = q.n * (q.n - 1) // 2
     return ConnectivityReport(
         n=q.n,
@@ -284,55 +281,106 @@ def analyze_connectivity(q: QuboProblem, max_clique: int) -> ConnectivityReport:
     )
 
 
-def _format_float(v: float) -> str:
-    return FLOAT_FORMAT % v
+def _save(problem: _CoupledProblem, path, header: str) -> None:
+    vector = getattr(problem, problem._VECTOR)
+    lines = [f"{header} v1 n={problem.n} offset={FLOAT_FORMAT % problem.offset}"]
+    lines += [f"L {i} {FLOAT_FORMAT % c}" for i, c in enumerate(vector.tolist()) if c != 0.0]
+    lines += [f"Q {i} {j} {FLOAT_FORMAT % c}" for (i, j), c in problem._pairs().items()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _serialize(header: str, n: int, offset: float, linear: np.ndarray, pairs) -> str:
-    lines = [f"{header} v1 n={n} offset={_format_float(offset)}"]
-    for i in range(n):
-        if linear[i] != 0.0:
-            lines.append(f"L {i} {_format_float(linear[i])}")
-    for (i, j) in sorted(pairs):
-        lines.append(f"Q {i} {j} {_format_float(pairs[(i, j)])}")
-    return "\n".join(lines) + "\n"
+def _read_tagged(path, name: str, keys: tuple[str, str]):
+    """Split a '<name> v1 <key>=.. <key>=..' file into header location, values and body.
 
-
-def _parse(text: str, header: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    The QUBO, Ising and FM loaders share this and :func:`_records`.  Errors
+    name the file and the 1-based line number, blank lines included.
+    """
+    lines = [
+        (lineno, line.split())
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip()
+    ]
     if not lines:
-        raise ValueError("empty problem file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != header or head[1] != "v1":
-        raise ValueError(f"expected header '{header} v1 n=<n> offset=<x>', got {lines[0]!r}")
-    n = int(head[2].removeprefix("n="))
-    offset = float(head[3].removeprefix("offset="))
-    linear = np.zeros(n)
+        raise ValueError(f"{path}: empty file")
+    lineno, head = lines[0]
+    if len(head) != 4 or head[:2] != [name, "v1"] or not all(
+        field.startswith(f"{key}=") for field, key in zip(head[2:], keys)
+    ):
+        expected = " ".join([name, "v1", *(f"{key}=<{key}>" for key in keys)])
+        raise ValueError(f"{path}:{lineno}: expected header '{expected}', got {' '.join(head)!r}")
+    return f"{path}:{lineno}", [field.split("=", 1)[1] for field in head[2:]], lines[1:]
+
+
+def _field(token: str, convert, valid, where: str, what: str):
+    """convert(token), which valid() must accept; else a ValueError saying what it must be."""
+    try:
+        value = convert(token)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"{where}: {what}, got {token!r}")
+    return value
+
+
+def _count(token: str, key: str, where: str) -> int:
+    return _field(token, int, lambda v: v >= 1, where, f"{key}= must be a positive integer")
+
+
+def _records(path, lines, n: int, layout: dict[str, tuple[int, int]]):
+    """Yield (where, tag, indices, values) per body line; reject malformed or repeated lines.
+
+    ``layout`` maps each tag to its number of indices (each in [0, n)) and of values.
+    """
+    seen: set[tuple] = set()
+    for lineno, (tag, *args) in lines:
+        where = f"{path}:{lineno}"
+        if tag not in layout:
+            raise ValueError(f"{where}: unrecognized line starting with {tag!r}")
+        n_indices, n_values = layout[tag]
+        if len(args) != n_indices + n_values:
+            raise ValueError(
+                f"{where}: a {tag} line takes {n_indices + n_values} fields, not {len(args)}"
+            )
+        indices = tuple(
+            _field(t, int, lambda v: 0 <= v < n, where, f"an index must lie in [0, {n})")
+            for t in args[:n_indices]
+        )
+        if (tag, indices) in seen:
+            raise ValueError(f"{where}: duplicate {tag} line")
+        seen.add((tag, indices))
+        values = [
+            _field(t, float, np.isfinite, where, "a value must be finite") for t in args[n_indices:]
+        ]
+        yield where, tag, indices, values
+
+
+def _load(path, header: str, problem_type):
+    where, (n_text, offset_text), body = _read_tagged(path, header, ("n", "offset"))
+    n = _count(n_text, "n", where)
+    offset = _field(offset_text, float, np.isfinite, where, "offset= must be a finite number")
+    vector = np.zeros(n)
     pairs: dict[tuple[int, int], float] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "L" and len(parts) == 3:
-            linear[int(parts[1])] = float(parts[2])
-        elif parts[0] == "Q" and len(parts) == 4:
-            pairs[(int(parts[1]), int(parts[2]))] = float(parts[3])
+    for where, tag, idx, (value,) in _records(path, body, n, {"L": (1, 1), "Q": (2, 1)}):
+        if tag == "L":
+            vector[idx] = value
+        elif idx[0] >= idx[1]:
+            raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
         else:
-            raise ValueError(f"unrecognized line in problem file: {ln!r}")
-    return n, offset, linear, pairs
+            pairs[idx] = value
+    return problem_type(vector, pairs, offset)
 
 
 def save_qubo(q: QuboProblem, path) -> None:
-    Path(path).write_text(_serialize("QUBO", q.n, q.offset, q.linear, q.quadratic))
+    _save(q, path, "QUBO")
 
 
 def load_qubo(path) -> QuboProblem:
-    _, offset, linear, pairs = _parse(Path(path).read_text(), "QUBO")
-    return QuboProblem(linear=linear, quadratic=pairs, offset=offset)
+    return _load(path, "QUBO", QuboProblem)
 
 
 def save_ising(m: IsingProblem, path) -> None:
-    Path(path).write_text(_serialize("ISING", m.n, m.offset, m.h, m.j))
+    _save(m, path, "ISING")
 
 
 def load_ising(path) -> IsingProblem:
-    _, offset, h, pairs = _parse(Path(path).read_text(), "ISING")
-    return IsingProblem(h=h, j=pairs, offset=offset)
+    return _load(path, "ISING", IsingProblem)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import FLOAT_FORMAT, QuboProblem, as_binary_vector, qubo_energy
+from .qubo import FLOAT_FORMAT, QuboProblem, _energy_kernel, as_binary_vector, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -83,13 +83,9 @@ class SampleSet:
             fh.write("\n".join(lines) + "\n")
 
 
-def _lex_key(vector: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(b) for b in vector)
-
-
 def _make_sample_set(counted, sampler_name: str, seed: int) -> SampleSet:
     """Sort (vector, energy, occurrences) triples by (energy, lexicographic bits)."""
-    ordered = sorted(counted, key=lambda t: (t[1], _lex_key(t[0])))
+    ordered = sorted(counted, key=lambda t: (t[1], t[0].tolist()))
     entries = tuple(
         SampleEntry(vector=v.astype(np.uint8), energy=float(e), occurrences=int(c))
         for v, e, c in ordered
@@ -103,12 +99,6 @@ def _bits_from_ints(values: np.ndarray, n: int) -> np.ndarray:
     """Little-endian bit matrix: row r holds the bits of values[r], bit i = x_i."""
     shifts = np.arange(n, dtype=np.uint64)
     return ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-
-
-def _batch_energies(q: QuboProblem, bits: np.ndarray) -> np.ndarray:
-    x = bits.astype(np.float64)
-    upper = q.dense_upper
-    return q.offset + x @ q.linear + np.einsum("bi,ij,bj->b", x, upper, x)
 
 
 def brute_force_sample(
@@ -132,7 +122,8 @@ def brute_force_sample(
     chunk = 1 << min(q.n, _CHUNK_BITS)
     for start in range(0, total, chunk):
         ints = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        energies = _batch_energies(q, _bits_from_ints(ints, q.n))
+        bits = _bits_from_ints(ints, q.n).astype(np.float64)
+        energies = _energy_kernel(bits, q.linear, q.upper, q.offset)
         if best_vals is not None:
             energies = np.concatenate([best_vals, energies])
             ints = np.concatenate([best_ints, ints])
@@ -143,21 +134,17 @@ def brute_force_sample(
         else:
             best_vals, best_ints = energies, ints
     vectors = _bits_from_ints(best_ints, q.n)
-    counted = [(vectors[r], best_vals[r], 1) for r in range(len(best_ints))]
-    return _make_sample_set(counted, "brute_force", seed=0)
+    return _make_sample_set(zip(vectors, best_vals, [1] * top_k), "brute_force", seed=0)
 
 
 def incremental_delta(q: QuboProblem, bits, i: int) -> float:
-    """Energy change from flipping bit i, computed in O(degree of i)."""
+    """Energy change from flipping bit i, computed in O(n)."""
     x = as_binary_vector(bits)
     if x.size != q.n:
         raise ValueError(f"dimension mismatch: problem has n={q.n}, vector has length {x.size}")
     if not (0 <= i < q.n):
         raise ValueError(f"bit index {i} out of range for n={q.n}")
-    local = q.linear[i]
-    for j, c in q.adjacency[i]:
-        if x[j]:
-            local += c
+    local = q.linear[i] + (q.upper[i] + q.upper[:, i]) @ x
     return float((1.0 - 2.0 * x[i]) * local)
 
 
@@ -203,12 +190,6 @@ def simulated_annealing_sample(
             flip_cols = idx[accepted]
             x[flip_rows, flip_cols] = 1.0 - x[flip_rows, flip_cols]
 
-    finals = x.astype(np.uint8)
-    counts: dict[bytes, list] = {}
-    for r in range(reads):
-        key = finals[r].tobytes()
-        if key in counts:
-            counts[key][2] += 1
-        else:
-            counts[key] = [finals[r], qubo_energy(q, finals[r]), 1]
-    return _make_sample_set(counts.values(), "simulated_annealing", seed=seed)
+    finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
+    energies = qubo_energy(q, finals)
+    return _make_sample_set(zip(finals, energies, counts), "simulated_annealing", seed=seed)
