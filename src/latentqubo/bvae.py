@@ -10,12 +10,14 @@ numpy arrays so gradients can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .qubo import FLOAT_FORMAT, as_binary_vector
+from .images import _check_images
+from .qubo import FLOAT_FORMAT, _count, _field, _read_tagged, _row, as_binary_vector
 
 __all__ = [
     "BvaeArchitecture",
@@ -193,13 +195,9 @@ def bernoulli_kl(q, p: float = 0.5) -> np.ndarray:
 
 def _check_batch(arch: BvaeArchitecture, batch) -> np.ndarray:
     m = arch.image_side
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1:] != (m, m):
+    arr = _check_images(batch)
+    if arr.shape[1] != m:
         raise ValueError(f"expected images of shape ({m}, {m}), got {np.asarray(batch).shape}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("pixel values must lie in [0, 1]")
     return arr.reshape(arr.shape[0], m * m)
 
 
@@ -446,50 +444,33 @@ def save_bvae(model: BvaeModel, path) -> None:
 
 
 def load_bvae(path) -> BvaeModel:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"empty checkpoint file: {path}")
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[:2] != ["BVAE", "v1"]
-        or not head[2].startswith("m=")
-        or not head[3].startswith("n=")
-    ):
-        raise ValueError(f"expected header 'BVAE v1 m=<m> n=<n>', got {lines[0]!r}")
-    m = int(head[2].removeprefix("m="))
-    n = int(head[3].removeprefix("n="))
+    head, (m_text, n_text), body = _read_tagged(path, "BVAE", ("m", "n"))
+    m, n = _count(m_text, "m", head), _count(n_text, "n", head)
     params: dict[str, np.ndarray] = {}
     tau = None
-    i = 1
-    while i < len(lines):
-        ln = lines[i].strip()
-        if not ln:
-            i += 1
-            continue
-        parts = ln.split()
-        if parts[0] == "LAYER" and len(parts) == 4:
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            block = np.zeros((rows, cols))
-            for r in range(rows):
-                i += 1
-                block[r] = np.array(lines[i].split(), dtype=np.float64)
-            params[name] = block
-            i += 1
-        elif parts[0] == "TAU" and len(parts) == 2:
-            tau = float(parts[1])
-            i += 1
+    for lineno, fields in body:
+        where = f"{path}:{lineno}"
+        if fields[0] == "TAU" and len(fields) == 2 and tau is None:
+            tau = _field(fields[1], float, np.isfinite, where, "TAU must be finite")
+        elif fields[0] == "LAYER" and len(fields) == 4:
+            name = fields[1]
+            if name not in _LAYER_NAMES or name in params:
+                raise ValueError(f"{where}: unknown or repeated layer {name!r}")
+            rows, cols = (_count(t, "a layer size", where) for t in fields[2:])
+            block = [_row(row, cols, f"{path}:{ln}") for ln, row in islice(body, rows)]
+            if len(block) != rows:
+                raise ValueError(f"{where}: layer {name} ends after {len(block)} of {rows} rows")
+            params[name] = np.array(block)
         else:
-            raise ValueError(f"unrecognized line in checkpoint: {ln!r}")
+            raise ValueError(f"{where}: expected one TAU line or a LAYER block, got {fields[0]!r}")
     if tau is None:
-        raise ValueError("checkpoint is missing the TAU line")
-    missing = set(_LAYER_NAMES) - set(params)
-    if missing:
-        raise ValueError(f"checkpoint is missing layers: {sorted(missing)}")
-    arch = BvaeArchitecture(
-        image_side=m,
-        latent_bits=n,
-        encoder_hidden=(params["enc1_w"].shape[1], params["enc2_w"].shape[1]),
-        decoder_hidden=(params["dec1_w"].shape[1], params["dec2_w"].shape[1]),
-    )
-    return BvaeModel(architecture=arch, params=params, tau=tau)
+        raise ValueError(f"{path}: checkpoint is missing the TAU line")
+    if missing := set(_LAYER_NAMES) - set(params):
+        raise ValueError(f"{path}: checkpoint is missing layers: {sorted(missing)}")
+    encoder = (params["enc1_w"].shape[1], params["enc2_w"].shape[1])
+    decoder = (params["dec1_w"].shape[1], params["dec2_w"].shape[1])
+    try:
+        arch = BvaeArchitecture(m, n, encoder_hidden=encoder, decoder_hidden=decoder)
+        return BvaeModel(architecture=arch, params=params, tau=tau)
+    except ValueError as exc:
+        raise ValueError(f"{head}: {exc}") from None

@@ -33,6 +33,7 @@ from .pipeline import (
     fit_and_sample,
     run_pipeline,
 )
+from .qubo import FLOAT_FORMAT
 from .samplers import AnnealSchedule
 
 __all__ = ["ConfigError", "main"]
@@ -157,11 +158,19 @@ def build_pipeline_config(
     if "pipeline" not in cp:
         raise ConfigError("config is missing the [pipeline] section")
     section = cp["pipeline"]
-    seed = seed_override if seed_override is not None else _typed(section, "seed", int, 0)
+    seed = seed_override
+    if seed is None:
+        seed = _typed(section, "seed", int, PipelineConfig.seed)
     output_dir = (
         out_override
         if out_override is not None
         else _resolve(base, _typed(section, "output_dir", str))
+    )
+    optional = (
+        ("samples_per_iteration", int), ("iterations", int), ("sampler", str),
+        ("augmentation", str), ("bit_flip_copies", int), ("label_margin", float),
+        ("dedup", _as_bool), ("warm_start_fm", _as_bool), ("fm_epochs", int),
+        ("fm_learning_rate", float), ("decode_blur", float),
     )
     try:
         return PipelineConfig(
@@ -171,19 +180,9 @@ def build_pipeline_config(
             bvae_checkpoint=_resolve(base, _typed(section, "bvae_checkpoint", str)),
             dataset_path=_resolve(base, _typed(section, "dataset", str)),
             output_dir=output_dir,
-            samples_per_iteration=_typed(section, "samples_per_iteration", int, 10),
-            iterations=_typed(section, "iterations", int, 30),
-            sampler=_typed(section, "sampler", str, "simulated_annealing"),
             schedule=build_schedule(cp),
-            augmentation=_typed(section, "augmentation", str, "none"),
-            bit_flip_copies=_typed(section, "bit_flip_copies", int, 10),
-            label_margin=_typed(section, "label_margin", float, 0.05),
-            dedup=_typed(section, "dedup", _as_bool, True),
-            warm_start_fm=_typed(section, "warm_start_fm", _as_bool, True),
             seed=seed,
-            fm_epochs=_typed(section, "fm_epochs", int, 30),
-            fm_learning_rate=_typed(section, "fm_learning_rate", float, 0.05),
-            decode_blur=_typed(section, "decode_blur", float, 0.0),
+            **{k: _typed(section, k, conv, getattr(PipelineConfig, k)) for k, conv in optional},
         )
     except ValueError as exc:
         raise ConfigError(f"invalid pipeline configuration: {exc}") from exc
@@ -342,7 +341,7 @@ def _cmd_export_csv(args) -> int:
     lines = ["bits,label,provenance"]
     for r in range(len(data)):
         bits = "".join(str(b) for b in data.X[r])
-        lines.append(f"{bits},{'%.17g' % data.Y[r]},{data.provenance[r]}")
+        lines.append(f"{bits},{FLOAT_FORMAT % data.Y[r]},{data.provenance[r]}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"exported {len(data)} rows to {args.out}")
     return EXIT_OK

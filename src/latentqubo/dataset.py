@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubo import FLOAT_FORMAT, as_binary_vector
+from .qubo import FLOAT_FORMAT, _count, _counted, _field, _read_tagged, as_binary_vector
 
 __all__ = ["LabeledDataset", "save_dataset", "load_dataset"]
 
@@ -138,30 +138,17 @@ def save_dataset(data: LabeledDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty dataset file: {path}")
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[:2] != ["DATASET", "v1"]
-        or not head[2].startswith("n=")
-        or not head[3].startswith("count=")
-    ):
-        raise ValueError(f"expected header 'DATASET v1 n=<n> count=<c>', got {lines[0]!r}")
-    n = int(head[2].removeprefix("n="))
-    count = int(head[3].removeprefix("count="))
-    rows = lines[1:]
-    if len(rows) != count:
-        raise ValueError(f"dataset declares {count} rows but file has {len(rows)}")
-    X = np.zeros((count, n), dtype=np.uint8)
-    Y = np.zeros(count)
-    tags = []
-    for r, ln in enumerate(rows):
-        bits, label, tag = ln.split()
-        if len(bits) != n:
-            raise ValueError(f"row {r} has {len(bits)} bits, expected {n}")
-        X[r] = [int(ch) for ch in bits]
-        Y[r] = float(label)
+    head, (n_text, count_text), body = _read_tagged(path, "DATASET", ("n", "count"))
+    n = _count(n_text, "n", head)
+    rows, labels, tags = [], [], []
+    for where, fields in _counted(path, body, count_text, head):
+        if len(fields) != 3:
+            raise ValueError(f"{where}: a row takes 3 fields (bits label tag), not {len(fields)}")
+        bits, label, tag = fields
+        if len(bits) != n or not set(bits) <= {"0", "1"}:
+            raise ValueError(f"{where}: expected {n} bits of 0 or 1, got {bits!r}")
+        rows.append([int(ch) for ch in bits])
+        labels.append(_field(label, float, np.isfinite, where, "a label must be finite"))
         tags.append(tag)
-    return LabeledDataset(X=X, Y=Y, provenance=tuple(tags))
+    X = np.array(rows, dtype=np.uint8).reshape(-1, n)
+    return LabeledDataset(X=X, Y=np.array(labels), provenance=tuple(tags))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubo import FLOAT_FORMAT
+from .qubo import FLOAT_FORMAT, _count, _counted, _read_tagged, _row
 
 __all__ = ["save_images", "load_images", "save_pgm", "load_pgm"]
 
@@ -17,7 +17,7 @@ def _check_images(images) -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected (count, m, m) square images, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("pixel values must lie in [0, 1]")
     return arr
 
@@ -33,29 +33,15 @@ def save_images(images, path) -> None:
 
 
 def load_images(path) -> np.ndarray:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty image file: {path}")
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[:2] != ["IMG", "v1"]
-        or not head[2].startswith("m=")
-        or not head[3].startswith("count=")
-    ):
-        raise ValueError(f"expected header 'IMG v1 m=<m> count=<c>', got {lines[0]!r}")
-    m = int(head[2].removeprefix("m="))
-    count = int(head[3].removeprefix("count="))
-    rows = lines[1:]
-    if len(rows) != count:
-        raise ValueError(f"image file declares {count} images but has {len(rows)} rows")
-    out = np.zeros((count, m, m))
-    for r, ln in enumerate(rows):
-        values = np.array(ln.split(), dtype=np.float64)
-        if values.size != m * m:
-            raise ValueError(f"image row {r} has {values.size} values, expected {m * m}")
-        out[r] = values.reshape(m, m)
-    return _check_images(out)
+    head, (m_text, count_text), body = _read_tagged(path, "IMG", ("m", "count"))
+    m = _count(m_text, "m", head)
+    rows = []
+    for where, fields in _counted(path, body, count_text, head):
+        pixels = _row(fields, m * m, where)
+        if not np.all((pixels >= 0.0) & (pixels <= 1.0)):
+            raise ValueError(f"{where}: pixel values must lie in [0, 1]")
+        rows.append(pixels)
+    return np.array(rows).reshape(-1, m, m)
 
 
 def save_pgm(image, path) -> None:
@@ -70,16 +56,19 @@ def save_pgm(image, path) -> None:
 
 
 def load_pgm(path) -> np.ndarray:
+    """Read a plain (P2) PGM file as a (height, width) array scaled to [0, 1]."""
     tokens = []
     for ln in Path(path).read_text().splitlines():
-        ln = ln.split("#", 1)[0]
-        tokens.extend(ln.split())
-    if not tokens or tokens[0] != "P2":
+        tokens.extend(ln.split("#", 1)[0].split())
+    if tokens[:1] != ["P2"]:
         raise ValueError(f"expected a plain PGM (P2) file: {path}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pixels = np.array(tokens[4:], dtype=np.float64)
-    if pixels.size != width * height:
-        raise ValueError(
-            f"PGM declares {width}x{height} pixels but file has {pixels.size} values"
-        )
+    try:
+        width, height, maxval, *levels = (int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PGM needs an integer width, height, maxval and pixels") from None
+    pixels = np.array(levels, dtype=np.float64)
+    if min(width, height, maxval) < 1 or pixels.size != width * height:
+        raise ValueError(f"{path}: PGM {width}x{height} maxval {maxval} has {pixels.size} pixels")
+    if not np.all((pixels >= 0) & (pixels <= maxval)):
+        raise ValueError(f"{path}: PGM pixel values must lie in [0, {maxval}]")
     return (pixels / maxval).reshape(height, width)

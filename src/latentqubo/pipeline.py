@@ -30,7 +30,7 @@ from .fm import (
 )
 from .images import save_pgm
 from .objectives import FigureOfMerit, evaluate_fom
-from .qubo import ConnectivityReport, QuboProblem, analyze_connectivity, as_binary_vector
+from .qubo import FLOAT_FORMAT, ConnectivityReport, as_binary_vector
 from .samplers import (
     AnnealSchedule,
     SampleSet,
@@ -254,7 +254,7 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
 
 
 def write_convergence_csv(history, path) -> None:
-    fmt = "%.17g"
+    fmt = FLOAT_FORMAT
     lines = ["iteration,mean_fom,std_fom,max_fom,running_max_fom,dataset_size,min_energy"]
     for rec in history:
         lines.append(
@@ -315,17 +315,19 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
     _, pattern = decode(state.bvae, best_bits, blur_radius_px=cfg.decode_blur)
     save_pgm(pattern.astype(np.float64), out / "best_design.pgm")
     bits_text = "".join(str(b) for b in best_bits)
-    (out / "best_design_bits.txt").write_text(
-        f"{bits_text} {'%.17g' % best_label}\n"
-    )
+    (out / "best_design_bits.txt").write_text(f"{bits_text} {FLOAT_FORMAT % best_label}\n")
     return state
 
 
 def check_hardware_feasibility(cfg: PipelineConfig, max_clique: int) -> ConnectivityReport:
-    """Clique check for a fully connected problem of the configured size."""
+    """Clique check for a fully connected problem of the configured size, answered from n."""
+    if max_clique < 1:
+        raise ValueError(f"max_clique must be >= 1, got {max_clique}")
     n = cfg.latent_bits
-    full = QuboProblem(linear=np.zeros(n), quadratic=np.triu(np.ones((n, n)), 1))
-    report = analyze_connectivity(full, max_clique)
+    report = ConnectivityReport(
+        n=n, edge_count=n * (n - 1) // 2, is_fully_connected=True,
+        max_supported_clique=max_clique, fits_hardware=n <= max_clique,
+    )
     if not report.fits_hardware:
         warnings.warn(
             f"{n} latent bits exceed the hardware clique limit of {max_clique}; "

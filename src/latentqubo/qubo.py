@@ -292,23 +292,20 @@ def _save(problem: _CoupledProblem, path, header: str) -> None:
 def _read_tagged(path, name: str, keys: tuple[str, str]):
     """Split a '<name> v1 <key>=.. <key>=..' file into header location, values and body.
 
-    The QUBO, Ising and FM loaders share this and :func:`_records`.  Errors
-    name the file and the 1-based line number, blank lines included.
+    Every tagged loader starts here.  The body streams as (lineno, fields) per
+    nonblank line; errors name the file and the 1-based line, blanks counted.
     """
-    lines = [
-        (lineno, line.split())
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    body = ((lineno, fields) for lineno, line in lines if (fields := line.split()))
+    lineno, head = next(body, (None, None))
+    if head is None:
         raise ValueError(f"{path}: empty file")
-    lineno, head = lines[0]
     if len(head) != 4 or head[:2] != [name, "v1"] or not all(
         field.startswith(f"{key}=") for field, key in zip(head[2:], keys)
     ):
         expected = " ".join([name, "v1", *(f"{key}=<{key}>" for key in keys)])
         raise ValueError(f"{path}:{lineno}: expected header '{expected}', got {' '.join(head)!r}")
-    return f"{path}:{lineno}", [field.split("=", 1)[1] for field in head[2:]], lines[1:]
+    return f"{path}:{lineno}", [field.split("=", 1)[1] for field in head[2:]], body
 
 
 def _field(token: str, convert, valid, where: str, what: str):
@@ -322,17 +319,40 @@ def _field(token: str, convert, valid, where: str, what: str):
     return value
 
 
-def _count(token: str, key: str, where: str) -> int:
-    return _field(token, int, lambda v: v >= 1, where, f"{key}= must be a positive integer")
+def _count(token: str, what: str, where: str, low: int = 1) -> int:
+    return _field(token, int, lambda v: v >= low, where, f"{what} must be an integer >= {low}")
 
 
-def _records(path, lines, n: int, layout: dict[str, tuple[int, int]]):
+def _row(fields: list[str], size: int, where: str) -> np.ndarray:
+    """A whole line as exactly size finite float64 values."""
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or values.size != size or not np.all(np.isfinite(values)):
+        raise ValueError(f"{where}: expected {size} finite numbers, got {len(fields)} fields")
+    return values
+
+
+def _counted(path, body, count_text: str, head: str):
+    """Yield (where, fields) per body line; there must be as many as the header's count=."""
+    count = _count(count_text, "count", head, low=0)
+    rows = 0
+    for rows, (lineno, fields) in enumerate(body, start=1):
+        if rows > count:
+            raise ValueError(f"{path}:{lineno}: more rows than count={count}")
+        yield f"{path}:{lineno}", fields
+    if rows != count:
+        raise ValueError(f"{head}: count={count} but the file has {rows} rows")
+
+
+def _records(path, body, n: int, layout: dict[str, tuple[int, int]]):
     """Yield (where, tag, indices, values) per body line; reject malformed or repeated lines.
 
     ``layout`` maps each tag to its number of indices (each in [0, n)) and of values.
     """
     seen: set[tuple] = set()
-    for lineno, (tag, *args) in lines:
+    for lineno, (tag, *args) in body:
         where = f"{path}:{lineno}"
         if tag not in layout:
             raise ValueError(f"{where}: unrecognized line starting with {tag!r}")

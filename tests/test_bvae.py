@@ -157,6 +157,11 @@ class TestLoss:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             lq.bvae_loss(model, bad, tau=1.0, noise=np.zeros((1, 4, 2)))
 
+    def test_nan_pixel_rejected(self):
+        model = random_model(tiny_arch(), 3)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            lq.encode(model, np.full((4, 4), np.nan))
+
     def test_perfect_reconstruction_small_bce(self):
         # a decoder emitting huge logits for the right pixels drives BCE to ~0
         arch = lq.BvaeArchitecture(

@@ -189,6 +189,16 @@ class TestRunLoop:
         assert rc == 4
         assert "error" in capsys.readouterr().err
 
+    def test_tagless_dataset_row_names_file_and_line(self, workspace, capsys):
+        tmp_path, config = workspace
+        path = tmp_path / "data.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join(lines[1].split()[:2])
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["run-loop", "--config", config])
+        assert rc == 4
+        assert f"{path}:2:" in capsys.readouterr().err
+
 
 class TestConfigErrors:
     def test_unknown_key(self, workspace):

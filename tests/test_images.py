@@ -29,6 +29,12 @@ class TestImageStack:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             lq.save_images(np.full((1, 3, 3), 1.5), tmp_path / "x.txt")
 
+    def test_nan_rejected(self, tmp_path):
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            lq.save_images(np.full((1, 2, 2), np.nan), path)
+        assert not path.exists()
+
     def test_non_square_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="square"):
             lq.save_images(np.zeros((1, 3, 4)), tmp_path / "x.txt")

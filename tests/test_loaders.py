@@ -1,9 +1,13 @@
-"""Strict QUBO, Ising and FM text loaders: malformed files fail with file:line errors."""
+"""Strict text loaders: a malformed file fails with a ValueError naming file:line.
+
+PGM, the one untagged format, names the file only.
+"""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
 from conftest import random_qubo
@@ -11,6 +15,21 @@ from conftest import random_qubo
 QUBO_HEAD = "QUBO v1 n=2 offset=0\n"
 ISING_HEAD = "ISING v1 n=2 offset=0\n"
 FM_HEAD = "FM v1 n=2 k=1\nw0 0.5\n"
+DATASET_HEAD = "DATASET v1 n=2 count=1\n"
+IMG_HEAD = "IMG v1 m=1 count=1\n"
+BVAE_HEAD = "BVAE v1 m=2 n=1\n"
+TINY_BVAE = lq.BvaeArchitecture(
+    image_side=2, latent_bits=1, encoder_hidden=(1, 1), decoder_hidden=(1, 1)
+)
+
+
+def tiny_checkpoint() -> str:
+    """A complete, valid all-zero checkpoint of TINY_BVAE."""
+    lines = [BVAE_HEAD.strip()]
+    for name, (rows, cols) in TINY_BVAE.layer_shapes().items():
+        lines += [f"LAYER {name} {rows} {cols}"] + [" ".join(["0"] * cols)] * rows
+    return "\n".join(lines + ["TAU 1"]) + "\n"
+
 
 # (loader, file body, 1-based line number the error must name)
 MALFORMED = [
@@ -43,6 +62,55 @@ MALFORMED = [
     pytest.param(lq.load_fm, FM_HEAD + "w 0\n", 3, id="fm-short-w"),
     pytest.param(lq.load_fm, "FM v1 n=2 k=x\nw0 0\n", 1, id="fm-non-integer-k"),
     pytest.param(lq.load_fm, "FM v1 n=-2 k=1\nw0 0\n", 1, id="fm-negative-n"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "01 0.5\n", 2, id="dataset-tagless-row"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "01 0.5 a b\n", 2, id="dataset-extra-field"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "0x 0.5 t\n", 2, id="dataset-bad-bit"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "011 0.5 t\n", 2, id="dataset-long-bits"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "01 nan t\n", 2, id="dataset-non-finite-label"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "01 abc t\n", 2, id="dataset-bad-label"),
+    pytest.param(lq.load_dataset, DATASET_HEAD + "01 1 t\n\n10 1 t\n", 4, id="dataset-extra-row"),
+    pytest.param(lq.load_dataset, "DATASET v1 n=2 count=2\n01 1 t\n", 1, id="dataset-missing-row"),
+    pytest.param(lq.load_dataset, "DATASET v1 n=2 count=-1\n", 1, id="dataset-negative-count"),
+    pytest.param(lq.load_dataset, "DATASET v1 n=0 count=0\n", 1, id="dataset-zero-n"),
+    pytest.param(lq.load_dataset, "\nDATA v1 n=2 count=0\n", 2, id="dataset-bad-header"),
+    pytest.param(lq.load_images, IMG_HEAD + "nan\n", 2, id="img-nan-pixel"),
+    pytest.param(lq.load_images, IMG_HEAD + "1.5\n", 2, id="img-pixel-above-one"),
+    pytest.param(lq.load_images, IMG_HEAD + "x\n", 2, id="img-bad-number"),
+    pytest.param(lq.load_images, IMG_HEAD + "0 1\n", 2, id="img-long-row"),
+    pytest.param(lq.load_images, IMG_HEAD + "0\n1\n", 3, id="img-extra-row"),
+    pytest.param(lq.load_images, "IMG v1 m=1 count=2\n0\n", 1, id="img-missing-row"),
+    pytest.param(lq.load_images, "IMG v1 m=0 count=0\n", 1, id="img-zero-m"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER bogus 1 1\n0\n", 2, id="bvae-unknown-layer"),
+    pytest.param(
+        lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 1\n0\nLAYER enc1_b 1 1\n0\n", 4,
+        id="bvae-duplicate-layer",
+    ),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 0 1\n", 2, id="bvae-zero-rows"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 x\n0\n", 2, id="bvae-bad-size"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 2 1\n0\n", 2, id="bvae-truncated-block"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 2\n0 nan\n", 3, id="bvae-nan-value"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 2\n0\n", 3, id="bvae-short-row"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "TAU 1\n\nTAU 1\n", 4, id="bvae-duplicate-tau"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "TAU inf\n", 2, id="bvae-non-finite-tau"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "TAU\n", 2, id="bvae-short-tau"),
+    pytest.param(lq.load_bvae, BVAE_HEAD + "0.5 0.5\n", 2, id="bvae-stray-line"),
+    pytest.param(lq.load_bvae, "BVAE v1 m=x n=1\n", 1, id="bvae-non-integer-m"),
+    pytest.param(
+        lq.load_bvae, tiny_checkpoint().replace("m=2", "m=3", 1), 1, id="bvae-header-vs-layers"
+    ),
+]
+
+# PGM files that must fail with a ValueError naming the file
+MALFORMED_PGM = [
+    pytest.param("P2\n2\n", id="pgm-truncated-header"),
+    pytest.param("P2\n1 1\n0\n0\n", id="pgm-zero-maxval"),
+    pytest.param("P2\n0 1\n255\n", id="pgm-zero-width"),
+    pytest.param("P2\n1 1\n255\n300\n", id="pgm-pixel-above-maxval"),
+    pytest.param("P2\n1 1\n255\n-1\n", id="pgm-negative-pixel"),
+    pytest.param("P2\n1 1\n255\n0.5\n", id="pgm-fractional-pixel"),
+    pytest.param("P2\n1 1\n255\nword\n", id="pgm-word"),
+    pytest.param("P2\n2 1\n255\n0\n", id="pgm-missing-pixel"),
+    pytest.param("", id="pgm-empty"),
 ]
 
 
@@ -54,16 +122,42 @@ def test_malformed_file_names_path_and_line(tmp_path, loader, body, line):
         loader(path)
 
 
-def test_valid_files_round_trip_byte_for_byte(tmp_path):
+@pytest.mark.parametrize("body", MALFORMED_PGM)
+def test_malformed_pgm_names_path(tmp_path, body):
+    path = tmp_path / "bad.pgm"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        lq.load_pgm(path)
+
+
+def test_every_loader_has_malformed_cases():
+    loaders = {value for name, value in vars(lq).items() if name.startswith("load_")}
+    tabled = {case.values[0] for case in MALFORMED} | {lq.load_pgm}
+    assert len(loaders) == 7 and loaders <= tabled
+
+
+def valid_samples():
+    """(saver, loader, object) for one small valid object of each of the seven formats."""
     rng = np.random.default_rng(21)
     q = random_qubo(rng, 7, density=0.5)
-    m = lq.qubo_to_ising(q)
     fm = lq.FmModel(w0=rng.normal(), w=rng.normal(size=5), V=rng.normal(size=(5, 3)))
-    for save, load, obj in (
+    data = lq.LabeledDataset(
+        X=rng.integers(0, 2, (4, 5)), Y=rng.normal(size=4), provenance=("a", "b", "c", "d")
+    )
+    params = {name: rng.normal(size=shape) for name, shape in TINY_BVAE.layer_shapes().items()}
+    return [
         (lq.save_qubo, lq.load_qubo, q),
-        (lq.save_ising, lq.load_ising, m),
+        (lq.save_ising, lq.load_ising, lq.qubo_to_ising(q)),
         (lq.save_fm, lq.load_fm, fm),
-    ):
+        (lq.save_dataset, lq.load_dataset, data),
+        (lq.save_images, lq.load_images, rng.random((3, 2, 2))),
+        (lq.save_bvae, lq.load_bvae, lq.BvaeModel(TINY_BVAE, params, tau=rng.uniform(0.5, 5))),
+        (lq.save_pgm, lq.load_pgm, rng.random((3, 3))),
+    ]
+
+
+def test_valid_files_round_trip_byte_for_byte(tmp_path):
+    for save, load, obj in valid_samples():
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
         save(obj, first)
         save(load(first), second)
@@ -74,3 +168,53 @@ def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "problem.txt"
     path.write_text("\nQUBO v1 n=2 offset=0.5\n\nL 1 1\n  \nQ 0 1 2\n\n")
     assert lq.load_qubo(path) == lq.QuboProblem(linear=[0, 1], quadratic={(0, 1): 2.0}, offset=0.5)
+
+
+def test_tiny_checkpoint_is_valid(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(tiny_checkpoint())
+    assert lq.load_bvae(path).architecture == TINY_BVAE
+
+
+# replacement tokens for the mutation property: numbers in and out of range,
+# non-numbers, and the tags and header fields of the formats
+TOKENS = [
+    "", "x", "0", "1", "2", "-1", "1.5", "nan", "inf", "1e999", "300",
+    "P2", "LAYER", "TAU", "enc1_w", "w0", "V", "Q", "n=2", "count=9",
+]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Each loader with the lines of one valid file its saver wrote, and a scratch path."""
+    directory = tmp_path_factory.mktemp("valid")
+    files = []
+    for save, load, obj in valid_samples():
+        path = directory / f"{load.__name__}.txt"
+        save(obj, path)
+        files.append((load, path.read_text().splitlines()))
+    return files, directory / "mutated.txt"
+
+
+@settings(derandomize=True, max_examples=400)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_value_error_naming_it(valid_files, data):
+    files, path = valid_files
+    load, lines = data.draw(st.sampled_from(files), label="format")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    edit = data.draw(st.sampled_from(["delete", "duplicate", "retoken"]), label="edit")
+    if edit == "delete":
+        lines = lines[:i] + lines[i + 1 :]
+    elif edit == "duplicate":
+        lines = lines[: i + 1] + lines[i:]
+    else:
+        tokens = lines[i].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")] = data.draw(
+            st.sampled_from(TOKENS), label="replacement"
+        )
+        lines = lines[:i] + [" ".join(tokens)] + lines[i + 1 :]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,3 +454,19 @@ class TestHardwareCheck:
     def test_single_bit(self, half_plane_target):
         report = lq.check_hardware_feasibility(self.cfg(half_plane_target, 1), max_clique=2)
         assert report.fits_hardware
+
+    def test_answers_from_n_in_constant_memory(self, half_plane_target):
+        cfg = self.cfg(half_plane_target, 4000)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="clique limit"):
+                report = lq.check_hardware_feasibility(cfg, max_clique=180)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.edge_count == 4000 * 3999 // 2 and report.is_fully_connected
+        assert peak < 1_000_000
+
+    def test_bad_clique_limit(self, half_plane_target):
+        with pytest.raises(ValueError, match="max_clique"):
+            lq.check_hardware_feasibility(self.cfg(half_plane_target, 4), max_clique=0)
