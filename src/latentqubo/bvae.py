@@ -210,31 +210,40 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mlp(params, half: str, inputs: np.ndarray):
+    """One network half ("enc" or "dec"): two ReLU layers and a linear head -> (h1, h2, head)."""
+    h1 = np.maximum(inputs @ params[f"{half}1_w"] + params[f"{half}1_b"], 0.0)
+    h2 = np.maximum(h1 @ params[f"{half}2_w"] + params[f"{half}2_b"], 0.0)
+    return h1, h2, h2 @ params[f"{half}3_w"] + params[f"{half}3_b"]
+
+
+def _mlp_backward(params, half: str, inputs, h1, h2, d_head, grads) -> np.ndarray | None:
+    """Backward pass of :func:`_mlp`: fill grads for the half's six layers from d(head).
+
+    A ReLU passes gradient where its output is positive.  Returns d(inputs)
+    for the decoder; the encoder's inputs are the data, which need none.
+    """
+    grads[f"{half}3_w"] = h2.T @ d_head
+    grads[f"{half}3_b"] = d_head.sum(axis=0, keepdims=True)
+    d_h2 = (d_head @ params[f"{half}3_w"].T) * (h2 > 0)
+    grads[f"{half}2_w"] = h1.T @ d_h2
+    grads[f"{half}2_b"] = d_h2.sum(axis=0, keepdims=True)
+    d_h1 = (d_h2 @ params[f"{half}2_w"].T) * (h1 > 0)
+    grads[f"{half}1_w"] = inputs.T @ d_h1
+    grads[f"{half}1_b"] = d_h1.sum(axis=0, keepdims=True)
+    return d_h1 @ params[f"{half}1_w"].T if half == "dec" else None
+
+
 def _forward(params, arch: BvaeArchitecture, T: np.ndarray, tau: float, noise: np.ndarray):
-    B = T.shape[0]
-    n = arch.latent_bits
-    if noise.shape != (B, n, CATEGORIES_PER_BIT):
-        raise ValueError(
-            f"noise must have shape {(B, n, CATEGORIES_PER_BIT)}, got {noise.shape}"
-        )
-    a1 = T @ params["enc1_w"] + params["enc1_b"]
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ params["enc2_w"] + params["enc2_b"]
-    h2 = np.maximum(a2, 0.0)
-    logits = (h2 @ params["enc3_w"] + params["enc3_b"]).reshape(B, n, CATEGORIES_PER_BIT)
+    h1, h2, logits = _mlp(params, "enc", T)
+    # gumbel_softmax checks that the noise has this (batch, bits, categories) shape
+    logits = logits.reshape(T.shape[0], arch.latent_bits, CATEGORIES_PER_BIT)
     q = _sigmoid(logits[:, :, 1] - logits[:, :, 0])
-    relaxed = gumbel_softmax(logits, tau, noise)
-    z = relaxed[:, :, 1]
-    b1 = z @ params["dec1_w"] + params["dec1_b"]
-    g1 = np.maximum(b1, 0.0)
-    b2 = g1 @ params["dec2_w"] + params["dec2_b"]
-    g2 = np.maximum(b2, 0.0)
-    out_logits = g2 @ params["dec3_w"] + params["dec3_b"]
-    p = _sigmoid(out_logits)
+    z = gumbel_softmax(logits, tau, noise)[:, :, 1]
+    g1, g2, out_logits = _mlp(params, "dec", z)
     return {
-        "T": T, "a1": a1, "h1": h1, "a2": a2, "h2": h2, "logits": logits,
-        "q": q, "z": z, "b1": b1, "g1": g1, "b2": b2, "g2": g2, "p": p,
-        "tau": tau,
+        "T": T, "h1": h1, "h2": h2, "q": q, "z": z, "g1": g1, "g2": g2,
+        "p": _sigmoid(out_logits), "tau": tau,
     }
 
 
@@ -247,20 +256,11 @@ def _losses(cache) -> LossBreakdown:
     return LossBreakdown(reconstruction=recon, kl=kl)
 
 
-def _backward(params, arch: BvaeArchitecture, cache) -> dict[str, np.ndarray]:
+def _backward(params, cache) -> dict[str, np.ndarray]:
     B = cache["T"].shape[0]
     grads = {}
-
     d_out = (cache["p"] - cache["T"]) / B
-    grads["dec3_w"] = cache["g2"].T @ d_out
-    grads["dec3_b"] = d_out.sum(axis=0, keepdims=True)
-    d_g2 = (d_out @ params["dec3_w"].T) * (cache["b2"] > 0)
-    grads["dec2_w"] = cache["g1"].T @ d_g2
-    grads["dec2_b"] = d_g2.sum(axis=0, keepdims=True)
-    d_g1 = (d_g2 @ params["dec2_w"].T) * (cache["b1"] > 0)
-    grads["dec1_w"] = cache["z"].T @ d_g1
-    grads["dec1_b"] = d_g1.sum(axis=0, keepdims=True)
-    d_z = d_g1 @ params["dec1_w"].T
+    d_z = _mlp_backward(params, "dec", cache["z"], cache["g1"], cache["g2"], d_out, grads)
 
     # z = sigmoid of the noisy logit gap scaled by 1/tau; q = sigmoid of the
     # clean gap; both route into d(gap), with opposite signs per category.
@@ -270,15 +270,7 @@ def _backward(params, arch: BvaeArchitecture, cache) -> dict[str, np.ndarray]:
     d_gap = d_z * z * (1.0 - z) / cache["tau"]
     d_gap += (np.log(qc) - np.log(1.0 - qc)) * q * (1.0 - q) / B
     d_logits = np.stack([-d_gap, d_gap], axis=-1).reshape(B, -1)
-
-    grads["enc3_w"] = cache["h2"].T @ d_logits
-    grads["enc3_b"] = d_logits.sum(axis=0, keepdims=True)
-    d_h2 = (d_logits @ params["enc3_w"].T) * (cache["a2"] > 0)
-    grads["enc2_w"] = cache["h1"].T @ d_h2
-    grads["enc2_b"] = d_h2.sum(axis=0, keepdims=True)
-    d_h1 = (d_h2 @ params["enc2_w"].T) * (cache["a1"] > 0)
-    grads["enc1_w"] = cache["T"].T @ d_h1
-    grads["enc1_b"] = d_h1.sum(axis=0, keepdims=True)
+    _mlp_backward(params, "enc", cache["T"], cache["h1"], cache["h2"], d_logits, grads)
     return grads
 
 
@@ -294,7 +286,7 @@ def bvae_loss_and_grads(model: BvaeModel, batch, tau: float, noise):
     T = _check_batch(model.architecture, batch)
     params = model.params
     cache = _forward(params, model.architecture, T, tau, np.asarray(noise, dtype=np.float64))
-    return _losses(cache), _backward(params, model.architecture, cache)
+    return _losses(cache), _backward(params, cache)
 
 
 def _init_params(arch: BvaeArchitecture, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -356,7 +348,7 @@ def bvae_train(
             noise = sample_gumbel_noise(rng, (batch.shape[0], n, CATEGORIES_PER_BIT))
             cache = _forward(params, arch, batch, sched.tau, noise)
             losses = _losses(cache)
-            grads = _backward(params, arch, cache)
+            grads = _backward(params, cache)
             recon_sum += losses.reconstruction * batch.shape[0]
             kl_sum += losses.kl * batch.shape[0]
             step += 1
@@ -386,10 +378,7 @@ def encode(model: BvaeModel, image) -> np.ndarray:
     T = _check_batch(model.architecture, image)
     if T.shape[0] != 1:
         raise ValueError(f"encode expects a single image, got {T.shape[0]}")
-    p = model.params
-    h1 = np.maximum(T @ p["enc1_w"] + p["enc1_b"], 0.0)
-    h2 = np.maximum(h1 @ p["enc2_w"] + p["enc2_b"], 0.0)
-    logits = (h2 @ p["enc3_w"] + p["enc3_b"]).reshape(-1, CATEGORIES_PER_BIT)
+    logits = _mlp(model.params, "enc", T)[2].reshape(-1, CATEGORIES_PER_BIT)
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 
@@ -407,12 +396,8 @@ def decode(
         raise ValueError(f"dimension mismatch: model has n={n}, vector has length {x.size}")
     if blur_radius_px < 0:
         raise ValueError(f"blur_radius_px must be >= 0, got {blur_radius_px}")
-    p = model.params
-    z = x.astype(np.float64)[None, :]
-    g1 = np.maximum(z @ p["dec1_w"] + p["dec1_b"], 0.0)
-    g2 = np.maximum(g1 @ p["dec2_w"] + p["dec2_b"], 0.0)
     m = model.architecture.image_side
-    continuous = _sigmoid(g2 @ p["dec3_w"] + p["dec3_b"]).reshape(m, m)
+    continuous = _sigmoid(_mlp(model.params, "dec", x.astype(np.float64)[None, :])[2]).reshape(m, m)
     if blur_radius_px > 0:
         continuous = gaussian_filter(continuous, sigma=blur_radius_px)
     pattern = (continuous >= 0.5).astype(np.uint8)

@@ -31,6 +31,7 @@ from .pipeline import (
     PipelineConfig,
     check_hardware_feasibility,
     fit_and_sample,
+    load_inputs,
     run_pipeline,
 )
 from .qubo import FLOAT_FORMAT
@@ -45,7 +46,7 @@ EXIT_RUNTIME = 4
 
 _PIPELINE_KEYS = {
     "latent_bits", "fm_rank", "samples_per_iteration", "iterations", "sampler",
-    "augmentation", "bit_flip_copies", "label_margin", "dedup", "warm_start_fm",
+    "augmentation", "bit_flip_copies", "label_margin", "warm_start_fm",
     "seed", "bvae_checkpoint", "dataset", "output_dir", "fm_epochs",
     "fm_learning_rate", "decode_blur",
 }
@@ -169,7 +170,7 @@ def build_pipeline_config(
     optional = (
         ("samples_per_iteration", int), ("iterations", int), ("sampler", str),
         ("augmentation", str), ("bit_flip_copies", int), ("label_margin", float),
-        ("dedup", _as_bool), ("warm_start_fm", _as_bool), ("fm_epochs", int),
+        ("warm_start_fm", _as_bool), ("fm_epochs", int),
         ("fm_learning_rate", float), ("decode_blur", float),
     )
     try:
@@ -223,12 +224,15 @@ def _cmd_train_bvae(args) -> int:
     if not Path(args.images).exists():
         raise FileNotFoundError(f"image file does not exist: {args.images}")
     images = load_images(args.images)
-    arch = BvaeArchitecture(
-        image_side=images.shape[1],
-        latent_bits=args.latent_bits,
-        encoder_hidden=tuple(int(s) for s in args.encoder_hidden.split(",")),
-        decoder_hidden=tuple(int(s) for s in args.decoder_hidden.split(",")),
-    )
+    try:
+        arch = BvaeArchitecture(
+            image_side=images.shape[1],
+            latent_bits=args.latent_bits,
+            encoder_hidden=tuple(int(s) for s in args.encoder_hidden.split(",")),
+            decoder_hidden=tuple(int(s) for s in args.decoder_hidden.split(",")),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid autoencoder architecture: {exc}") from exc
     model, curves = bvae_train(
         images,
         arch,
@@ -285,10 +289,7 @@ def _cmd_run_loop(args) -> int:
 def _cmd_sample_once(args) -> int:
     cp, base = _read_ini(args.config)
     cfg = build_pipeline_config(cp, base, args.seed, None)
-    for path in (cfg.bvae_checkpoint, cfg.dataset_path):
-        if not Path(path).exists():
-            raise FileNotFoundError(f"required input file does not exist: {path}")
-    data = load_dataset(cfg.dataset_path)
+    _, data = load_inputs(cfg)
     # one loop iteration's fit and sample, both seeded with the configured seed
     _, report, transform, samples = fit_and_sample(data, cfg, cfg.seed, cfg.seed)
     out = Path(args.out)

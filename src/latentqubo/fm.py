@@ -104,19 +104,13 @@ class LabelTransform:
     """Maximization-to-minimization trick: train on c - y, recover y = c - energy."""
 
     c: float
-    margin: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
-        if not self.margin >= 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-
-    def apply(self, y):
-        return self.c - np.asarray(y, dtype=np.float64)
 
     def invert(self, energy):
-        """Map a sampled energy back to the original label scale."""
+        """Map a sampled energy back to the original label scale; c - v is its own inverse."""
         return self.c - np.asarray(energy, dtype=np.float64)
 
 
@@ -127,8 +121,30 @@ def apply_label_transform(Y, margin: float) -> tuple[np.ndarray, LabelTransform]
         raise ValueError(f"labels must form a nonempty 1-D vector, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("labels must be finite")
-    t = LabelTransform(c=float(Y.max()) + float(margin), margin=float(margin))
-    return t.apply(Y), t
+    if not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    t = LabelTransform(c=float(Y.max()) + float(margin))
+    return t.invert(Y), t
+
+
+def _predict(w0, w: np.ndarray, V: np.ndarray, x: np.ndarray):
+    """(prediction, s = V.T @ x) at one float64 0/1 vector x, in O(nk).
+
+    Uses the identity sum_{i<j} <v_i,v_j> x_i x_j
+    = 0.5 * sum_f [(sum_i V_if x_i)^2 - sum_i V_if^2 x_i], as x_i^2 = x_i.
+    """
+    s = V.T @ x
+    return w0 + float(w @ x) + 0.5 * (float(s @ s) - float((V**2 * x[:, None]).sum())), s
+
+
+def _gradients(V: np.ndarray, x: np.ndarray, s: np.ndarray, residual):
+    """Squared-error gradients (d/dw0, d/dw, d/dV) at x, with s from :func:`_predict`.
+
+    residual is y_pred - target; the loss is residual^2, so every partial is
+    2 * residual * (partial of the prediction).
+    """
+    r2 = 2.0 * residual
+    return r2, r2 * x, r2 * (np.outer(x, s) - V * x[:, None])
 
 
 def _check_dim(m: FmModel, x: np.ndarray) -> None:
@@ -138,17 +154,15 @@ def _check_dim(m: FmModel, x: np.ndarray) -> None:
         )
 
 
-def fm_predict(m: FmModel, bits) -> float:
-    """Evaluate the model at one binary vector in O(nk).
-
-    Uses the identity sum_{i<j} <v_i,v_j> x_i x_j
-    = 0.5 * sum_f [(sum_i V_if x_i)^2 - sum_i V_if^2 x_i^2].
-    """
+def _vector(m: FmModel, bits) -> np.ndarray:
     x = as_binary_vector(bits).astype(np.float64)
     _check_dim(m, x)
-    s = m.V.T @ x
-    pairwise = 0.5 * (float(s @ s) - float(np.sum(m.V**2 * (x**2)[:, None])))
-    return m.w0 + float(m.w @ x) + pairwise
+    return x
+
+
+def fm_predict(m: FmModel, bits) -> float:
+    """Evaluate the model at one binary vector in O(nk)."""
+    return _predict(m.w0, m.w, m.V, _vector(m, bits))[0]
 
 
 def fm_predict_batch(m: FmModel, X) -> np.ndarray:
@@ -161,17 +175,9 @@ def fm_predict_batch(m: FmModel, X) -> np.ndarray:
 
 
 def fm_gradients(m: FmModel, bits, residual: float):
-    """Squared-error gradients (d/dw0, d/dw, d/dV) at one sample.
-
-    residual is y_pred - target; the loss is residual^2, so every partial is
-    2 * residual * (partial of the prediction).
-    """
-    x = as_binary_vector(bits).astype(np.float64)
-    _check_dim(m, x)
-    r2 = 2.0 * float(residual)
-    s = m.V.T @ x
-    g_V = r2 * (np.outer(x, s) - m.V * (x**2)[:, None])
-    return r2, r2 * x, g_V
+    """Squared-error gradients (d/dw0, d/dw, d/dV) at one sample; fm_train steps along these."""
+    x = _vector(m, bits)
+    return _gradients(m.V, x, _predict(m.w0, m.w, m.V, x)[1], float(residual))
 
 
 def _split_indices(count: int, split, rng: np.random.Generator):
@@ -241,13 +247,8 @@ def fm_train(
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(train_idx):
             x = X[idx]
-            s = V.T @ x
-            # x is binary so x_i^2 = x_i in the O(nk) pairwise identity
-            pred = w0 + float(w @ x) + 0.5 * (float(s @ s) - float((V**2 * x[:, None]).sum()))
-            r2x = 2.0 * (pred - Y[idx])
-            g_w0 = r2x
-            g_w = r2x * x
-            g_V = r2x * (np.outer(x, s) - V * x[:, None])
+            pred, s = _predict(w0, w, V, x)
+            g_w0, g_w, g_V = _gradients(V, x, s, pred - Y[idx])
             acc_w0 += g_w0 * g_w0
             acc_w += g_w**2
             acc_V += g_V**2
@@ -268,13 +269,9 @@ def fm_train(
     return model, report
 
 
-def fm_to_qubo(m: FmModel, transform: LabelTransform | None = None) -> QuboProblem:
-    """Exact extraction: Q_i = w_i, Q_ij = <v_i, v_j>, offset = w0.
-
-    The optional transform is recorded on the problem so sampled energies can
-    be mapped back to original-scale labels via transform.invert.
-    """
-    return QuboProblem(m.w, np.triu(m.V @ m.V.T, 1), m.w0, label_transform=transform)
+def fm_to_qubo(m: FmModel) -> QuboProblem:
+    """Exact extraction: Q_i = w_i, Q_ij = <v_i, v_j>, offset = w0."""
+    return QuboProblem(m.w, np.triu(m.V @ m.V.T, 1), m.w0)
 
 
 def save_fm(m: FmModel, path) -> None:

@@ -44,6 +44,7 @@ __all__ = [
     "RunState",
     "bit_flip_augment",
     "fit_and_sample",
+    "load_inputs",
     "run_iteration",
     "run_pipeline",
     "check_hardware_feasibility",
@@ -71,7 +72,6 @@ class PipelineConfig:
     augmentation: str = "none"
     bit_flip_copies: int = 10
     label_margin: float = 0.05
-    dedup: bool = True
     warm_start_fm: bool = True
     seed: int = 0
     fm_epochs: int = 30
@@ -136,7 +136,6 @@ class RunState:
     bvae: BvaeModel
     objective: FigureOfMerit
     fm: FmModel | None = None
-    transform: LabelTransform | None = None
     iteration: int = 0
     running_max_fom: float = float("-inf")
     seed_seq: np.random.SeedSequence = dataclass_field(
@@ -174,7 +173,7 @@ def fit_and_sample(
         epochs=cfg.fm_epochs, learning_rate=cfg.fm_learning_rate, rank=cfg.fm_rank, seed=fm_seed
     )
     model, report = fm_train(train_data, fm_cfg, warm_start=warm_start)
-    q = fm_to_qubo(model, transform)
+    q = fm_to_qubo(model)
     if cfg.sampler == "brute_force":
         # request enough entries that already-seen vectors cannot crowd out
         # samples_per_iteration new ones
@@ -193,7 +192,6 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
     state.fm, _, transform, sample_set = fit_and_sample(
         state.dataset, cfg, fm_seed, sampler_seed, warm_start=warm
     )
-    state.transform = transform
 
     selected: list[np.ndarray] = []
     selected_tags: list[str] = []
@@ -205,7 +203,7 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
             if len(selected) >= cfg.samples_per_iteration:
                 return
             key = x.tobytes()
-            if cfg.dedup and (state.dataset.contains(x) or key in seen_now):
+            if state.dataset.contains(x) or key in seen_now:
                 continue
             seen_now.add(key)
             selected.append(x)
@@ -225,9 +223,7 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
         surrogate_gaps[r] = abs(fm_predict(state.fm, x) - (transform.c - labels[r]))
 
     if selected:
-        state.dataset, _ = state.dataset.append_rows(
-            np.stack(selected), labels, selected_tags, dedup=cfg.dedup
-        )
+        state.dataset, _ = state.dataset.append_rows(np.stack(selected), labels, selected_tags)
         mean_fom = float(labels.mean())
         std_fom = float(labels.std())
         max_fom = float(labels.max())
@@ -265,17 +261,11 @@ def write_convergence_csv(history, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _dedupe_initial(data: LabeledDataset) -> LabeledDataset:
-    empty = LabeledDataset.empty(data.n)
-    merged, _ = empty.append_rows(data.X, data.Y, data.provenance, dedup=True)
-    return merged
+def load_inputs(cfg: PipelineConfig) -> tuple[BvaeModel, LabeledDataset]:
+    """The checkpoint and the initial dataset, checked against cfg; duplicate rows dropped.
 
-
-def run_pipeline(cfg: PipelineConfig) -> RunState:
-    """Execute the configured number of iterations and write all artifacts.
-
-    Outputs under cfg.output_dir: convergence.csv, dataset_final.txt,
-    fm_final.txt, best_design.pgm, and best_design_bits.txt.
+    The first occurrence of a repeated vector is kept.  ``run-loop`` and
+    ``sample-once`` both read their inputs here.
     """
     for path in (cfg.bvae_checkpoint, cfg.dataset_path):
         if not Path(path).exists():
@@ -293,9 +283,17 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
         )
     if len(data) == 0:
         raise ValueError("initial dataset is empty")
-    if cfg.dedup:
-        data = _dedupe_initial(data)
+    data, _ = LabeledDataset.empty(data.n).append_rows(data.X, data.Y, data.provenance)
+    return bvae, data
 
+
+def run_pipeline(cfg: PipelineConfig) -> RunState:
+    """Execute the configured number of iterations and write all artifacts.
+
+    Outputs under cfg.output_dir: convergence.csv, dataset_final.txt,
+    fm_final.txt, best_design.pgm, and best_design_bits.txt.
+    """
+    bvae, data = load_inputs(cfg)
     state = RunState(
         dataset=data,
         bvae=bvae,

@@ -14,12 +14,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .fm import LabelTransform
 
 __all__ = [
     "QuboProblem",
@@ -105,7 +101,7 @@ class _CoupledProblem:
 
     ``upper``, a read-only strictly upper-triangular float64 (n, n) matrix, is
     the only stored form of the couplings; constructors also take them as a
-    ``{(i, j): c}`` map with i < j.  Equality ignores every other attribute.
+    ``{(i, j): c}`` map with i < j.  Equality compares these three fields.
     """
 
     _VECTOR = _WHAT = ""  # attribute name of the first-order vector; its name in errors
@@ -155,18 +151,12 @@ class QuboProblem(_CoupledProblem):
 
     ``quadratic`` takes the couplings as a map or a matrix (see the base
     class); read back, it is the read-only map of the nonzero ones.
-    ``label_transform`` records the label negation of the surrogate the
-    problem came from, so sampled energies map back to figures of merit; the
-    energy and equality ignore it.
     """
 
     _VECTOR, _WHAT = "linear", "linear coefficients"
 
-    def __init__(
-        self, linear, quadratic=None, offset=0.0, label_transform: LabelTransform | None = None
-    ):
+    def __init__(self, linear, quadratic=None, offset=0.0):
         super().__init__(linear, quadratic, offset)
-        object.__setattr__(self, "label_transform", label_transform)
 
     @property
     def quadratic(self) -> Mapping[tuple[int, int], float]:

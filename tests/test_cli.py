@@ -89,6 +89,22 @@ class TestTrainBvae:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--encoder-hidden", "16,x"),
+        ("--decoder-hidden", "0,8"),
+        ("--latent-bits", "0"),
+    ])
+    def test_bad_size_is_a_configuration_error(self, tmp_path, capsys, flag, value):
+        corpus = tmp_path / "corpus.txt"
+        main(["gen-corpus", "--kind", "half_planes", "--side", "6", "--count", "4",
+              "--out", str(corpus)])
+        out = tmp_path / "model.txt"
+        rc = main(["train-bvae", "--images", str(corpus), "--epochs", "1", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenDataset:
     def test_builds_labeled_dataset(self, workspace, capsys):
@@ -326,6 +342,21 @@ class TestSampleOnce:
         assert lines[0] == "rank,energy,occurrences,bits"
         assert len(lines) > 1
         assert "best sampled energy" in capsys.readouterr().out
+
+    def test_reads_its_inputs_like_run_loop(self, workspace, capsys):
+        tmp_path, config = workspace
+        rng = np.random.default_rng(0)
+        wrong = lq.LabeledDataset(
+            X=rng.integers(0, 2, (10, 12)).astype(np.uint8),
+            Y=rng.random(10),
+            provenance=("random",) * 10,
+        )
+        lq.save_dataset(wrong, tmp_path / "data.txt")
+        out = tmp_path / "samples.csv"
+        rc = main(["sample-once", "--config", config, "--out", str(out)])
+        assert rc == 4
+        assert "16 latent bits but the dataset has n=12" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -71,16 +71,6 @@ class TestConstruction:
 
 
 class TestEquality:
-    def test_ignores_label_transform(self):
-        a = lq.QuboProblem(linear=[1.0, 2.0], quadratic={(0, 1): 3.0}, offset=0.5)
-        b = lq.QuboProblem(
-            linear=[1.0, 2.0],
-            quadratic={(0, 1): 3.0},
-            offset=0.5,
-            label_transform=lq.LabelTransform(c=2.0),
-        )
-        assert a == b
-
     def test_every_stored_field_counts(self):
         base = dict(linear=[1.0, 2.0], quadratic={(0, 1): 3.0}, offset=0.5)
         q = lq.QuboProblem(**base)

@@ -156,11 +156,6 @@ class TestQuboExtraction:
         for x in rng.integers(0, 2, (100, 10)):
             assert lq.qubo_energy(q, x) == pytest.approx(lq.fm_predict(m, x), abs=1e-9)
 
-    def test_transform_recorded(self):
-        _, t = lq.apply_label_transform(np.array([0.5]), margin=0.1)
-        q = lq.fm_to_qubo(example_model(), t)
-        assert q.label_transform is t
-
     def test_argmin_argmax_duality(self):
         rng = np.random.default_rng(6)
         m = random_model(rng, 8, 3)
@@ -231,6 +226,25 @@ class TestTraining:
         stage1, r1 = lq.fm_train(data, cfg)
         _, r2 = lq.fm_train(data, cfg, warm_start=stage1)
         assert r2.loss_curve[-1] < r1.loss_curve[0]
+
+    def test_one_step_applies_the_checked_gradient(self):
+        # one row and one epoch make exactly one Adagrad step; its accumulator
+        # is then g^2, so each parameter moves by -lr * g / (sqrt(g^2) + 1e-8)
+        rng = np.random.default_rng(12)
+        m = random_model(rng, 6, 3)
+        x = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+        y = 0.25
+        data = lq.LabeledDataset(X=x[None, :], Y=np.array([y]), provenance=("random",))
+        cfg = lq.FmTrainConfig(epochs=1, rank=3, split=(1.0, 0.0, 0.0))
+        trained, _ = lq.fm_train(data, cfg, warm_start=m)
+        g0, gw, gV = lq.fm_gradients(m, x, lq.fm_predict(m, x) - y)
+
+        def step(g):
+            return cfg.learning_rate * g / (np.sqrt(g * g) + 1e-8)
+
+        assert trained.w0 == m.w0 - step(g0)
+        assert np.array_equal(trained.w, m.w - step(gw))
+        assert np.array_equal(trained.V, m.V - step(gV))
 
     def test_split_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
