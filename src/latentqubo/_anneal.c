@@ -1,0 +1,38 @@
+/* Metropolis sweeps of one simulated-annealing read over a dense QUBO.
+ *
+ * The sweep loop of latentqubo.samplers.simulated_annealing_sample in C,
+ * after Isakov et al., "Optimised simulated annealing code for spin glasses",
+ * Comput. Phys. Commun. 192 (2015).  It takes the read's own draws (the
+ * visiting orders perms and the uniforms, both sweeps x n, row-major) and
+ * takes the same steps as the numpy loop: the local field is
+ * linear[i] + sum_j coupling[i, j] * x[j], and the flip of bit i is accepted
+ * when u < exp(min(0, -beta * delta)).  The field is summed in index order,
+ * where numpy's einsum may group the same terms otherwise, so a decision
+ * could differ only for a uniform within rounding of its threshold; the
+ * tests require identical results.
+ *
+ * Compile without -ffast-math and with -ffp-contract=off, so the sum keeps
+ * its order and exp stays the C library's.  ptrdiff_t matches numpy's intp.
+ */
+#include <math.h>
+#include <stddef.h>
+
+void anneal_read(ptrdiff_t n, ptrdiff_t sweeps, const double *linear,
+                 const double *coupling, const double *betas,
+                 const ptrdiff_t *perms, const double *uniforms, double *x)
+{
+    for (ptrdiff_t t = 0; t < sweeps; t++) {
+        const double beta = betas[t];
+        for (ptrdiff_t p = 0; p < n; p++) {
+            const ptrdiff_t i = perms[t * n + p];
+            const double *row = coupling + i * n;
+            double field = 0.0;
+            for (ptrdiff_t j = 0; j < n; j++)
+                field += row[j] * x[j];
+            const double delta = (1.0 - 2.0 * x[i]) * (linear[i] + field);
+            const double exponent = -beta * delta;
+            if (uniforms[t * n + p] < exp(exponent < 0.0 ? exponent : 0.0))
+                x[i] = 1.0 - x[i];
+        }
+    }
+}

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledDataset
-from .qubo import FLOAT_FORMAT, QuboProblem, _count, _read_tagged, _records, as_binary_vector
+from .qubo import (
+    FLOAT_FORMAT, QuboProblem, _count, _read_tagged, _records, _zeros, as_binary_vector,
+)
 
 __all__ = [
     "FmModel",
@@ -289,8 +291,8 @@ def load_fm(path) -> FmModel:
     n = _count(n_text, "n", where)
     k = _count(k_text, "k", where)
     w0 = None
-    w = np.zeros(n)
-    V = np.zeros((n, k))
+    w = _zeros(n, where)
+    V = _zeros((n, k), where)
     for _, tag, idx, values in _records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}):
         if tag == "w0":
             w0 = values[0]

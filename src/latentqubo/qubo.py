@@ -324,6 +324,14 @@ def _row(fields: list[str], size: int, where: str) -> np.ndarray:
     return values
 
 
+def _zeros(shape, where: str) -> np.ndarray:
+    """Zeroed float64 coefficients of a header-given shape; too large a shape is a ValueError."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):  # numpy raises ValueError past its maximum array size
+        raise ValueError(f"{where}: cannot allocate coefficients of shape {shape}") from None
+
+
 def _counted(path, body, count_text: str, head: str):
     """Yield (where, fields) per body line; there must be as many as the header's count=."""
     count = _count(count_text, "count", head, low=0)
@@ -368,16 +376,16 @@ def _load(path, header: str, problem_type):
     where, (n_text, offset_text), body = _read_tagged(path, header, ("n", "offset"))
     n = _count(n_text, "n", where)
     offset = _field(offset_text, float, np.isfinite, where, "offset= must be a finite number")
-    vector = np.zeros(n)
-    pairs: dict[tuple[int, int], float] = {}
+    vector = _zeros(n, where)
+    upper = _zeros((n, n), where)
     for where, tag, idx, (value,) in _records(path, body, n, {"L": (1, 1), "Q": (2, 1)}):
         if tag == "L":
             vector[idx] = value
         elif idx[0] >= idx[1]:
             raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
         else:
-            pairs[idx] = value
-    return problem_type(vector, pairs, offset)
+            upper[idx] = value
+    return problem_type(vector, upper, offset)
 
 
 def save_qubo(q: QuboProblem, path) -> None:

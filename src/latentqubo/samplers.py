@@ -7,7 +7,14 @@ are fully deterministic given their inputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import shutil
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -160,27 +167,50 @@ def simulated_annealing_sample(
     streams split off the given seed, so results are identical whether reads
     run serially or in parallel.  The per-read final states are deduplicated
     and sorted by energy.
+
+    The sweeps run in a small C kernel, compiled at the first call; without a
+    C compiler the same steps run in numpy, all reads at once.
     """
-    n = q.n
-    reads, sweeps = schedule.num_reads, schedule.num_sweeps
-    streams = np.random.SeedSequence(seed).spawn(reads)
-
-    x = np.empty((reads, n))
-    perms = np.empty((reads, sweeps, n), dtype=np.intp)
-    accept_draws = np.empty((reads, sweeps, n))
+    n, reads, sweeps = q.n, schedule.num_reads, schedule.num_sweeps
     base = np.tile(np.arange(n, dtype=np.intp), (sweeps, 1))
-    for r, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        x[r] = rng.integers(0, 2, n)
-        perms[r] = rng.permuted(base, axis=1)
-        accept_draws[r] = rng.random((sweeps, n))
-
+    streams = np.random.SeedSequence(seed).spawn(reads)
+    draws = (_read_draws(stream, base) for stream in streams)
     linear = q.linear
     coupling = q.dense_symmetric
     betas = schedule.betas()
+    kernel = _kernel()
+    x = np.empty((reads, n))
+    if kernel is None:
+        _anneal_numpy(linear, coupling, betas, draws, x)
+    else:
+        for r, (x0, perms, uniforms) in enumerate(draws):
+            kernel(n, sweeps, linear, coupling, betas, perms, uniforms, x0)
+            x[r] = x0
+
+    finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
+    energies = qubo_energy(q, finals)
+    return _make_sample_set(zip(finals, energies, counts), "simulated_annealing", seed=seed)
+
+
+def _read_draws(stream: np.random.SeedSequence, base: np.ndarray):
+    """One read's start state, then its visiting orders and uniforms, each (sweeps, n)."""
+    rng = np.random.default_rng(stream)
+    x0 = rng.integers(0, 2, base.shape[1]).astype(np.float64)
+    return x0, rng.permuted(base, axis=1), rng.random(base.shape)
+
+
+def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
+    """The kernel's steps in numpy, all reads at once; anneals the rows of x in place.
+
+    Runs where no C compiler is found, and is the kernel's reference in the tests.
+    """
+    reads, n = x.shape
+    perms = np.empty((reads, betas.size, n), dtype=np.intp)
+    accept_draws = np.empty((reads, betas.size, n))
+    for r, (x0, read_perms, uniforms) in enumerate(draws):
+        x[r], perms[r], accept_draws[r] = x0, read_perms, uniforms
     rows = np.arange(reads)
-    for t in range(sweeps):
-        beta = betas[t]
+    for t, beta in enumerate(betas):
         for p in range(n):
             idx = perms[:, t, p]
             local = linear[idx] + np.einsum("rn,rn->r", coupling[idx], x)
@@ -190,6 +220,39 @@ def simulated_annealing_sample(
             flip_cols = idx[accepted]
             x[flip_rows, flip_cols] = 1.0 - x[flip_rows, flip_cols]
 
-    finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
-    energies = qubo_energy(q, finals)
-    return _make_sample_set(zip(finals, energies, counts), "simulated_annealing", seed=seed)
+
+@functools.cache
+def _kernel():
+    """The compiled sweep of ``_anneal.c``, or None when no C compiler is found.
+
+    The library is built into a temporary directory at the first call and
+    loaded; the directory is deleted once the library is mapped.
+    """
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    source = Path(__file__).with_name("_anneal.c")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            library = Path(tmp) / "_anneal.so"
+            subprocess.run(
+                [compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                 "-o", str(library), str(source), "-lm"],
+                check=True, capture_output=True, text=True,
+            )
+            anneal_read = ctypes.CDLL(str(library)).anneal_read
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        warnings.warn(f"annealing in numpy: building {source.name} failed: {detail}",
+                      RuntimeWarning)
+        return None
+    f64 = functools.partial(np.ctypeslib.ndpointer, np.float64, flags="C_CONTIGUOUS")
+    anneal_read.argtypes = [
+        ctypes.c_ssize_t, ctypes.c_ssize_t,  # n, sweeps
+        f64(ndim=1), f64(ndim=2), f64(ndim=1),  # linear, coupling, betas
+        np.ctypeslib.ndpointer(np.intp, ndim=2, flags="C_CONTIGUOUS"),  # perms
+        f64(ndim=2),  # uniforms
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # x
+    ]
+    anneal_read.restype = None
+    return anneal_read

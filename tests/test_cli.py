@@ -331,6 +331,19 @@ class TestConfigErrors:
         assert main(["run-loop", "--config", config]) == 2
         assert "invalid value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["label_margin = nan", "decode_blur = nan", "fm_learning_rate = nan",
+         "fm_learning_rate = 0", "fm_learning_rate = -0.1"],
+    )
+    def test_nan_or_non_positive_setting(self, workspace, capsys, setting):
+        tmp_path, config = workspace
+        path = tmp_path / "run.ini"
+        path.write_text(path.read_text().replace("seed = 21", f"seed = 21\n{setting}"))
+        assert main(["run-loop", "--config", config]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSampleOnce:
     def test_writes_sample_csv(self, workspace, capsys):

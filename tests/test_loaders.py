@@ -50,9 +50,11 @@ MALFORMED = [
     pytest.param(lq.load_qubo, "QUBO v1 n=0 offset=0\n", 1, id="qubo-zero-n"),
     pytest.param(lq.load_qubo, "QUBO v1 n=2 offset=x\n", 1, id="qubo-bad-offset"),
     pytest.param(lq.load_qubo, "\n\nQUBO v1 n=2 offset=0\n\nL 5 1\n", 5, id="qubo-blank-lines-count"),
+    pytest.param(lq.load_qubo, "QUBO v1 n=10000000 offset=0\n", 1, id="qubo-unallocatable-n"),
     pytest.param(lq.load_ising, ISING_HEAD + "L -1 3.0\n", 2, id="ising-negative-index"),
     pytest.param(lq.load_ising, ISING_HEAD + "Q 0 1 1\n\nQ 0 1 1\n", 4, id="ising-duplicate-pair"),
     pytest.param(lq.load_ising, ISING_HEAD + "Q 1 0 1\n", 2, id="ising-lower-pair"),
+    pytest.param(lq.load_ising, "ISING v1 n=1000000000000 offset=0\n", 1, id="ising-unallocatable-n"),
     pytest.param(lq.load_fm, FM_HEAD + "w -1 5\n", 3, id="fm-negative-index"),
     pytest.param(lq.load_fm, FM_HEAD + "w 2 5\n", 3, id="fm-index-out-of-range"),
     pytest.param(lq.load_fm, FM_HEAD + "w 0 1\nw 0 2\n", 4, id="fm-duplicate-w"),
@@ -62,6 +64,7 @@ MALFORMED = [
     pytest.param(lq.load_fm, FM_HEAD + "w 0\n", 3, id="fm-short-w"),
     pytest.param(lq.load_fm, "FM v1 n=2 k=x\nw0 0\n", 1, id="fm-non-integer-k"),
     pytest.param(lq.load_fm, "FM v1 n=-2 k=1\nw0 0\n", 1, id="fm-negative-n"),
+    pytest.param(lq.load_fm, "FM v1 n=10000000 k=10000000\nw0 0\n", 1, id="fm-unallocatable-V"),
     pytest.param(lq.load_dataset, DATASET_HEAD + "01 0.5\n", 2, id="dataset-tagless-row"),
     pytest.param(lq.load_dataset, DATASET_HEAD + "01 0.5 a b\n", 2, id="dataset-extra-field"),
     pytest.param(lq.load_dataset, DATASET_HEAD + "0x 0.5 t\n", 2, id="dataset-bad-bit"),

@@ -92,6 +92,11 @@ class TestConfigValidation:
             (dict(fm_epochs=0), "fm_epochs"),
             (dict(decode_blur=-1.0), "decode_blur"),
             (dict(latent_bits=0), "latent_bits"),
+            (dict(label_margin=float("nan")), "label_margin"),
+            (dict(decode_blur=float("nan")), "decode_blur"),
+            (dict(fm_learning_rate=0.0), "fm_learning_rate"),
+            (dict(fm_learning_rate=-0.05), "fm_learning_rate"),
+            (dict(fm_learning_rate=float("nan")), "fm_learning_rate"),
         ],
     )
     def test_rejections(self, half_plane_target, overrides, msg):

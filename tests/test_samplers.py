@@ -1,8 +1,12 @@
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import latentqubo as lq
+import latentqubo.samplers as samplers
 from conftest import all_bit_vectors, random_qubo
 
 
@@ -150,6 +154,73 @@ class TestSimulatedAnnealing:
         ss = lq.simulated_annealing_sample(q, lq.AnnealSchedule(num_sweeps=100), seed=2)
         energies = [e.energy for e in ss.entries]
         assert energies == sorted(energies)
+
+
+def sample_set_contents(ss: lq.SampleSet):
+    """Everything a SampleSet holds, in order, as comparable values."""
+    entries = [(e.vector.tolist(), e.energy, e.occurrences) for e in ss.entries]
+    return ss.sampler_name, ss.seed, entries
+
+
+class TestAnnealKernel:
+    """The compiled sweep against the numpy loop it replaces."""
+
+    # (n, schedule): random QUBOs at each size, one-sweep and one-read schedules among them
+    CASES = [
+        (1, lq.AnnealSchedule()),
+        (2, lq.AnnealSchedule(num_sweeps=50, num_reads=1)),
+        (16, lq.AnnealSchedule()),
+        (16, lq.AnnealSchedule(num_sweeps=1)),
+        (16, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=300, num_reads=7)),
+        (40, lq.AnnealSchedule(num_sweeps=100, num_reads=9)),
+        (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
+        (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
+    ]
+
+    @pytest.mark.parametrize("n, schedule", CASES)
+    def test_same_sample_set_as_numpy_loop(self, monkeypatch, n, schedule):
+        q = random_qubo(np.random.default_rng(100 + n), n)
+        compiled = lq.simulated_annealing_sample(q, schedule, seed=n)
+        monkeypatch.setattr(samplers, "_kernel", lambda: None)
+        looped = lq.simulated_annealing_sample(q, schedule, seed=n)
+        assert sample_set_contents(compiled) == sample_set_contents(looped)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_kernel_loads_where_a_compiler_is_found(self):
+        assert samplers._kernel() is not None
+
+    def test_without_compiler_the_numpy_loop_runs(self, monkeypatch):
+        q = random_qubo(np.random.default_rng(9), 16)
+        schedule = lq.AnnealSchedule(num_sweeps=200)
+        compiled = lq.simulated_annealing_sample(q, schedule, seed=4)
+        calls = []
+        numpy_loop = samplers._anneal_numpy
+        monkeypatch.setattr(
+            samplers, "_anneal_numpy", lambda *args: calls.append(1) or numpy_loop(*args)
+        )
+        monkeypatch.setattr(samplers.shutil, "which", lambda name: None)
+        samplers._kernel.cache_clear()
+        try:
+            looped = lq.simulated_annealing_sample(q, schedule, seed=4)
+            assert samplers._kernel() is None
+        finally:
+            samplers._kernel.cache_clear()
+        assert calls == [1]
+        assert sample_set_contents(looped) == sample_set_contents(compiled)
+
+    def test_memory_is_bounded_by_one_read(self):
+        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 58 MB
+        if samplers._kernel() is None:
+            pytest.skip("the numpy loop holds every read's draws at once")
+        q = random_qubo(np.random.default_rng(0), 180)
+        schedule = lq.AnnealSchedule(num_sweeps=200, num_reads=100)
+        tracemalloc.start()
+        try:
+            lq.simulated_annealing_sample(q, schedule, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSampleSetCsv:
