@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .dataset import LabeledDataset
 from .qubo import (
     FLOAT_FORMAT, QuboProblem, _count, _read_tagged, _records, _zeros, as_binary_vector,
@@ -209,6 +210,25 @@ def _r2(m: FmModel, X, Y) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _epoch_numpy(order, X, Y, lr, w0, w, V, acc_w0, acc_w, acc_V) -> None:
+    """One epoch of per-sample Adagrad over the rows in order; steps the arrays in place.
+
+    The steps of ``_fm.c`` in numpy.  Runs where no C compiler is found, and
+    is the kernel's reference in the tests.  w0 and acc_w0 hold one value each.
+    """
+    eps = 1e-8
+    for idx in order:
+        x = X[idx]
+        pred, s = _predict(w0[0], w, V, x)
+        g_w0, g_w, g_V = _gradients(V, x, s, pred - Y[idx])
+        acc_w0 += g_w0 * g_w0
+        acc_w += g_w**2
+        acc_V += g_V**2
+        w0 -= lr * g_w0 / (np.sqrt(acc_w0) + eps)
+        w -= lr * g_w / (np.sqrt(acc_w) + eps)
+        V -= lr * g_V / (np.sqrt(acc_V) + eps)
+
+
 def fm_train(
     data: LabeledDataset, cfg: FmTrainConfig, warm_start: FmModel | None = None
 ) -> tuple[FmModel, FmTrainReport]:
@@ -218,6 +238,10 @@ def fm_train(
     the squared gradient of every parameter is accumulated and used to scale
     its own learning rate.  warm_start continues from an existing model of
     matching shape instead of a fresh initialization.
+
+    Each epoch runs in a small C kernel, built once per process with the
+    annealer's; without a C compiler the same steps run in numpy.  The
+    initialization, split and shuffles are drawn here either way.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -229,38 +253,34 @@ def fm_train(
                 f"warm start shape (n={warm_start.n}, k={warm_start.k}) does not match "
                 f"data n={n} and configured rank {cfg.rank}"
             )
-        w0 = warm_start.w0
+        w0 = np.array([warm_start.w0])
         w = warm_start.w.copy()
         V = warm_start.V.copy()
     else:
-        w0 = 0.0
+        w0 = np.zeros(1)
         w = np.zeros(n)
         V = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(n, cfg.rank))
 
     train_idx, val_idx, test_idx = _split_indices(len(data), cfg.split, rng)
     X = data.X.astype(np.float64)
-    Y = data.Y
+    Y = np.ascontiguousarray(data.Y)
 
-    eps = 1e-8
-    acc_w0 = 0.0
+    acc_w0 = np.zeros(1)
     acc_w = np.zeros_like(w)
     acc_V = np.zeros_like(V)
+    lib = _native.library()
     loss_curve = []
     for epoch in range(cfg.epochs):
-        for idx in rng.permutation(train_idx):
-            x = X[idx]
-            pred, s = _predict(w0, w, V, x)
-            g_w0, g_w, g_V = _gradients(V, x, s, pred - Y[idx])
-            acc_w0 += g_w0 * g_w0
-            acc_w += g_w**2
-            acc_V += g_V**2
-            w0 -= cfg.learning_rate * g_w0 / (np.sqrt(acc_w0) + eps)
-            w -= cfg.learning_rate * g_w / (np.sqrt(acc_w) + eps)
-            V -= cfg.learning_rate * g_V / (np.sqrt(acc_V) + eps)
-        snapshot = FmModel(w0=w0, w=w, V=V)
+        order = rng.permutation(train_idx)
+        if lib is None:
+            _epoch_numpy(order, X, Y, cfg.learning_rate, w0, w, V, acc_w0, acc_w, acc_V)
+        else:
+            lib.fm_epoch(n, cfg.rank, order.size, order, data.X, Y, cfg.learning_rate,
+                         w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank))
+        snapshot = FmModel(w0=w0[0], w=w, V=V)
         loss_curve.append(_mse(snapshot, X[train_idx], Y[train_idx]))
 
-    model = FmModel(w0=w0, w=w, V=V)
+    model = FmModel(w0=w0[0], w=w, V=V)
     report = FmTrainReport(
         final_train_mse=loss_curve[-1],
         final_val_mse=_mse(model, X[val_idx], Y[val_idx]),

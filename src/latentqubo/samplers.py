@@ -7,17 +7,11 @@ are fully deterministic given their inputs.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import shutil
-import subprocess
-import tempfile
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .qubo import FLOAT_FORMAT, QuboProblem, _energy_kernel, as_binary_vector, qubo_energy
 
 __all__ = [
@@ -178,13 +172,13 @@ def simulated_annealing_sample(
     linear = q.linear
     coupling = q.dense_symmetric
     betas = schedule.betas()
-    kernel = _kernel()
+    lib = _native.library()
     x = np.empty((reads, n))
-    if kernel is None:
+    if lib is None:
         _anneal_numpy(linear, coupling, betas, draws, x)
     else:
         for r, (x0, perms, uniforms) in enumerate(draws):
-            kernel(n, sweeps, linear, coupling, betas, perms, uniforms, x0)
+            lib.anneal_read(n, sweeps, linear, coupling, betas, perms, uniforms, x0)
             x[r] = x0
 
     finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
@@ -219,40 +213,3 @@ def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
             flip_rows = rows[accepted]
             flip_cols = idx[accepted]
             x[flip_rows, flip_cols] = 1.0 - x[flip_rows, flip_cols]
-
-
-@functools.cache
-def _kernel():
-    """The compiled sweep of ``_anneal.c``, or None when no C compiler is found.
-
-    The library is built into a temporary directory at the first call and
-    loaded; the directory is deleted once the library is mapped.
-    """
-    compiler = shutil.which("cc")
-    if compiler is None:
-        return None
-    source = Path(__file__).with_name("_anneal.c")
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            library = Path(tmp) / "_anneal.so"
-            subprocess.run(
-                [compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                 "-o", str(library), str(source), "-lm"],
-                check=True, capture_output=True, text=True,
-            )
-            anneal_read = ctypes.CDLL(str(library)).anneal_read
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        warnings.warn(f"annealing in numpy: building {source.name} failed: {detail}",
-                      RuntimeWarning)
-        return None
-    f64 = functools.partial(np.ctypeslib.ndpointer, np.float64, flags="C_CONTIGUOUS")
-    anneal_read.argtypes = [
-        ctypes.c_ssize_t, ctypes.c_ssize_t,  # n, sweeps
-        f64(ndim=1), f64(ndim=2), f64(ndim=1),  # linear, coupling, betas
-        np.ctypeslib.ndpointer(np.intp, ndim=2, flags="C_CONTIGUOUS"),  # perms
-        f64(ndim=2),  # uniforms
-        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # x
-    ]
-    anneal_read.restype = None
-    return anneal_read

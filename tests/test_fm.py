@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
+import latentqubo._native as native
 from conftest import all_bit_vectors
 
 
@@ -171,6 +172,59 @@ class TestQuboExtraction:
         assert int(np.argmax(energies)) == int(np.argmax(preds))
 
 
+# Largest absolute difference allowed between the compiled epoch and the numpy
+# loop after 1 and 30 epochs.  The cases below differ by at most 1.2e-13, in
+# the training loss of the first epoch at n=180, where that loss is 4.4.
+KERNEL_TOLERANCE = 1e-12
+
+
+def assert_models_close(a: lq.FmModel, b: lq.FmModel) -> None:
+    for name in ("w0", "w", "V"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                   rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
+
+
+def random_dataset(n, rows, seed) -> lq.LabeledDataset:
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, (rows, n)).astype(np.uint8)
+    return lq.LabeledDataset(X=X, Y=rng.random(rows), provenance=("random",) * rows)
+
+
+def assert_same_fit(monkeypatch, data, cfg, warm_start=None):
+    """fm_train gives the same fit and report with the kernel as with the numpy loop."""
+    compiled, compiled_report = lq.fm_train(data, cfg, warm_start)
+    with monkeypatch.context() as patched:
+        patched.setattr(native, "library", lambda: None)
+        looped, looped_report = lq.fm_train(data, cfg, warm_start)
+    assert_models_close(compiled, looped)
+    for name in ("loss_curve", "final_train_mse", "final_val_mse", "test_mse"):
+        np.testing.assert_allclose(
+            getattr(compiled_report, name), getattr(looped_report, name),
+            rtol=0, atol=KERNEL_TOLERANCE, err_msg=name,
+        )
+
+
+def one_step_case():
+    """A one-row, one-epoch fit from a known model, and the model one Adagrad step gives.
+
+    One row and one epoch make exactly one step; its accumulator is then g^2,
+    so each parameter moves by -lr * g / (sqrt(g^2) + 1e-8).
+    """
+    rng = np.random.default_rng(12)
+    m = random_model(rng, 6, 3)
+    x = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    y = 0.25
+    data = lq.LabeledDataset(X=x[None, :], Y=np.array([y]), provenance=("random",))
+    cfg = lq.FmTrainConfig(epochs=1, rank=3, split=(1.0, 0.0, 0.0))
+    trained, _ = lq.fm_train(data, cfg, warm_start=m)
+    g0, gw, gV = lq.fm_gradients(m, x, lq.fm_predict(m, x) - y)
+
+    def step(g):
+        return cfg.learning_rate * g / (np.sqrt(g * g) + 1e-8)
+
+    return trained, lq.FmModel(w0=m.w0 - step(g0), w=m.w - step(gw), V=m.V - step(gV))
+
+
 class TestTraining:
     def test_planted_model_recovery(self):
         rng = np.random.default_rng(42)
@@ -227,28 +281,52 @@ class TestTraining:
         _, r2 = lq.fm_train(data, cfg, warm_start=stage1)
         assert r2.loss_curve[-1] < r1.loss_curve[0]
 
-    def test_one_step_applies_the_checked_gradient(self):
-        # one row and one epoch make exactly one Adagrad step; its accumulator
-        # is then g^2, so each parameter moves by -lr * g / (sqrt(g^2) + 1e-8)
-        rng = np.random.default_rng(12)
-        m = random_model(rng, 6, 3)
-        x = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
-        y = 0.25
-        data = lq.LabeledDataset(X=x[None, :], Y=np.array([y]), provenance=("random",))
-        cfg = lq.FmTrainConfig(epochs=1, rank=3, split=(1.0, 0.0, 0.0))
-        trained, _ = lq.fm_train(data, cfg, warm_start=m)
-        g0, gw, gV = lq.fm_gradients(m, x, lq.fm_predict(m, x) - y)
+    def test_one_step_applies_the_checked_gradient(self, monkeypatch):
+        monkeypatch.setattr(native, "library", lambda: None)
+        trained, expected = one_step_case()
+        assert trained.w0 == expected.w0
+        assert np.array_equal(trained.w, expected.w)
+        assert np.array_equal(trained.V, expected.V)
 
-        def step(g):
-            return cfg.learning_rate * g / (np.sqrt(g * g) + 1e-8)
-
-        assert trained.w0 == m.w0 - step(g0)
-        assert np.array_equal(trained.w, m.w - step(gw))
-        assert np.array_equal(trained.V, m.V - step(gV))
+    def test_one_step_kernel_applies_the_checked_gradient(self):
+        # the kernel sums the prediction in index order, numpy may group it otherwise
+        trained, expected = one_step_case()
+        assert_models_close(trained, expected)
 
     def test_split_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             lq.FmTrainConfig(split=(0.5, 0.2, 0.2))
+
+
+class TestFmKernel:
+    """The compiled Adagrad epoch against the numpy loop it replaces."""
+
+    # (n, rank, rows, split): one-row and all-training splits among them
+    CASES = [
+        (1, 1, 30, (0.7, 0.1, 0.2)),
+        (2, 8, 30, (0.7, 0.1, 0.2)),
+        (16, 1, 150, (0.7, 0.1, 0.2)),
+        (16, 8, 150, (0.7, 0.1, 0.2)),
+        (16, 8, 1, (0.7, 0.1, 0.2)),
+        (16, 8, 120, (0.4, 0.3, 0.3)),
+        (40, 8, 200, (0.7, 0.1, 0.2)),
+        (180, 1, 150, (1.0, 0.0, 0.0)),
+        (180, 8, 150, (0.7, 0.1, 0.2)),
+    ]
+
+    @pytest.mark.parametrize("epochs", [1, 30])
+    @pytest.mark.parametrize("n, rank, rows, split", CASES)
+    def test_same_fit_as_numpy_loop(self, monkeypatch, n, rank, rows, split, epochs):
+        data = random_dataset(n, rows, seed=n + rows)
+        cfg = lq.FmTrainConfig(epochs=epochs, rank=rank, split=split, seed=rank)
+        assert_same_fit(monkeypatch, data, cfg)
+
+    @pytest.mark.parametrize("epochs", [1, 30])
+    def test_same_warm_start_as_numpy_loop(self, monkeypatch, epochs):
+        data = random_dataset(16, 150, seed=5)
+        start = random_model(np.random.default_rng(6), 16, 8)
+        cfg = lq.FmTrainConfig(epochs=epochs, rank=8, seed=7)
+        assert_same_fit(monkeypatch, data, cfg, warm_start=start)
 
 
 class TestCheckpoint:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import latentqubo as lq
+import latentqubo._native as native
 import latentqubo.samplers as samplers
 from conftest import all_bit_vectors, random_qubo
 
@@ -181,13 +182,13 @@ class TestAnnealKernel:
     def test_same_sample_set_as_numpy_loop(self, monkeypatch, n, schedule):
         q = random_qubo(np.random.default_rng(100 + n), n)
         compiled = lq.simulated_annealing_sample(q, schedule, seed=n)
-        monkeypatch.setattr(samplers, "_kernel", lambda: None)
+        monkeypatch.setattr(native, "library", lambda: None)
         looped = lq.simulated_annealing_sample(q, schedule, seed=n)
         assert sample_set_contents(compiled) == sample_set_contents(looped)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_kernel_loads_where_a_compiler_is_found(self):
-        assert samplers._kernel() is not None
+        assert native.library() is not None
 
     def test_without_compiler_the_numpy_loop_runs(self, monkeypatch):
         q = random_qubo(np.random.default_rng(9), 16)
@@ -198,19 +199,19 @@ class TestAnnealKernel:
         monkeypatch.setattr(
             samplers, "_anneal_numpy", lambda *args: calls.append(1) or numpy_loop(*args)
         )
-        monkeypatch.setattr(samplers.shutil, "which", lambda name: None)
-        samplers._kernel.cache_clear()
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        native.library.cache_clear()
         try:
             looped = lq.simulated_annealing_sample(q, schedule, seed=4)
-            assert samplers._kernel() is None
+            assert native.library() is None
         finally:
-            samplers._kernel.cache_clear()
+            native.library.cache_clear()
         assert calls == [1]
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
     def test_memory_is_bounded_by_one_read(self):
         # the draws of 100 reads x 200 sweeps x 180 bits alone would take 58 MB
-        if samplers._kernel() is None:
+        if native.library() is None:
             pytest.skip("the numpy loop holds every read's draws at once")
         q = random_qubo(np.random.default_rng(0), 180)
         schedule = lq.AnnealSchedule(num_sweeps=200, num_reads=100)
