@@ -86,7 +86,6 @@ from .samplers import (
     SampleEntry,
     SampleSet,
     brute_force_sample,
-    incremental_delta,
     simulated_annealing_sample,
 )
 

@@ -41,6 +41,7 @@ __all__ = [
 
 PROB_CLAMP = 1e-7
 CATEGORIES_PER_BIT = 2
+VAL_FRACTION = 0.15  # share of the images bvae_train holds back for validation
 
 _LAYER_NAMES = (
     "enc1_w", "enc1_b",
@@ -309,12 +310,11 @@ def bvae_train(
     seed: int,
     learning_rate: float = 1e-3,
     batch_size: int = 32,
-    schedule: TemperatureSchedule | None = None,
-    val_fraction: float = 0.15,
 ) -> tuple[BvaeModel, TrainCurves]:
     """Train with Adam on shuffled mini-batches, annealing tau each epoch.
 
-    The dataset is split 85/15 into train/validation by a seeded shuffle.
+    The dataset is split 85/15 into train/validation by a seeded shuffle,
+    and tau follows the default :class:`TemperatureSchedule`.
     All stochastic choices (init, shuffles, Gumbel draws) come from a single
     seeded generator, so identical inputs give identical models.
     """
@@ -328,11 +328,11 @@ def bvae_train(
     params = _init_params(arch, rng)
 
     perm = rng.permutation(count)
-    n_val = min(int(np.floor(val_fraction * count + 0.5)), count - 1)
+    n_val = min(int(np.floor(VAL_FRACTION * count + 0.5)), count - 1)
     train_idx = perm[: count - n_val]
     val_idx = perm[count - n_val :]
 
-    sched = schedule if schedule is not None else TemperatureSchedule()
+    sched = TemperatureSchedule()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     mom = {k: np.zeros_like(v) for k, v in params.items()}
     vel = {k: np.zeros_like(v) for k, v in params.items()}

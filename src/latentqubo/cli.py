@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .bvae import BvaeArchitecture, bvae_train, decode, load_bvae, reconstructio
 from .dataset import load_dataset, save_dataset
 from .images import load_images, load_pgm, save_images
 from .objectives import (
+    CORPUS_KINDS,
     ProductEfficiencyObjective,
     StratificationSpec,
     TargetOverlapObjective,
@@ -44,25 +46,39 @@ EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_RUNTIME = 4
 
-_PIPELINE_KEYS = {
-    "latent_bits", "fm_rank", "samples_per_iteration", "iterations", "sampler",
-    "augmentation", "bit_flip_copies", "label_margin", "warm_start_fm",
-    "seed", "bvae_checkpoint", "dataset", "output_dir", "fm_epochs",
-    "fm_learning_rate", "decode_blur",
-}
-_SCHEDULE_KEYS = {"beta_start", "beta_end", "num_sweeps", "num_reads"}
-_OBJECTIVE_KEYS = {"kind", "target", "target_fill", "smoothness_weight"}
-_STRATIFY_KEYS = {"total", "bands", "fractions"}
-_SECTIONS = {
-    "pipeline": _PIPELINE_KEYS,
-    "schedule": _SCHEDULE_KEYS,
-    "objective": _OBJECTIVE_KEYS,
-    "stratify": _STRATIFY_KEYS,
-}
-
 
 class ConfigError(Exception):
     """Invalid or inconsistent configuration."""
+
+
+def _as_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+# [pipeline] and [schedule] keys are the int, float, str and bool fields of
+# PipelineConfig and AnnealSchedule; under postponed annotations a field's
+# type is its annotation string.
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _as_bool}
+_INI_NAMES = {"dataset_path": "dataset"}
+_PATH_FIELDS = {"bvae_checkpoint", "dataset_path", "output_dir"}
+
+
+def _ini_fields(cls):
+    """(INI key, field) for each int, float, str or bool field of the dataclass cls."""
+    return [(_INI_NAMES.get(f.name, f.name), f) for f in fields(cls) if f.type in _CONVERTERS]
+
+
+_SECTIONS = {
+    "pipeline": {key for key, _ in _ini_fields(PipelineConfig)},
+    "schedule": {key for key, _ in _ini_fields(AnnealSchedule)},
+    "objective": {"kind", "target", "target_fill", "smoothness_weight"},
+    "stratify": {"total", "bands", "fractions"},
+}
 
 
 def _read_ini(path: str) -> tuple[configparser.ConfigParser, Path]:
@@ -93,10 +109,8 @@ def _resolve(base: Path, value: str) -> str:
     return str(p if p.is_absolute() else base / p)
 
 
-def _typed(section, key: str, convert, default=None):
+def _typed(section, key: str, convert):
     if key not in section:
-        if default is not None:
-            return default
         raise ConfigError(f"missing required config key {key!r}")
     raw = section[key]
     try:
@@ -105,13 +119,17 @@ def _typed(section, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r} has invalid value {raw!r}: {exc}") from exc
 
 
-def _as_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean")
+def _read_fields(section, cls, skip=()) -> dict:
+    """Keyword arguments for the dataclass cls from the keys of an INI section.
+
+    Fields named in skip are not read.  A key left out leaves its field at the
+    default; a field without a default must be set.
+    """
+    return {
+        f.name: _typed(section, key, _CONVERTERS[f.type])
+        for key, f in _ini_fields(cls)
+        if f.name not in skip and (key in section or f.default is MISSING)
+    }
 
 
 def build_objective(cp: configparser.ConfigParser, base: Path):
@@ -121,8 +139,6 @@ def build_objective(cp: configparser.ConfigParser, base: Path):
     kind = _typed(section, "kind", str)
     if kind == "target_overlap":
         target_path = _resolve(base, _typed(section, "target", str))
-        if not Path(target_path).exists():
-            raise FileNotFoundError(f"objective target image does not exist: {target_path}")
         target = (load_pgm(target_path) >= 0.5).astype(np.uint8)
         return TargetOverlapObjective(target=target)
     if kind == "product_efficiency":
@@ -138,14 +154,8 @@ def build_objective(cp: configparser.ConfigParser, base: Path):
 def build_schedule(cp: configparser.ConfigParser) -> AnnealSchedule:
     if "schedule" not in cp:
         return AnnealSchedule()
-    section = cp["schedule"]
     try:
-        return AnnealSchedule(
-            beta_start=_typed(section, "beta_start", float, AnnealSchedule.beta_start),
-            beta_end=_typed(section, "beta_end", float, AnnealSchedule.beta_end),
-            num_sweeps=_typed(section, "num_sweeps", int, AnnealSchedule.num_sweeps),
-            num_reads=_typed(section, "num_reads", int, AnnealSchedule.num_reads),
-        )
+        return AnnealSchedule(**_read_fields(cp["schedule"], AnnealSchedule))
     except ValueError as exc:
         raise ConfigError(f"invalid [schedule]: {exc}") from exc
 
@@ -158,32 +168,14 @@ def build_pipeline_config(
 ) -> PipelineConfig:
     if "pipeline" not in cp:
         raise ConfigError("config is missing the [pipeline] section")
-    section = cp["pipeline"]
-    seed = seed_override
-    if seed is None:
-        seed = _typed(section, "seed", int, PipelineConfig.seed)
-    output_dir = (
-        out_override
-        if out_override is not None
-        else _resolve(base, _typed(section, "output_dir", str))
-    )
-    optional = (
-        ("samples_per_iteration", int), ("iterations", int), ("sampler", str),
-        ("augmentation", str), ("bit_flip_copies", int), ("label_margin", float),
-        ("warm_start_fm", _as_bool), ("fm_epochs", int),
-        ("fm_learning_rate", float), ("decode_blur", float),
-    )
+    given = {"seed": seed_override, "output_dir": out_override}
+    given = {name: value for name, value in given.items() if value is not None}
+    values = _read_fields(cp["pipeline"], PipelineConfig, skip=given)
+    for name in _PATH_FIELDS - given.keys():
+        values[name] = _resolve(base, values[name])
     try:
         return PipelineConfig(
-            latent_bits=_typed(section, "latent_bits", int),
-            fm_rank=_typed(section, "fm_rank", int),
-            objective=build_objective(cp, base),
-            bvae_checkpoint=_resolve(base, _typed(section, "bvae_checkpoint", str)),
-            dataset_path=_resolve(base, _typed(section, "dataset", str)),
-            output_dir=output_dir,
-            schedule=build_schedule(cp),
-            seed=seed,
-            **{k: _typed(section, k, conv, getattr(PipelineConfig, k)) for k, conv in optional},
+            **values, **given, objective=build_objective(cp, base), schedule=build_schedule(cp)
         )
     except ValueError as exc:
         raise ConfigError(f"invalid pipeline configuration: {exc}") from exc
@@ -221,8 +213,6 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train_bvae(args) -> int:
-    if not Path(args.images).exists():
-        raise FileNotFoundError(f"image file does not exist: {args.images}")
     images = load_images(args.images)
     try:
         arch = BvaeArchitecture(
@@ -254,8 +244,6 @@ def _cmd_train_bvae(args) -> int:
 def _cmd_gen_dataset(args) -> int:
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
-    if not Path(args.bvae).exists():
-        raise FileNotFoundError(f"checkpoint does not exist: {args.bvae}")
     model = load_bvae(args.bvae)
     strat = build_stratification(cp)
     build_seed_seq, strat_seed_seq = np.random.SeedSequence(args.seed).spawn(2)
@@ -307,14 +295,10 @@ def _cmd_eval(args) -> int:
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
     if args.image is not None:
-        if not Path(args.image).exists():
-            raise FileNotFoundError(f"image does not exist: {args.image}")
         pattern = (load_pgm(args.image) >= 0.5).astype(np.uint8)
     else:
         if args.bits is None or args.bvae is None:
             raise ConfigError("eval needs --image, or --bits together with --bvae")
-        if not Path(args.bvae).exists():
-            raise FileNotFoundError(f"checkpoint does not exist: {args.bvae}")
         model = load_bvae(args.bvae)
         bits = [int(ch) for ch in args.bits]
         _, pattern = decode(model, bits, blur_radius_px=args.blur)
@@ -336,8 +320,6 @@ def _cmd_check_hardware(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    if not Path(args.dataset).exists():
-        raise FileNotFoundError(f"dataset does not exist: {args.dataset}")
     data = load_dataset(args.dataset)
     lines = ["bits,label,provenance"]
     for r in range(len(data)):
@@ -356,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a toy binary image corpus")
-    p.add_argument("--kind", choices=("half_planes", "blobs", "stripes"), required=True)
+    p.add_argument("--kind", choices=CORPUS_KINDS, required=True)
     p.add_argument("--side", type=int, default=8, help="image side length m")
     p.add_argument("--count", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)

@@ -18,8 +18,8 @@ class LabeledDataset:
     """Immutable (X, Y) table with a free-form provenance token per row.
 
     X rows are binary latent vectors, Y holds real-valued figure-of-merit
-    labels.  Appending returns a new dataset; with dedup enabled, rows whose
-    vector already occurs keep the first-seen label and are not re-added.
+    labels.  Appending returns a new dataset; a row whose vector already
+    occurs keeps its first-seen label and is not re-added.
     """
 
     X: np.ndarray
@@ -83,13 +83,11 @@ class LabeledDataset:
         idx = int(np.argmax(self.Y))
         return self.X[idx], float(self.Y[idx])
 
-    def append_rows(
-        self, X_new, Y_new, tags, dedup: bool = True
-    ) -> tuple["LabeledDataset", int]:
+    def append_rows(self, X_new, Y_new, tags) -> tuple["LabeledDataset", int]:
         """Append rows, returning (new dataset, number actually added).
 
-        With dedup, a row is skipped when its vector matches any existing row
-        or an earlier row of this same batch; the first label wins.
+        A row is skipped when its vector matches any existing row or an
+        earlier row of this same batch; the first label wins.
         """
         X_new = np.atleast_2d(np.asarray(X_new))
         Y_new = np.atleast_1d(np.asarray(Y_new, dtype=np.float64))
@@ -103,14 +101,12 @@ class LabeledDataset:
                 f"dimension mismatch: dataset has n={self.n}, new rows have {X_new.shape[1]}"
             )
         keep = []
-        seen = set(self._keys) if dedup else None
+        seen = set(self._keys)
         for r in range(X_new.shape[0]):
             key = as_binary_vector(X_new[r]).tobytes()
-            if dedup:
-                if key in seen:
-                    continue
+            if key not in seen:
                 seen.add(key)
-            keep.append(r)
+                keep.append(r)
         if not keep:
             return self, 0
         merged = LabeledDataset(

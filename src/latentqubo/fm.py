@@ -34,6 +34,8 @@ __all__ = [
     "load_fm",
 ]
 
+INIT_SCALE = 0.01  # fresh factors are drawn uniformly from [-INIT_SCALE, INIT_SCALE]
+
 
 @dataclass(frozen=True)
 class FmModel:
@@ -76,7 +78,6 @@ class FmTrainConfig:
     epochs: int = 30
     learning_rate: float = 0.05
     rank: int = 8
-    init_scale: float = 0.01
     split: tuple[float, float, float] = (0.7, 0.1, 0.2)
     seed: int = 0
 
@@ -85,8 +86,6 @@ class FmTrainConfig:
             raise ValueError("epochs and rank must both be >= 1")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.init_scale >= 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         if len(self.split) != 3 or any(f < 0 for f in self.split):
             raise ValueError(f"split must be three nonnegative fractions, got {self.split!r}")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -130,14 +129,14 @@ def apply_label_transform(Y, margin: float) -> tuple[np.ndarray, LabelTransform]
     return t.invert(Y), t
 
 
-def _predict(w0, w: np.ndarray, V: np.ndarray, x: np.ndarray):
-    """(prediction, s = V.T @ x) at one float64 0/1 vector x, in O(nk).
+def _predict(w0, w: np.ndarray, V: np.ndarray, X: np.ndarray):
+    """(prediction, S = X @ V) at one float64 0/1 vector X or at each row of X, in O(nk) a row.
 
     Uses the identity sum_{i<j} <v_i,v_j> x_i x_j
     = 0.5 * sum_f [(sum_i V_if x_i)^2 - sum_i V_if^2 x_i], as x_i^2 = x_i.
     """
-    s = V.T @ x
-    return w0 + float(w @ x) + 0.5 * (float(s @ s) - float((V**2 * x[:, None]).sum())), s
+    S = X @ V
+    return w0 + X @ w + 0.5 * ((S**2).sum(-1) - X @ (V**2).sum(1)), S
 
 
 def _gradients(V: np.ndarray, x: np.ndarray, s: np.ndarray, residual):
@@ -165,16 +164,14 @@ def _vector(m: FmModel, bits) -> np.ndarray:
 
 def fm_predict(m: FmModel, bits) -> float:
     """Evaluate the model at one binary vector in O(nk)."""
-    return _predict(m.w0, m.w, m.V, _vector(m, bits))[0]
+    return float(_predict(m.w0, m.w, m.V, _vector(m, bits))[0])
 
 
 def fm_predict_batch(m: FmModel, X) -> np.ndarray:
     """Vectorized prediction over the rows of X."""
     X = np.atleast_2d(np.asarray(X)).astype(np.float64)
     _check_dim(m, X)
-    S = X @ m.V
-    pairwise = 0.5 * ((S**2).sum(axis=1) - (X**2) @ (m.V**2).sum(axis=1))
-    return m.w0 + X @ m.w + pairwise
+    return _predict(m.w0, m.w, m.V, X)[0]
 
 
 def fm_gradients(m: FmModel, bits, residual: float):
@@ -192,22 +189,18 @@ def _split_indices(count: int, split, rng: np.random.Generator):
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def _mse(m: FmModel, X, Y) -> float:
+def _fit_stats(w0, w: np.ndarray, V: np.ndarray, X: np.ndarray, Y) -> tuple[float, float]:
+    """(MSE, R^2) of the parameters on the float64 rows X with labels Y; both NaN without rows."""
     if len(Y) == 0:
-        return float("nan")
-    err = fm_predict_batch(m, X) - Y
-    return float(np.mean(err**2))
-
-
-def _r2(m: FmModel, X, Y) -> float:
-    if len(Y) == 0:
-        return float("nan")
-    pred = fm_predict_batch(m, X)
-    ss_res = float(np.sum((Y - pred) ** 2))
+        return float("nan"), float("nan")
+    squared = (_predict(w0, w, V, X)[0] - Y) ** 2
+    ss_res = float(np.sum(squared))
     ss_tot = float(np.sum((Y - np.mean(Y)) ** 2))
     if ss_tot < 1e-12:
-        return 1.0 if ss_res < 1e-12 else 0.0
-    return 1.0 - ss_res / ss_tot
+        r2 = 1.0 if ss_res < 1e-12 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return float(np.mean(squared)), r2
 
 
 def _epoch_numpy(order, X, Y, lr, w0, w, V, acc_w0, acc_w, acc_V) -> None:
@@ -259,7 +252,7 @@ def fm_train(
     else:
         w0 = np.zeros(1)
         w = np.zeros(n)
-        V = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(n, cfg.rank))
+        V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n, cfg.rank))
 
     train_idx, val_idx, test_idx = _split_indices(len(data), cfg.split, rng)
     X = data.X.astype(np.float64)
@@ -277,15 +270,15 @@ def fm_train(
         else:
             lib.fm_epoch(n, cfg.rank, order.size, order, data.X, Y, cfg.learning_rate,
                          w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank))
-        snapshot = FmModel(w0=w0[0], w=w, V=V)
-        loss_curve.append(_mse(snapshot, X[train_idx], Y[train_idx]))
+        loss_curve.append(_fit_stats(w0[0], w, V, X[train_idx], Y[train_idx])[0])
 
     model = FmModel(w0=w0[0], w=w, V=V)
+    test_mse, test_r2 = _fit_stats(w0[0], w, V, X[test_idx], Y[test_idx])
     report = FmTrainReport(
         final_train_mse=loss_curve[-1],
-        final_val_mse=_mse(model, X[val_idx], Y[val_idx]),
-        test_mse=_mse(model, X[test_idx], Y[test_idx]),
-        test_r2=_r2(model, X[test_idx], Y[test_idx]),
+        final_val_mse=_fit_stats(w0[0], w, V, X[val_idx], Y[val_idx])[0],
+        test_mse=test_mse,
+        test_r2=test_r2,
         loss_curve=tuple(loss_curve),
     )
     return model, report

@@ -44,7 +44,6 @@ __all__ = [
     "RunState",
     "bit_flip_augment",
     "fit_and_sample",
-    "load_inputs",
     "run_iteration",
     "run_pipeline",
     "check_hardware_feasibility",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .qubo import FLOAT_FORMAT, QuboProblem, _energy_kernel, as_binary_vector, qubo_energy
+from .qubo import FLOAT_FORMAT, QuboProblem, _energy_kernel, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -20,7 +20,6 @@ __all__ = [
     "SampleSet",
     "brute_force_sample",
     "simulated_annealing_sample",
-    "incremental_delta",
 ]
 
 BRUTE_FORCE_MAX_BITS = 24
@@ -102,19 +101,17 @@ def _bits_from_ints(values: np.ndarray, n: int) -> np.ndarray:
     return ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def brute_force_sample(
-    q: QuboProblem, top_k: int, max_bits: int = BRUTE_FORCE_MAX_BITS
-) -> SampleSet:
+def brute_force_sample(q: QuboProblem, top_k: int) -> SampleSet:
     """Enumerate all 2^n assignments and return the top_k lowest-energy vectors.
 
     Serves as the exactness oracle for every other sampler; entry 0 is always
-    a global minimum.  Rejects problems with n above ``max_bits``.
+    a global minimum.  Rejects problems with n above ``BRUTE_FORCE_MAX_BITS``.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if q.n > max_bits:
+    if q.n > BRUTE_FORCE_MAX_BITS:
         raise ValueError(
-            f"brute force enumeration capped at {max_bits} bits, problem has n={q.n}"
+            f"brute force enumeration capped at {BRUTE_FORCE_MAX_BITS} bits, problem has n={q.n}"
         )
     total = 1 << q.n
     top_k = min(top_k, total)
@@ -136,17 +133,6 @@ def brute_force_sample(
             best_vals, best_ints = energies, ints
     vectors = _bits_from_ints(best_ints, q.n)
     return _make_sample_set(zip(vectors, best_vals, [1] * top_k), "brute_force", seed=0)
-
-
-def incremental_delta(q: QuboProblem, bits, i: int) -> float:
-    """Energy change from flipping bit i, computed in O(n)."""
-    x = as_binary_vector(bits)
-    if x.size != q.n:
-        raise ValueError(f"dimension mismatch: problem has n={q.n}, vector has length {x.size}")
-    if not (0 <= i < q.n):
-        raise ValueError(f"bit index {i} out of range for n={q.n}")
-    local = q.linear[i] + (q.upper[i] + q.upper[:, i]) @ x
-    return float((1.0 - 2.0 * x[i]) * local)
 
 
 def simulated_annealing_sample(

@@ -1,12 +1,13 @@
 import subprocess
 import sys
 import textwrap
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import latentqubo as lq
-from latentqubo.cli import main
+from latentqubo.cli import _read_ini, build_pipeline_config, main
 
 
 def write_config(path, body):
@@ -192,6 +193,13 @@ class TestRunLoop:
         rc = main(["run-loop", "--config", config])
         assert rc == 3
 
+    def test_missing_objective_target(self, workspace, capsys):
+        tmp_path, config = workspace
+        (tmp_path / "target.pgm").unlink()
+        rc = main(["run-loop", "--config", config])
+        assert rc == 3
+        assert "target.pgm" in capsys.readouterr().err
+
     def test_runtime_error_from_mismatched_dataset(self, workspace, toy_bvae, capsys):
         tmp_path, config = workspace
         rng = np.random.default_rng(0)
@@ -345,6 +353,49 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+# one non-default value per optional [pipeline] and [schedule] key
+OPTIONAL_KEYS = {
+    "pipeline": {
+        "samples_per_iteration": 7, "iterations": 3, "sampler": "brute_force",
+        "augmentation": "bit_flip", "bit_flip_copies": 3, "label_margin": 0.25,
+        "warm_start_fm": False, "seed": 99, "fm_epochs": 11, "fm_learning_rate": 0.02,
+        "decode_blur": 0.5,
+    },
+    "schedule": {"beta_start": 0.2, "beta_end": 20.0, "num_sweeps": 50, "num_reads": 3},
+}
+
+
+class TestConfigKeys:
+    def test_table_covers_every_optional_field(self):
+        for section, cls in (("pipeline", lq.PipelineConfig), ("schedule", lq.AnnealSchedule)):
+            optional = {f.name for f in fields(cls) if f.default is not MISSING}
+            assert set(OPTIONAL_KEYS[section]) == optional - {"schedule"}
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(section, key, value) for section, table in OPTIONAL_KEYS.items()
+         for key, value in table.items()],
+    )
+    def test_key_reaches_its_field(self, tmp_path, section, key, value):
+        sections = {
+            "pipeline": ["latent_bits = 16", "fm_rank = 4", "bvae_checkpoint = bvae.txt",
+                         "dataset = data.txt", "output_dir = out"],
+            "schedule": [],
+            "objective": ["kind = product_efficiency", "target_fill = 0.5",
+                          "smoothness_weight = 1.0"],
+        }
+        sections[section].append(f"{key} = {str(value).lower()}")
+        path = tmp_path / "keys.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+            for name, lines in sections.items()
+        ))
+        cfg = build_pipeline_config(*_read_ini(str(path)))
+        holder = cfg.schedule if section == "schedule" else cfg
+        assert getattr(holder, key) == value
+        assert cfg.dataset_path == str(tmp_path / "data.txt")
+
+
 class TestSampleOnce:
     def test_writes_sample_csv(self, workspace, capsys):
         tmp_path, config = workspace
@@ -387,6 +438,13 @@ class TestEval:
         )
         assert rc == 0
         assert "figure of merit:" in capsys.readouterr().out
+
+    def test_bits_with_missing_checkpoint(self, workspace, capsys):
+        tmp_path, config = workspace
+        absent = tmp_path / "absent.txt"
+        rc = main(["eval", "--config", config, "--bits", "0" * 16, "--bvae", str(absent)])
+        assert rc == 3
+        assert str(absent) in capsys.readouterr().err
 
     def test_bits_without_checkpoint(self, workspace, capsys):
         tmp_path, config = workspace

@@ -86,17 +86,6 @@ class TestMembership:
         # first occurrence wins
         assert merged.Y.tolist() == [0.3, 0.2]
 
-    def test_append_without_dedup(self):
-        data = make_dataset([[1, 0]], [0.5])
-        merged, added = data.append_rows(
-            np.array([[1, 0]], dtype=np.uint8),
-            np.array([0.7]),
-            tags=("iter2",),
-            dedup=False,
-        )
-        assert added == 1
-        assert len(merged) == 2
-
     def test_append_width_mismatch(self):
         data = make_dataset([[1, 0]], [0.5])
         with pytest.raises(ValueError):
