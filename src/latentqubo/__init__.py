@@ -53,6 +53,7 @@ from .objectives import (
     stratify_dataset,
 )
 from .pipeline import (
+    ConnectivityReport,
     ConvergenceRecord,
     PipelineConfig,
     RunState,
@@ -64,13 +65,9 @@ from .pipeline import (
     write_convergence_csv,
 )
 from .qubo import (
-    ConnectivityReport,
     IsingProblem,
     QuboProblem,
-    analyze_connectivity,
     as_binary_vector,
-    as_spin_vector,
-    binary_to_spin,
     ising_energy,
     ising_to_qubo,
     load_ising,
@@ -79,7 +76,6 @@ from .qubo import (
     qubo_to_ising,
     save_ising,
     save_qubo,
-    spin_to_binary,
 )
 from .samplers import (
     AnnealSchedule,

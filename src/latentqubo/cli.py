@@ -133,19 +133,23 @@ def _read_fields(section, cls, skip=()) -> dict:
 
 
 def build_objective(cp: configparser.ConfigParser, base: Path):
+    """The [objective] section's figure of merit; a bad value or target file is a ConfigError."""
     if "objective" not in cp:
         raise ConfigError("config is missing the [objective] section")
     section = cp["objective"]
     kind = _typed(section, "kind", str)
-    if kind == "target_overlap":
-        target_path = _resolve(base, _typed(section, "target", str))
-        target = (load_pgm(target_path) >= 0.5).astype(np.uint8)
-        return TargetOverlapObjective(target=target)
-    if kind == "product_efficiency":
-        return ProductEfficiencyObjective(
-            target_fill=_typed(section, "target_fill", float),
-            smoothness_weight=_typed(section, "smoothness_weight", float),
-        )
+    try:
+        if kind == "target_overlap":
+            target_path = _resolve(base, _typed(section, "target", str))
+            target = (load_pgm(target_path) >= 0.5).astype(np.uint8)
+            return TargetOverlapObjective(target=target)
+        if kind == "product_efficiency":
+            return ProductEfficiencyObjective(
+                target_fill=_typed(section, "target_fill", float),
+                smoothness_weight=_typed(section, "smoothness_weight", float),
+            )
+    except ValueError as exc:
+        raise ConfigError(f"invalid [objective]: {exc}") from exc
     raise ConfigError(
         f"objective kind must be 'target_overlap' or 'product_efficiency', got {kind!r}"
     )

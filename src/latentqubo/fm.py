@@ -303,16 +303,16 @@ def load_fm(path) -> FmModel:
     where, (n_text, k_text), body = _read_tagged(path, "FM", ("n", "k"))
     n = _count(n_text, "n", where)
     k = _count(k_text, "k", where)
-    w0 = None
-    w = _zeros(n, where)
-    V = _zeros((n, k), where)
-    for _, tag, idx, values in _records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}):
-        if tag == "w0":
-            w0 = values[0]
-        elif tag == "w":
-            w[idx] = values[0]
-        else:
-            V[idx] = values
+    records = list(_records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}))
+    w0 = next((values[0] for _, tag, _, values in records if tag == "w0"), None)
     if w0 is None:
         raise ValueError(f"{path}: model file is missing the w0 line")
+    # the whole body is read before the header's n and k size any array
+    w = _zeros(n, where)
+    V = _zeros((n, k), where)
+    for _, tag, idx, values in records:
+        if tag == "w":
+            w[idx] = values[0]
+        elif tag == "V":
+            V[idx] = values
     return FmModel(w0=w0, w=w, V=V)

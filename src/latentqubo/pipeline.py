@@ -30,7 +30,7 @@ from .fm import (
 )
 from .images import save_pgm
 from .objectives import FigureOfMerit, evaluate_fom
-from .qubo import FLOAT_FORMAT, ConnectivityReport, as_binary_vector
+from .qubo import FLOAT_FORMAT, as_binary_vector
 from .samplers import (
     AnnealSchedule,
     SampleSet,
@@ -46,6 +46,7 @@ __all__ = [
     "fit_and_sample",
     "run_iteration",
     "run_pipeline",
+    "ConnectivityReport",
     "check_hardware_feasibility",
     "write_convergence_csv",
 ]
@@ -131,14 +132,14 @@ class ConvergenceRecord:
 
 @dataclass
 class RunState:
-    """Mutable loop state owned by a single orchestrator."""
+    """Mutable loop state owned by a single orchestrator; nothing derivable is stored.
+
+    The iteration number is ``len(history)``, the running maximum ``dataset.max_label()``.
+    """
 
     dataset: LabeledDataset
     bvae: BvaeModel
-    objective: FigureOfMerit
     fm: FmModel | None = None
-    iteration: int = 0
-    running_max_fom: float = float("-inf")
     seed_seq: np.random.SeedSequence = dataclass_field(
         default_factory=lambda: np.random.SeedSequence(0)
     )
@@ -210,7 +211,8 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
             selected.append(x)
             selected_tags.append(tag)
 
-    tag = f"iter{state.iteration}"
+    iteration = len(state.history)
+    tag = f"iter{iteration}"
     take((entry.vector for entry in sample_set.entries), tag)
     if len(selected) < cfg.samples_per_iteration and cfg.augmentation == "bit_flip":
         source = selected[0] if selected else sample_set.best().vector
@@ -220,7 +222,7 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
     surrogate_gaps = np.zeros(len(selected))
     for r, x in enumerate(selected):
         _, pattern = decode(state.bvae, x, blur_radius_px=cfg.decode_blur)
-        labels[r] = evaluate_fom(state.objective, pattern)
+        labels[r] = evaluate_fom(cfg.objective, pattern)
         surrogate_gaps[r] = abs(fm_predict(state.fm, x) - (transform.c - labels[r]))
 
     if selected:
@@ -228,25 +230,23 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
         mean_fom = float(labels.mean())
         std_fom = float(labels.std())
         max_fom = float(labels.max())
-        state.running_max_fom = max(state.running_max_fom, max_fom)
         surrogate_error = float(surrogate_gaps.mean())
     else:
-        # stagnation: sampler produced nothing new; carry the running max
+        # stagnation: the sampler produced nothing new
         mean_fom = std_fom = max_fom = float("nan")
         surrogate_error = float("nan")
 
     record = ConvergenceRecord(
-        iteration=state.iteration,
+        iteration=iteration,
         mean_fom=mean_fom,
         std_fom=std_fom,
         max_fom=max_fom,
-        running_max_fom=state.running_max_fom,
+        running_max_fom=state.dataset.max_label(),
         dataset_size=len(state.dataset),
         sampler_energy_min=sample_set.best().energy,
         surrogate_error=surrogate_error,
     )
     state.history.append(record)
-    state.iteration += 1
     return record
 
 
@@ -295,13 +295,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
     fm_final.txt, best_design.pgm, and best_design_bits.txt.
     """
     bvae, data = load_inputs(cfg)
-    state = RunState(
-        dataset=data,
-        bvae=bvae,
-        objective=cfg.objective,
-        running_max_fom=data.max_label(),
-        seed_seq=np.random.SeedSequence(cfg.seed),
-    )
+    state = RunState(dataset=data, bvae=bvae, seed_seq=np.random.SeedSequence(cfg.seed))
     for _ in range(cfg.iterations):
         run_iteration(state, cfg)
 
@@ -316,6 +310,17 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
     bits_text = "".join(str(b) for b in best_bits)
     (out / "best_design_bits.txt").write_text(f"{bits_text} {FLOAT_FORMAT % best_label}\n")
     return state
+
+
+@dataclass(frozen=True)
+class ConnectivityReport:
+    """Clique check of a fully connected problem against a hardware clique limit."""
+
+    n: int
+    edge_count: int
+    is_fully_connected: bool
+    max_supported_clique: int
+    fits_hardware: bool
 
 
 def check_hardware_feasibility(cfg: PipelineConfig, max_clique: int) -> ConnectivityReport:

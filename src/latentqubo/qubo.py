@@ -11,7 +11,6 @@ read-only, strictly upper-triangular matrix; the text files stay sparse.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -20,16 +19,11 @@ import numpy as np
 __all__ = [
     "QuboProblem",
     "IsingProblem",
-    "ConnectivityReport",
     "as_binary_vector",
-    "as_spin_vector",
-    "binary_to_spin",
-    "spin_to_binary",
     "qubo_energy",
     "ising_energy",
     "qubo_to_ising",
     "ising_to_qubo",
-    "analyze_connectivity",
     "save_qubo",
     "load_qubo",
     "save_ising",
@@ -54,23 +48,6 @@ def _checked_states(values, low: int, max_ndim: int = 1) -> np.ndarray:
 def as_binary_vector(bits) -> np.ndarray:
     """Validate a {0,1} vector and return it as a 1-D uint8 array."""
     return _checked_states(bits, 0).astype(np.uint8)
-
-
-def as_spin_vector(spins) -> np.ndarray:
-    """Validate a {-1,+1} vector and return it as a 1-D int8 array."""
-    return _checked_states(spins, -1).astype(np.int8)
-
-
-def binary_to_spin(bits) -> np.ndarray:
-    """Map x in {0,1}^n to s in {-1,+1}^n via s_i = 2*x_i - 1."""
-    x = as_binary_vector(bits)
-    return (2 * x.astype(np.int8) - 1).astype(np.int8)
-
-
-def spin_to_binary(spins) -> np.ndarray:
-    """Inverse of :func:`binary_to_spin`: x_i = (s_i + 1) / 2."""
-    s = as_spin_vector(spins)
-    return ((s + 1) // 2).astype(np.uint8)
 
 
 def _coupling_matrix(pairs, n: int) -> np.ndarray:
@@ -188,17 +165,6 @@ class IsingProblem(_CoupledProblem):
         return self._pairs()
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Connectivity summary of a QUBO against a hardware clique limit."""
-
-    n: int
-    edge_count: int
-    is_fully_connected: bool
-    max_supported_clique: int
-    fits_hardware: bool
-
-
 def _energy_kernel(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: float):
     """offset + x @ vector + x @ upper @ x for every float64 row x of X.
 
@@ -248,26 +214,6 @@ def ising_to_qubo(m: IsingProblem) -> QuboProblem:
         linear=2.0 * m.h - 2.0 * touching,
         quadratic=4.0 * m.upper,
         offset=m.offset - float(np.sum(m.h)) + float(m.upper.sum()),
-    )
-
-
-def analyze_connectivity(q: QuboProblem, max_clique: int) -> ConnectivityReport:
-    """Check whether the problem's coupling graph fits a clique-limited sampler.
-
-    The check is conservative: no minor-embedding is attempted, so a problem
-    fits exactly when its dimension does not exceed the largest fully
-    connected subgraph the hardware supports.
-    """
-    if max_clique < 1:
-        raise ValueError(f"max_clique must be >= 1, got {max_clique}")
-    edge_count = int(np.count_nonzero(q.upper))
-    full_edges = q.n * (q.n - 1) // 2
-    return ConnectivityReport(
-        n=q.n,
-        edge_count=edge_count,
-        is_fully_connected=edge_count == full_edges,
-        max_supported_clique=max_clique,
-        fits_hardware=q.n <= max_clique,
     )
 
 
@@ -373,18 +319,19 @@ def _records(path, body, n: int, layout: dict[str, tuple[int, int]]):
 
 
 def _load(path, header: str, problem_type):
-    where, (n_text, offset_text), body = _read_tagged(path, header, ("n", "offset"))
-    n = _count(n_text, "n", where)
-    offset = _field(offset_text, float, np.isfinite, where, "offset= must be a finite number")
-    vector = _zeros(n, where)
-    upper = _zeros((n, n), where)
+    head, (n_text, offset_text), body = _read_tagged(path, header, ("n", "offset"))
+    n = _count(n_text, "n", head)
+    offset = _field(offset_text, float, np.isfinite, head, "offset= must be a finite number")
+    records = []
     for where, tag, idx, (value,) in _records(path, body, n, {"L": (1, 1), "Q": (2, 1)}):
-        if tag == "L":
-            vector[idx] = value
-        elif idx[0] >= idx[1]:
+        if tag == "Q" and idx[0] >= idx[1]:
             raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
-        else:
-            upper[idx] = value
+        records.append((tag, idx, value))
+    # the whole body is read before the header's n sizes any array
+    vector = _zeros(n, head)
+    upper = _zeros((n, n), head)
+    for tag, idx, value in records:
+        (vector if tag == "L" else upper)[idx] = value
     return problem_type(vector, upper, offset)
 
 

@@ -83,15 +83,18 @@ class SampleSet:
             fh.write("\n".join(lines) + "\n")
 
 
-def _make_sample_set(counted, sampler_name: str, seed: int) -> SampleSet:
-    """Sort (vector, energy, occurrences) triples by (energy, lexicographic bits)."""
-    ordered = sorted(counted, key=lambda t: (t[1], t[0].tolist()))
+def _make_sample_set(X, energies, counts, sampler_name: str, seed: int) -> SampleSet:
+    """Entries for the distinct rows of X, sorted by (energy, lexicographic bits).
+
+    Each entry's vector is a row view of one read-only uint8 array.
+    """
+    order = np.lexsort((*X.T[::-1], energies))
+    vectors = X[order].astype(np.uint8, copy=False)
+    vectors.setflags(write=False)
     entries = tuple(
-        SampleEntry(vector=v.astype(np.uint8), energy=float(e), occurrences=int(c))
-        for v, e, c in ordered
+        SampleEntry(vector=v, energy=e, occurrences=c)
+        for v, e, c in zip(vectors, energies[order].tolist(), np.asarray(counts)[order].tolist())
     )
-    for entry in entries:
-        entry.vector.setflags(write=False)
     return SampleSet(entries=entries, sampler_name=sampler_name, seed=seed)
 
 
@@ -132,7 +135,7 @@ def brute_force_sample(q: QuboProblem, top_k: int) -> SampleSet:
         else:
             best_vals, best_ints = energies, ints
     vectors = _bits_from_ints(best_ints, q.n)
-    return _make_sample_set(zip(vectors, best_vals, [1] * top_k), "brute_force", seed=0)
+    return _make_sample_set(vectors, best_vals, np.ones(top_k, dtype=int), "brute_force", seed=0)
 
 
 def simulated_annealing_sample(
@@ -169,7 +172,7 @@ def simulated_annealing_sample(
 
     finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
     energies = qubo_energy(q, finals)
-    return _make_sample_set(zip(finals, energies, counts), "simulated_annealing", seed=seed)
+    return _make_sample_set(finals, energies, counts, "simulated_annealing", seed=seed)
 
 
 def _read_draws(stream: np.random.SeedSequence, base: np.ndarray):

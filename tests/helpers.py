@@ -54,8 +54,6 @@ def golden_run_state() -> lq.RunState:
     state = lq.RunState(
         dataset=data,
         bvae=model,
-        objective=objective,
-        running_max_fom=data.max_label(),
         seed_seq=np.random.SeedSequence(cfg.seed),
     )
     for _ in range(cfg.iterations):

@@ -352,6 +352,34 @@ class TestConfigErrors:
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "subcommand",
+        [["run-loop"], ["sample-once", "--out", "s.csv"], ["check-hardware"],
+         ["eval", "--image", "target.pgm"], ["gen-dataset", "--bvae", "bvae.txt", "--out", "d.txt"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "fault, code",
+        [("short_target", 2), ("target_fill", 2), ("missing_target", 3)],
+    )
+    def test_objective_fault_exit_code(self, workspace, monkeypatch, capsys, subcommand, fault, code):
+        tmp_path, config = workspace
+        path = tmp_path / "run.ini"
+        if fault == "short_target":
+            (tmp_path / "target.pgm").write_text("P2\n2 2\n255\n0 255 0\n")
+        elif fault == "target_fill":
+            path.write_text(path.read_text().replace(
+                "kind = target_overlap\ntarget = target.pgm",
+                "kind = product_efficiency\ntarget_fill = 1.5\nsmoothness_weight = 0.1",
+            ))
+        else:
+            (tmp_path / "target.pgm").rename(tmp_path / "elsewhere.pgm")
+        monkeypatch.chdir(tmp_path)
+        argv = [subcommand[0], "--config", config, *subcommand[1:]]
+        assert main(argv) == code
+        expected = "target_fill" if fault == "target_fill" else "target.pgm"
+        assert expected in capsys.readouterr().err
+
 
 # one non-default value per optional [pipeline] and [schedule] key
 OPTIONAL_KEYS = {

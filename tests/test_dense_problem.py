@@ -83,16 +83,6 @@ class TestEquality:
         assert q != lq.IsingProblem(h=[1.0], offset=0.5)
 
 
-def test_connectivity_counts_nonzero_couplings():
-    matrix = np.triu(np.ones((5, 5)), 1)
-    matrix[0, 3] = matrix[2, 4] = 0.0
-    report = lq.analyze_connectivity(lq.QuboProblem(linear=np.zeros(5), quadratic=matrix), 5)
-    assert report.edge_count == 8
-    assert report.is_fully_connected is False
-    sparse = lq.QuboProblem(linear=np.zeros(3), quadratic={(0, 1): 1.0, (1, 2): 0.0})
-    assert lq.analyze_connectivity(sparse, 3).edge_count == 1
-
-
 def test_fm_to_qubo_is_the_upper_gram_triangle():
     rng = np.random.default_rng(4)
     model = lq.FmModel(w0=0.5, w=rng.normal(size=6), V=rng.normal(size=(6, 3)))

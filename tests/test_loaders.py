@@ -4,6 +4,7 @@ PGM, the one untagged format, names the file only.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,28 @@ def test_malformed_file_names_path_and_line(tmp_path, loader, body, line):
     path.write_text(body)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
         loader(path)
+
+
+# headers that would size 20 GB of coefficients, each followed by a malformed line 2
+OVERSIZED = [
+    pytest.param(lq.load_qubo, "QUBO v1 n=50000 offset=0\nL 0 abc\n", id="qubo"),
+    pytest.param(lq.load_ising, "ISING v1 n=50000 offset=0\nQ 1 0 1\n", id="ising"),
+    pytest.param(lq.load_fm, "FM v1 n=50000 k=50000\nw 0 abc\n", id="fm"),
+]
+
+
+@pytest.mark.parametrize("loader, body", OVERSIZED)
+def test_body_is_read_before_allocating(tmp_path, loader, body):
+    path = tmp_path / "big.txt"
+    path.write_text(body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+            loader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("body", MALFORMED_PGM)

@@ -146,8 +146,6 @@ class TestRunIteration:
         return lq.RunState(
             dataset=data,
             bvae=toy_bvae,
-            objective=obj,
-            running_max_fom=data.max_label(),
             seed_seq=np.random.SeedSequence(21),
         )
 
@@ -178,13 +176,13 @@ class TestRunIteration:
         assert len(state.dataset) == before_len + len(added)
         assert 0 < len(added) <= cfg.samples_per_iteration
         assert rec.dataset_size == len(state.dataset)
-        assert state.iteration == 1
+        assert len(state.history) == 1
         assert state.history == [rec]
 
     def test_running_max_monotone(self, toy_bvae, half_plane_target):
         state = self.make_state(toy_bvae, half_plane_target)
         cfg = self.quick_cfg(half_plane_target)
-        prev = state.running_max_fom
+        prev = state.dataset.max_label()
         for _ in range(3):
             rec = lq.run_iteration(state, cfg)
             assert rec.running_max_fom >= prev
@@ -209,8 +207,6 @@ class TestRunIteration:
         state = lq.RunState(
             dataset=data,
             bvae=model,
-            objective=obj,
-            running_max_fom=data.max_label(),
             seed_seq=np.random.SeedSequence(3),
         )
         cfg = lq.PipelineConfig(
@@ -224,7 +220,7 @@ class TestRunIteration:
             samples_per_iteration=3,
             iterations=1,
         )
-        before_max = state.running_max_fom
+        before_max = state.dataset.max_label()
         rec = lq.run_iteration(state, cfg)
         assert math.isnan(rec.mean_fom)
         assert math.isnan(rec.std_fom)
@@ -244,8 +240,6 @@ class TestRunIteration:
         state = lq.RunState(
             dataset=data,
             bvae=model,
-            objective=obj,
-            running_max_fom=data.max_label(),
             seed_seq=np.random.SeedSequence(8),
         )
         cfg = lq.PipelineConfig(

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import latentqubo as lq
 from conftest import all_bit_vectors, random_qubo
@@ -66,21 +65,6 @@ class TestConstruction:
             q.linear[0] = 9.0
 
 
-class TestSpinMaps:
-    def test_definition(self):
-        assert lq.binary_to_spin([0, 1, 0]).tolist() == [-1, 1, -1]
-        assert lq.binary_to_spin([1, 1]).tolist() == [1, 1]
-        assert lq.spin_to_binary([-1, 1, -1]).tolist() == [0, 1, 0]
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=24))
-    def test_inverse_pair(self, bits):
-        assert lq.spin_to_binary(lq.binary_to_spin(bits)).tolist() == bits
-
-    def test_spin_validation(self):
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            lq.as_spin_vector([0, 1])
-
-
 class TestConversion:
     def test_worked_example(self):
         q = lq.QuboProblem(linear=[1, 2], quadratic={(0, 1): 4.0})
@@ -110,7 +94,7 @@ class TestConversion:
             back = lq.ising_to_qubo(m)
             for x in all_bit_vectors(n):
                 e = lq.qubo_energy(q, x)
-                assert lq.ising_energy(m, lq.binary_to_spin(x)) == pytest.approx(e, abs=1e-9)
+                assert lq.ising_energy(m, 2 * x.astype(int) - 1) == pytest.approx(e, abs=1e-9)
                 assert lq.qubo_energy(back, x) == pytest.approx(e, abs=1e-9)
 
     def test_offset_shift_keeps_argmin_set(self):
@@ -126,31 +110,6 @@ class TestConversion:
             mins = np.flatnonzero(e <= e.min() + 1e-12)
             mins2 = np.flatnonzero(e2 <= e2.min() + 1e-12)
             assert mins.tolist() == mins2.tolist()
-
-
-class TestConnectivity:
-    def _full(self, n):
-        quad = {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)}
-        return lq.QuboProblem(linear=np.zeros(n), quadratic=quad)
-
-    def test_clique_boundary_cases(self):
-        assert lq.analyze_connectivity(self._full(64), 64).fits_hardware is True
-        report = lq.analyze_connectivity(self._full(20), 18)
-        assert report.fits_hardware is False
-        assert report.is_fully_connected is True
-
-    def test_single_variable_always_fits(self):
-        assert lq.analyze_connectivity(self._full(1), 1).fits_hardware is True
-
-    def test_sparse_graph_not_fully_connected(self):
-        q = lq.QuboProblem(linear=np.zeros(4), quadratic={(0, 1): 1.0})
-        report = lq.analyze_connectivity(q, 10)
-        assert report.edge_count == 1
-        assert report.is_fully_connected is False
-
-    def test_invalid_clique(self):
-        with pytest.raises(ValueError, match="max_clique"):
-            lq.analyze_connectivity(self._full(2), 0)
 
 
 class TestSerialization:
