@@ -11,28 +11,47 @@
  * could differ only for a uniform within rounding of its threshold; the
  * tests require identical results.
  *
+ * The sum visits only the set bits of x, in index order, from a bitmask of
+ * x that the step keeps current (one bit flips with each accepted flip).
+ * This is bit-identical to the dense index-order sum: x[j] is exactly 0.0
+ * or 1.0, so a skipped term coupling[i, j] * 0.0 is +-0.0, and adding +-0.0
+ * leaves a nonzero sum unchanged and a +0.0 sum +0.0 (the dense sum starts
+ * at +0.0 and, rounding to nearest, never reaches -0.0).  The caller owns the
+ * mask, (n + 63) / 64 words, so the kernel allocates nothing.
+ *
  * Compile without -ffast-math and with -ffp-contract=off, so the sum keeps
  * its order and exp stays the C library's.  ptrdiff_t matches numpy's intp.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 void anneal_read(ptrdiff_t n, ptrdiff_t sweeps, const double *linear,
                  const double *coupling, const double *betas,
-                 const ptrdiff_t *perms, const double *uniforms, double *x)
+                 const ptrdiff_t *perms, const double *uniforms, double *x,
+                 uint64_t *mask)
 {
+    const ptrdiff_t words = (n + 63) / 64;
+    for (ptrdiff_t w = 0; w < words; w++)
+        mask[w] = 0;
+    for (ptrdiff_t j = 0; j < n; j++)
+        if (x[j] != 0.0)
+            mask[j / 64] |= (uint64_t)1 << (j % 64);
     for (ptrdiff_t t = 0; t < sweeps; t++) {
         const double beta = betas[t];
         for (ptrdiff_t p = 0; p < n; p++) {
             const ptrdiff_t i = perms[t * n + p];
             const double *row = coupling + i * n;
             double field = 0.0;
-            for (ptrdiff_t j = 0; j < n; j++)
-                field += row[j] * x[j];
+            for (ptrdiff_t w = 0; w < words; w++)
+                for (uint64_t bits = mask[w]; bits; bits &= bits - 1)
+                    field += row[w * 64 + __builtin_ctzll(bits)];
             const double delta = (1.0 - 2.0 * x[i]) * (linear[i] + field);
             const double exponent = -beta * delta;
-            if (uniforms[t * n + p] < exp(exponent < 0.0 ? exponent : 0.0))
+            if (uniforms[t * n + p] < exp(exponent < 0.0 ? exponent : 0.0)) {
                 x[i] = 1.0 - x[i];
+                mask[i / 64] ^= (uint64_t)1 << (i % 64);
+            }
         }
     }
 }

@@ -7,6 +7,8 @@ are fully deterministic given their inputs.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,9 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
+# Annealing threads per call.  Each holds one read's draws (16 bytes per step)
+# while it runs, so the cap also bounds the sampler's memory on any machine.
+_MAX_ANNEAL_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -147,32 +152,47 @@ def simulated_annealing_sample(
     performs ``num_sweeps`` sweeps; within a sweep, bits are visited in a
     fresh random permutation and a flip is accepted with probability
     min(1, exp(-beta * delta)).  Restart randomness comes from per-read
-    streams split off the given seed, so results are identical whether reads
-    run serially or in parallel.  The per-read final states are deduplicated
-    and sorted by energy.
+    streams split off the given seed, and each read writes only its own final
+    state, so the result is the same however many reads run at once.  The
+    per-read final states are deduplicated and sorted by energy.
 
-    The sweeps run in a small C kernel, compiled at the first call; without a
-    C compiler the same steps run in numpy, all reads at once.
+    The sweeps run in a small C kernel, compiled at the first call, with the
+    reads spread over a pool of up to ``min(cores, num_reads, 4)`` threads;
+    each thread draws one read's randomness, then anneals it with the
+    interpreter lock released.  Without a C compiler the same steps run in
+    numpy, all reads at once, in the calling thread.
     """
     n, reads, sweeps = q.n, schedule.num_reads, schedule.num_sweeps
     base = np.tile(np.arange(n, dtype=np.intp), (sweeps, 1))
     streams = np.random.SeedSequence(seed).spawn(reads)
-    draws = (_read_draws(stream, base) for stream in streams)
     linear = q.linear
     coupling = q.dense_symmetric
     betas = schedule.betas()
+    # resolved before the pool starts, so two threads never build it at once
     lib = _native.library()
     x = np.empty((reads, n))
     if lib is None:
-        _anneal_numpy(linear, coupling, betas, draws, x)
+        _anneal_numpy(linear, coupling, betas, (_read_draws(s, base) for s in streams), x)
     else:
-        for r, (x0, perms, uniforms) in enumerate(draws):
-            lib.anneal_read(n, sweeps, linear, coupling, betas, perms, uniforms, x0)
+        def anneal(r: int) -> None:
+            x0, perms, uniforms = _read_draws(streams[r], base)
+            mask = np.empty((n + 63) // 64, dtype=np.uint64)
+            lib.anneal_read(n, sweeps, linear, coupling, betas, perms, uniforms, x0, mask)
             x[r] = x0
+
+        with ThreadPoolExecutor(min(_cores(), reads, _MAX_ANNEAL_WORKERS)) as pool:
+            list(pool.map(anneal, range(reads)))  # re-raises any read's exception
 
     finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
     energies = qubo_energy(q, finals)
     return _make_sample_set(finals, energies, counts, "simulated_annealing", seed=seed)
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _read_draws(stream: np.random.SeedSequence, base: np.ndarray):

@@ -71,13 +71,15 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
+    # the first call anneals its four reads on four threads
     builds = count_calls(monkeypatch, native.subprocess, "run")
+    monkeypatch.setattr(samplers, "_cores", lambda: 4)
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(1), 8)
-    lq.fm_train(data, cfg)
     lq.simulated_annealing_sample(q, SCHEDULE, seed=0)
     lq.fm_train(data, cfg)
     lq.simulated_annealing_sample(q, SCHEDULE, seed=1)
+    lq.fm_train(data, cfg)
     assert len(builds) == 1
     assert native.library() is not None
 

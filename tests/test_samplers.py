@@ -1,4 +1,5 @@
 import shutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -134,7 +135,9 @@ def sample_set_contents(ss: lq.SampleSet):
 class TestAnnealKernel:
     """The compiled sweep against the numpy loop it replaces."""
 
-    # (n, schedule): random QUBOs at each size, one-sweep and one-read schedules among them
+    # (n, schedule): random QUBOs at each size, one-sweep and one-read schedules among them.
+    # At 63, 64, 65 and 130 bits the last word of the kernel's bitmask is
+    # partial, full, holds one bit, and holds two bits.
     CASES = [
         (1, lq.AnnealSchedule()),
         (2, lq.AnnealSchedule(num_sweeps=50, num_reads=1)),
@@ -142,6 +145,10 @@ class TestAnnealKernel:
         (16, lq.AnnealSchedule(num_sweeps=1)),
         (16, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=300, num_reads=7)),
         (40, lq.AnnealSchedule(num_sweeps=100, num_reads=9)),
+        (63, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (64, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (65, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (130, lq.AnnealSchedule(num_sweeps=20, num_reads=3)),
         (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
         (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
     ]
@@ -177,10 +184,28 @@ class TestAnnealKernel:
         assert calls == [1]
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
-    def test_memory_is_bounded_by_one_read(self):
-        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 58 MB
+    def test_same_result_on_any_number_of_cores(self, monkeypatch):
+        q = random_qubo(np.random.default_rng(140), 40)
+        schedule = lq.AnnealSchedule(num_sweeps=300, num_reads=9)
+        results = []
+        for cores in (1, 8):
+            monkeypatch.setattr(samplers, "_cores", lambda: cores)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+            try:
+                results.append(sample_set_contents(lq.simulated_annealing_sample(q, schedule, 7)))
+            finally:
+                sys.setswitchinterval(interval)
+        monkeypatch.setattr(native, "library", lambda: None)
+        looped = sample_set_contents(lq.simulated_annealing_sample(q, schedule, 7))
+        assert results == [looped, looped]
+
+    def test_memory_is_bounded_by_one_read(self, monkeypatch):
+        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 58 MB;
+        # on 64 cores the pool still holds at most four reads' draws at once
         if native.library() is None:
             pytest.skip("the numpy loop holds every read's draws at once")
+        monkeypatch.setattr(samplers, "_cores", lambda: 64)
         q = random_qubo(np.random.default_rng(0), 180)
         schedule = lq.AnnealSchedule(num_sweeps=200, num_reads=100)
         tracemalloc.start()
