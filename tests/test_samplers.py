@@ -145,12 +145,12 @@ class TestAnnealKernel:
         (16, lq.AnnealSchedule(num_sweeps=1)),
         (16, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=300, num_reads=7)),
         (40, lq.AnnealSchedule(num_sweeps=100, num_reads=9)),
+        (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
+        (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
         (63, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
         (64, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
         (65, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
         (130, lq.AnnealSchedule(num_sweeps=20, num_reads=3)),
-        (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
-        (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
     ]
 
     @pytest.mark.parametrize("n, schedule", CASES)
