@@ -1,8 +1,11 @@
-"""The package's C kernels, built once per process at first use.
+"""The package's C kernels, built once per source tree and cached on disk.
 
 ``_anneal.c`` (the annealer's Metropolis sweep) and ``_fm.c`` (one epoch of
-FM Adagrad) are compiled together with ``cc`` into a temporary directory and
-loaded through ``ctypes``.  Where no compiler is found, or the build fails,
+FM Adagrad) are compiled together with ``cc`` into one library, loaded
+through ``ctypes``.  The library is kept in the package's ``__pycache__/``
+under a name that carries a SHA-256 of the sources, the compiler flags, the
+compiler and the machine, so only the first process after a change to any of
+them runs the compiler.  Where no compiler is found, or the build fails,
 :func:`library` returns None and each caller runs its numpy loop instead.
 """
 
@@ -10,7 +13,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
+import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 import warnings
@@ -19,12 +26,80 @@ from pathlib import Path
 import numpy as np
 
 SOURCES = ("_anneal.c", "_fm.c")
+_FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC")
+_LIBS = ("-lm",)
+_CACHE_DIR = Path(__file__).parent / "__pycache__"
 
 
 def _array(dtype, ndim: int, out: bool = False):
     """A ctypes argument that accepts only C-contiguous arrays of this dtype and ndim."""
     flags = "C_CONTIGUOUS,WRITEABLE" if out else "C_CONTIGUOUS"
     return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=flags)
+
+
+def _compile(compiler: str, sources: list[Path], out: Path):
+    subprocess.run([compiler, *_FLAGS, "-o", str(out), *map(str, sources), *_LIBS],
+                   check=True, capture_output=True, text=True)
+    out.chmod(0o755)  # never group-writable, whatever the umask, so the entry stays loadable
+    return ctypes.CDLL(str(out))
+
+
+def _entry_name(compiler: str, sources: list[Path]) -> str:
+    """The cache file name: a digest of everything that decides the library's bytes."""
+    resolved = os.path.realpath(compiler)
+    info = os.stat(resolved)
+    key = repr((
+        [(path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in sources],
+        _FLAGS, _LIBS, resolved, info.st_size, info.st_mtime_ns, platform.machine(),
+    ))
+    return f"_latentqubo-{hashlib.sha256(key.encode()).hexdigest()}.so"
+
+
+def _trusted(path: Path) -> bool:
+    """A regular file (not a link) of this user's that no one else can write."""
+    try:
+        info = path.lstat()
+    except OSError:
+        return False
+    return (stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid()
+            and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _load(compiler: str, sources: list[Path]):
+    """Load the cached library, or build it and cache it for the next process.
+
+    A new build is written under a unique temporary name in the cache
+    directory and renamed into place, so a concurrent process sees either no
+    entry or a whole one.  An entry that fails the ownership check or fails
+    to load is built again and replaced.  Where the cache directory cannot
+    be written, the library is built in a temporary directory and not kept.
+    """
+    entry = _CACHE_DIR / _entry_name(compiler, sources)
+    if _trusted(entry):
+        try:
+            return ctypes.CDLL(str(entry))
+        except OSError:
+            pass
+    try:
+        _CACHE_DIR.mkdir(exist_ok=True)
+        fd, name = tempfile.mkstemp(prefix=entry.stem + "-", suffix=".tmp", dir=_CACHE_DIR)
+        os.close(fd)
+    except OSError:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _compile(compiler, sources, Path(tmp) / "_latentqubo.so")
+    tmp = Path(name)
+    try:
+        lib = _compile(compiler, sources, tmp)
+        os.replace(tmp, entry)
+    finally:
+        tmp.unlink(missing_ok=True)
+    for old in _CACHE_DIR.glob("_latentqubo-*.so"):
+        if old != entry:
+            try:
+                old.unlink()
+            except OSError:
+                pass  # another process removed it first, or it is not ours to remove
+    return lib
 
 
 @functools.cache
@@ -36,21 +111,15 @@ def library():
     32-byte boundary, so a kernel's speed does not depend on what the other
     source puts before it (on x86-64 the annealer's inner loop ran 30 %
     slower when the FM kernel shifted it across a cache line).  A failed build warns
-    once with the compiler's output.  ptrdiff_t matches numpy's intp.
+    once with the compiler's output and leaves nothing in the cache.  ptrdiff_t
+    matches numpy's intp.
     """
     compiler = shutil.which("cc")
     if compiler is None:
         return None
     here = Path(__file__).parent
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "_latentqubo.so"
-            subprocess.run(
-                [compiler, "-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC",
-                 "-o", str(path), *(str(here / name) for name in SOURCES), "-lm"],
-                check=True, capture_output=True, text=True,
-            )
-            lib = ctypes.CDLL(str(path))
+        lib = _load(compiler, [here / name for name in SOURCES])
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(f"running numpy loops: building {', '.join(SOURCES)} failed: {detail}",

@@ -46,7 +46,7 @@ class LabeledDataset:
         if len(tags) != X.shape[0]:
             raise ValueError(f"need one provenance tag per row, got {len(tags)}")
         for tag in tags:
-            if not tag or any(ch.isspace() for ch in tag):
+            if tag.split() != [tag]:
                 raise ValueError(f"provenance tags must be nonempty and whitespace-free: {tag!r}")
         X.setflags(write=False)
         Y.setflags(write=False)

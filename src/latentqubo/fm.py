@@ -232,9 +232,10 @@ def fm_train(
     its own learning rate.  warm_start continues from an existing model of
     matching shape instead of a fresh initialization.
 
-    Each epoch runs in a small C kernel, built once per process with the
-    annealer's; without a C compiler the same steps run in numpy.  The
-    initialization, split and shuffles are drawn here either way.
+    Each epoch runs in a small C kernel, built with the annealer's and
+    cached on disk until the sources or the compiler change; without a C
+    compiler the same steps run in numpy.  The initialization, split and
+    shuffles are drawn here either way.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")

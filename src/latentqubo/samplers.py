@@ -156,11 +156,13 @@ def simulated_annealing_sample(
     state, so the result is the same however many reads run at once.  The
     per-read final states are deduplicated and sorted by energy.
 
-    The sweeps run in a small C kernel, compiled at the first call, with the
-    reads spread over a pool of up to ``min(cores, num_reads, 4)`` threads;
-    each thread draws one read's randomness, then anneals it with the
-    interpreter lock released.  Without a C compiler the same steps run in
-    numpy, all reads at once, in the calling thread.
+    The sweeps run in a small C kernel, compiled at the first call after the
+    sources or the compiler change and loaded from the on-disk cache after
+    that, with the reads spread over a pool of up to
+    ``min(cores, num_reads, 4)`` threads; each thread draws one read's
+    randomness, then anneals it with the interpreter lock released.  Without
+    a C compiler the same steps run in numpy, all reads at once, in the
+    calling thread.
     """
     n, reads, sweeps = q.n, schedule.num_reads, schedule.num_sweeps
     base = np.tile(np.arange(n, dtype=np.intp), (sweeps, 1))

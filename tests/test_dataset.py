@@ -44,10 +44,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             lq.LabeledDataset(X=X, Y=np.zeros(3), provenance=("a", "b", "c"))
 
-    def test_bad_tag_rejected(self):
+    @pytest.mark.parametrize("tag", ["has space", "", "a\tb", "a\u2003b", "a\x1cb", "a\xa0b"])
+    def test_bad_tag_rejected(self, tag):
         X = np.zeros((1, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="tag"):
-            lq.LabeledDataset(X=X, Y=np.zeros(1), provenance=("has space",))
+            lq.LabeledDataset(X=X, Y=np.zeros(1), provenance=(tag,))
+
+    def test_non_ascii_tag_accepted(self):
+        data = lq.LabeledDataset(X=np.zeros((1, 3), dtype=np.uint8), Y=np.zeros(1),
+                                 provenance=("zürich_µ-α",))
+        assert data.provenance == ("zürich_µ-α",)
 
     def test_arrays_locked(self):
         data = make_dataset([[0, 1]], [0.5])

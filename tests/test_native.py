@@ -1,6 +1,9 @@
-"""The shared build of the C kernels: built once per process, numpy without it."""
+"""The shared build of the C kernels: cached on disk per source tree, numpy without it."""
 
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,16 +16,24 @@ import latentqubo.fm as fm
 import latentqubo.samplers as samplers
 from conftest import random_qubo
 from test_fm import assert_models_close, random_dataset
+from test_samplers import sample_set_contents
 
 SCHEDULE = lq.AnnealSchedule(num_sweeps=50, num_reads=4)
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture
-def fresh_build():
-    """Forget the loaded library before and after the test, so it builds again."""
+def fresh_build(monkeypatch, tmp_path):
+    """Forget the loaded library and cache it in a new directory, so it builds again."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(native, "_CACHE_DIR", cache)
     native.library.cache_clear()
-    yield
+    yield cache
     native.library.cache_clear()
+
+
+def entries(cache: Path) -> list[str]:
+    return sorted(path.name for path in cache.iterdir()) if cache.is_dir() else []
 
 
 def count_calls(monkeypatch, module, name):
@@ -67,9 +78,10 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
     assert "toolchain is broken" in str(caught[0].message)
     assert len(epochs) == 2 * cfg.epochs
     assert len(sweeps) == 1
+    assert entries(fresh_build) == []
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@needs_cc
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     # the first call anneals its four reads on four threads
     builds = count_calls(monkeypatch, native.subprocess, "run")
@@ -82,6 +94,141 @@ def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     lq.fm_train(data, cfg)
     assert len(builds) == 1
     assert native.library() is not None
+
+
+def fit_and_anneal():
+    data, cfg = fm_case()
+    model, _ = lq.fm_train(data, cfg)
+    sample_set = lq.simulated_annealing_sample(random_qubo(np.random.default_rng(1), 8), SCHEDULE, 0)
+    return [model.w0, model.w.tolist(), model.V.tolist()], sample_set_contents(sample_set)
+
+
+@needs_cc
+def test_a_cached_library_loads_without_the_compiler(monkeypatch, fresh_build):
+    built = fit_and_anneal()
+    native.library.cache_clear()
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    assert fit_and_anneal() == built
+    assert builds == []
+    assert len(entries(fresh_build)) == 1
+
+
+@needs_cc
+def test_a_changed_source_byte_rebuilds(monkeypatch, tmp_path, fresh_build):
+    sources = []
+    for name in native.SOURCES:
+        shutil.copy(Path(native.__file__).with_name(name), tmp_path / name)
+        sources.append(tmp_path / name)
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    compiler = shutil.which("cc")
+    native._load(compiler, sources)
+    first = entries(fresh_build)
+    native._load(compiler, sources)
+    assert len(builds) == 1
+    text = bytearray(sources[0].read_bytes())
+    text[text.index(b" ")] = ord("\t")
+    sources[0].write_bytes(bytes(text))
+    native._load(compiler, sources)
+    assert len(builds) == 2
+    assert len(first) == 1 and len(entries(fresh_build)) == 1 and entries(fresh_build) != first
+
+
+@needs_cc
+@pytest.mark.parametrize("spoil", ["garbage", "group-writable"])
+def test_an_untrusted_entry_is_rebuilt_not_loaded(monkeypatch, tmp_path, fresh_build, spoil):
+    native.library()
+    (name,) = entries(fresh_build)
+    native.library.cache_clear()
+    cache = tmp_path / "spoiled"
+    cache.mkdir()
+    entry = cache / name
+    if spoil == "garbage":
+        entry.write_bytes(b"not a shared library")
+        entry.chmod(0o755)
+    else:
+        shutil.copy(fresh_build / name, entry)
+        entry.chmod(0o775)
+    monkeypatch.setattr(native, "_CACHE_DIR", cache)
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    assert native.library() is not None
+    assert len(builds) == 1
+    assert entries(cache) == [name]
+    assert entry.read_bytes()[:4] == b"\x7fELF"
+    assert entry.stat().st_mode & 0o777 == 0o755
+
+
+@needs_cc
+@pytest.mark.parametrize("where", ["below a file", "read-only"])
+def test_an_unwritable_cache_builds_in_a_temporary_directory(
+    monkeypatch, tmp_path, fresh_build, where
+):
+    if where == "below a file":
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "__pycache__"
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root writes to a read-only directory")
+        cache = tmp_path / "read-only"
+        cache.mkdir(mode=0o555)
+    monkeypatch.setattr(native, "_CACHE_DIR", cache)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(native.tempfile, "tempdir", str(scratch))
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_and_anneal()
+    assert native.library() is not None
+    assert len(builds) == 1
+    assert entries(cache) == [] and entries(scratch) == []
+
+
+CHILD = """
+import sys, time
+from pathlib import Path
+import numpy as np
+import latentqubo as lq
+import latentqubo._native as native
+
+native._CACHE_DIR = Path(sys.argv[1])
+Path(sys.argv[2]).touch()
+deadline = time.monotonic() + 60
+while not all(Path(p).exists() for p in sys.argv[3:]) and time.monotonic() < deadline:
+    time.sleep(0.001)
+assert native.library() is not None
+rng = np.random.default_rng(5)
+q = lq.QuboProblem(linear=rng.uniform(-1, 1, 8), quadratic=np.triu(rng.uniform(-1, 1, (8, 8)), 1))
+schedule = lq.AnnealSchedule(num_sweeps=50, num_reads=4)
+print([(e.vector.tolist(), e.energy) for e in lq.simulated_annealing_sample(q, schedule, 0).entries])
+"""
+
+
+@needs_cc
+def test_two_processes_building_at_once_share_one_entry(monkeypatch, tmp_path):
+    cache = tmp_path / "__pycache__"
+    ready = [str(tmp_path / f"ready{i}") for i in range(2)]
+    src = str(Path(native.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    children = [
+        subprocess.Popen([sys.executable, "-c", CHILD, str(cache), mine, *ready], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for mine in ready
+    ]
+    outputs = []
+    for child in children:
+        try:
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
+        assert child.returncode == 0, err
+        outputs.append(out)
+    monkeypatch.setattr(native, "library", lambda: None)
+    rng = np.random.default_rng(5)
+    q = lq.QuboProblem(linear=rng.uniform(-1, 1, 8), quadratic=np.triu(rng.uniform(-1, 1, (8, 8)), 1))
+    looped = lq.simulated_annealing_sample(q, SCHEDULE, 0).entries
+    assert outputs == [f"{[(e.vector.tolist(), e.energy) for e in looped]}\n"] * 2
+    (name,) = entries(cache)
+    assert name.startswith("_latentqubo-") and name.endswith(".so")
 
 
 def test_every_c_source_is_built_and_packaged():

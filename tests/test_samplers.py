@@ -165,7 +165,7 @@ class TestAnnealKernel:
     def test_kernel_loads_where_a_compiler_is_found(self):
         assert native.library() is not None
 
-    def test_without_compiler_the_numpy_loop_runs(self, monkeypatch):
+    def test_without_compiler_the_numpy_loop_runs(self, monkeypatch, tmp_path):
         q = random_qubo(np.random.default_rng(9), 16)
         schedule = lq.AnnealSchedule(num_sweeps=200)
         compiled = lq.simulated_annealing_sample(q, schedule, seed=4)
@@ -175,6 +175,7 @@ class TestAnnealKernel:
             samplers, "_anneal_numpy", lambda *args: calls.append(1) or numpy_loop(*args)
         )
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        monkeypatch.setattr(native, "_CACHE_DIR", tmp_path)
         native.library.cache_clear()
         try:
             looped = lq.simulated_annealing_sample(q, schedule, seed=4)
