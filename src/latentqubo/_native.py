@@ -1,7 +1,8 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
-``_anneal.c`` (the annealer's Metropolis sweep) and ``_fm.c`` (one epoch of
-FM Adagrad) are compiled together with ``cc`` into one library, loaded
+``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (one epoch of FM
+Adagrad) and ``_scan.c`` (the brute-force sampler's Gray-code screen of one
+chunk of states) are compiled together with ``cc`` into one library, loaded
 through ``ctypes``.  The library is kept in the package's ``__pycache__/``
 under a name that carries a SHA-256 of the sources, the compiler flags, the
 compiler and the machine, so only the first process after a change to any of
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c")
+SOURCES = ("_anneal.c", "_fm.c", "_scan.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC")
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"
@@ -109,7 +110,7 @@ def library():
     Compiled without -ffast-math and with -ffp-contract=off, so every sum
     keeps its written order.  -falign-loops=32 starts each loop on its own
     32-byte boundary, so a kernel's speed does not depend on what the other
-    source puts before it (on x86-64 the annealer's inner loop ran 30 %
+    sources put before it (on x86-64 the annealer's inner loop ran 30 %
     slower when the FM kernel shifted it across a cache line).  A failed build warns
     once with the compiler's output and leaves nothing in the cache.  ptrdiff_t
     matches numpy's intp.
@@ -141,4 +142,10 @@ def library():
         _array(f64, 1, out=True),  # s, k doubles of scratch
     ]
     lib.fm_epoch.restype = None
+    lib.gray_scan.argtypes = [
+        size, size, size,  # n, low, start
+        _array(f64, 1), _array(f64, 2), ctypes.c_double,  # linear, coupling, offset
+        _array(f64, 1, out=True), _array(f64, 1, out=True),  # field, energies
+    ]
+    lib.gray_scan.restype = None
     return lib

@@ -32,6 +32,7 @@ from .images import save_pgm
 from .objectives import FigureOfMerit, evaluate_fom
 from .qubo import FLOAT_FORMAT, as_binary_vector
 from .samplers import (
+    BRUTE_FORCE_MAX_BITS,
     AnnealSchedule,
     SampleSet,
     brute_force_sample,
@@ -89,6 +90,11 @@ class PipelineConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.sampler not in SAMPLER_NAMES:
             raise ValueError(f"sampler must be one of {SAMPLER_NAMES}, got {self.sampler!r}")
+        if self.sampler == "brute_force" and self.latent_bits > BRUTE_FORCE_MAX_BITS:
+            raise ValueError(
+                f"the brute_force sampler is capped at BRUTE_FORCE_MAX_BITS = "
+                f"{BRUTE_FORCE_MAX_BITS} latent bits, got latent_bits = {self.latent_bits}"
+            )
         if self.augmentation not in AUGMENTATION_NAMES:
             raise ValueError(
                 f"augmentation must be one of {AUGMENTATION_NAMES}, got {self.augmentation!r}"

@@ -353,6 +353,22 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "subcommand", [["run-loop"], ["sample-once", "--out", "s.csv"]], ids=lambda argv: argv[0]
+    )
+    def test_brute_force_above_its_cap_fails_before_any_work(
+        self, workspace, monkeypatch, capsys, subcommand
+    ):
+        tmp_path, config = workspace
+        path = tmp_path / "run.ini"
+        path.write_text(path.read_text().replace(
+            "latent_bits = 16", "latent_bits = 30\nsampler = brute_force"
+        ))
+        monkeypatch.chdir(tmp_path)
+        assert main([subcommand[0], "--config", config, *subcommand[1:]]) == 2
+        assert "BRUTE_FORCE_MAX_BITS = 24" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
         "subcommand",
         [["run-loop"], ["sample-once", "--out", "s.csv"], ["check-hardware"],
          ["eval", "--image", "target.pgm"], ["gen-dataset", "--bvae", "bvae.txt", "--out", "d.txt"]],

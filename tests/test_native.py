@@ -68,16 +68,21 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
     monkeypatch.setattr(native.shutil, "which", lambda name: str(compiler))
     epochs = count_calls(monkeypatch, fm, "_epoch_numpy")
     sweeps = count_calls(monkeypatch, samplers, "_anneal_numpy")
+    screens = count_calls(monkeypatch, samplers, "_einsum_screen")
     data, cfg = fm_case()
+    q = random_qubo(np.random.default_rng(0), 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         lq.fm_train(data, cfg)
-        lq.simulated_annealing_sample(random_qubo(np.random.default_rng(0), 8), SCHEDULE, seed=0)
+        lq.simulated_annealing_sample(q, SCHEDULE, seed=0)
+        exhaustive = lq.brute_force_sample(q, top_k=5)
         lq.fm_train(data, cfg)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "toolchain is broken" in str(caught[0].message)
     assert len(epochs) == 2 * cfg.epochs
     assert len(sweeps) == 1
+    assert len(screens) == 1
+    assert len(exhaustive.entries) == 5
     assert entries(fresh_build) == []
 
 
@@ -85,14 +90,18 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     # the first call anneals its four reads on four threads
     builds = count_calls(monkeypatch, native.subprocess, "run")
+    screens = count_calls(monkeypatch, samplers, "_gray_screen")
     monkeypatch.setattr(samplers, "_cores", lambda: 4)
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(1), 8)
     lq.simulated_annealing_sample(q, SCHEDULE, seed=0)
     lq.fm_train(data, cfg)
+    lq.brute_force_sample(q, top_k=5)
     lq.simulated_annealing_sample(q, SCHEDULE, seed=1)
     lq.fm_train(data, cfg)
+    lq.brute_force_sample(q, top_k=5)
     assert len(builds) == 1
+    assert len(screens) == 2
     assert native.library() is not None
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latentqubo as lq
+from latentqubo.samplers import BRUTE_FORCE_MAX_BITS
 
 
 def overlap_objective(target):
@@ -97,6 +98,7 @@ class TestConfigValidation:
             (dict(fm_learning_rate=0.0), "fm_learning_rate"),
             (dict(fm_learning_rate=-0.05), "fm_learning_rate"),
             (dict(fm_learning_rate=float("nan")), "fm_learning_rate"),
+            (dict(sampler="brute_force", latent_bits=25), "BRUTE_FORCE_MAX_BITS = 24"),
         ],
     )
     def test_rejections(self, half_plane_target, overrides, msg):
@@ -104,6 +106,11 @@ class TestConfigValidation:
         kwargs.update(overrides)
         with pytest.raises(ValueError, match=msg):
             lq.PipelineConfig(**kwargs)
+
+    def test_brute_force_accepted_up_to_its_cap(self, half_plane_target):
+        kwargs = self.valid_kwargs(half_plane_target)
+        kwargs.update(sampler="brute_force", latent_bits=BRUTE_FORCE_MAX_BITS)
+        assert lq.PipelineConfig(**kwargs).latent_bits == 24
 
     def test_frozen(self, half_plane_target):
         cfg = lq.PipelineConfig(**self.valid_kwargs(half_plane_target))

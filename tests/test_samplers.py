@@ -55,6 +55,103 @@ class TestBruteForce:
             assert lq.qubo_energy(q, entry.vector) == pytest.approx(entry.energy, abs=1e-9)
 
 
+def first_by_energy_then_bits(q: lq.QuboProblem, top_k: int):
+    """The oracle: the first top_k of all 2^n states fully sorted by (energy, lexicographic bits)."""
+    X = all_bit_vectors(q.n)
+    energies = np.concatenate([lq.qubo_energy(q, X[s:s + 2**16]) for s in range(0, len(X), 2**16)])
+    lexicographic = X @ (1 << np.arange(q.n)[::-1])  # x_0 is the most significant bit
+    order = np.lexsort((lexicographic, energies))[:top_k]
+    return "brute_force", 0, [(X[i].tolist(), energies[i], 1) for i in order]
+
+
+def integer_qubo(rng: np.random.Generator, n: int) -> lq.QuboProblem:
+    """Small integer coefficients, so many states tie."""
+    return lq.QuboProblem(
+        linear=rng.integers(-2, 3, n), quadratic=np.triu(rng.integers(-2, 3, (n, n)), 1), offset=1.0
+    )
+
+
+def fm_qubo(rng: np.random.Generator, n: int) -> lq.QuboProblem:
+    return lq.fm_to_qubo(lq.FmModel(w0=0.5, w=rng.normal(0, 0.3, n), V=rng.normal(0, 0.3, (n, 8))))
+
+
+class TestBruteForceScreen:
+    """The compiled Gray-code screen against the energy-kernel fallback and a full sort."""
+
+    def assert_paths_match_oracle(self, monkeypatch, q, top_ks):
+        name, seed, ranked = first_by_energy_then_bits(q, max(top_ks))
+        for top_k in top_ks:
+            compiled = sample_set_contents(lq.brute_force_sample(q, top_k))
+            with monkeypatch.context() as patched:
+                patched.setattr(native, "library", lambda: None)
+                fallback = sample_set_contents(lq.brute_force_sample(q, top_k))
+            assert compiled == fallback == (name, seed, ranked[:top_k]), top_k
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_random_qubos(self, monkeypatch, n):
+        # every state up to n=12; at n=17 a top_k beyond one chunk of 2^16 states;
+        # from n=18 the fallback takes a second or more a call
+        if n <= 12:
+            top_ks = (1, 40, 1 << n, (1 << n) + 3)
+        elif n == 17:
+            top_ks = (1, 40, (1 << 16) + 3)
+        else:
+            top_ks = (1, 40) if n < 18 else (40,)
+        self.assert_paths_match_oracle(monkeypatch, random_qubo(np.random.default_rng(n), n), top_ks)
+
+    @pytest.mark.parametrize("n", [5, 16, 18])
+    def test_fm_qubos(self, monkeypatch, n):
+        # the top_k a fit_heavy loop asks for, from 1,240 to 1,440
+        top_ks = (1, 40, 1 << n, (1 << n) + 3) if n == 5 else (1, 40, 1240, 1440)
+        self.assert_paths_match_oracle(monkeypatch, fm_qubo(np.random.default_rng(n), n), top_ks)
+
+    @pytest.mark.parametrize("n", [6, 12, 17])
+    def test_states_tied_at_the_cut_are_taken_in_lexicographic_order(self, monkeypatch, n):
+        q = integer_qubo(np.random.default_rng(30 + n), n)
+        _, _, ranked = first_by_energy_then_bits(q, 1 << n)
+        energies = [energy for _, energy, _ in ranked]
+        cuts = [k for k in range(1, min(len(energies), 5000)) if energies[k - 1] == energies[k]]
+        # ties at the first, a middling and the last cut below 5000 that falls inside one
+        top_ks = (cuts[0], cuts[len(cuts) // 2], cuts[-1])
+        assert all(energies[k - 1] == energies[k] for k in top_ks)
+        self.assert_paths_match_oracle(monkeypatch, q, top_ks)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_rounding_bound_covers_coefficients_of_many_magnitudes(self, monkeypatch, n):
+        # x_0 flips on every other step of the walk and carries 1e8, so the
+        # screen loses the 1e-8..1e-4 couplings that order the best states
+        lib = native.library()
+        if lib is None:
+            pytest.skip("no compiled screen to bound")
+        rng = np.random.default_rng(4)
+
+        def tiny(*shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, -4, shape)
+
+        linear, upper = tiny(n), np.triu(tiny(n, n), 1)
+        linear[0], linear[1], upper[0, 1] = 1e8, -1e4, 3.0
+        q = lq.QuboProblem(linear=linear, quadratic=upper, offset=1e6)
+        chunk = 1 << samplers._CHUNK_BITS
+        screened = np.concatenate([e.copy() for _, e in samplers._gray_screen(lib, q, chunk)])
+        exact = samplers._exact_energies(q, np.arange(1 << n, dtype=np.uint64))
+        drift = np.abs(screened - exact).max()
+        assert 1e-8 < drift <= samplers._screen_bound(q, chunk)
+        self.assert_paths_match_oracle(monkeypatch, q, (1, 40, 1240))
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        # an energy per state at n=20 alone would take 8 MB
+        if native.library() is None:
+            pytest.skip("the fallback scores each chunk's states as a float matrix")
+        q = random_qubo(np.random.default_rng(0), 20)
+        tracemalloc.start()
+        try:
+            lq.brute_force_sample(q, top_k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestAnnealSchedule:
     def test_geometric_endpoints(self):
         betas = lq.AnnealSchedule(beta_start=0.1, beta_end=10.0, num_sweeps=5).betas()
