@@ -1,13 +1,14 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
 ``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (one epoch of FM
-Adagrad) and ``_scan.c`` (the brute-force sampler's Gray-code screen of one
-chunk of states) are compiled together with ``cc`` into one library, loaded
-through ``ctypes``.  The library is kept in the package's ``__pycache__/``
-under a name that carries a SHA-256 of the sources, the compiler flags, the
-compiler and the machine, so only the first process after a change to any of
-them runs the compiler.  Where no compiler is found, or the build fails,
-:func:`library` returns None and each caller runs its numpy loop instead.
+Adagrad) and ``_energy.c`` (the brute-force sampler's energies of a run of
+states, summed in ``qubo_energy``'s order) are compiled together with ``cc``
+into one library, loaded through ``ctypes``.  The library is kept in the
+package's ``__pycache__/`` under a name that carries a SHA-256 of the
+sources, the compiler flags, the compiler and the machine, so only the first
+process after a change to any of them runs the compiler.  Where no compiler
+is found, or the build fails, :func:`library` returns None and each caller
+runs its numpy loop instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_scan.c")
+SOURCES = ("_anneal.c", "_fm.c", "_energy.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC")
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"
@@ -142,10 +143,10 @@ def library():
         _array(f64, 1, out=True),  # s, k doubles of scratch
     ]
     lib.fm_epoch.restype = None
-    lib.gray_scan.argtypes = [
-        size, size, size,  # n, low, start
-        _array(f64, 1), _array(f64, 2), ctypes.c_double,  # linear, coupling, offset
-        _array(f64, 1, out=True), _array(f64, 1, out=True),  # field, energies
+    lib.qubo_energies.argtypes = [
+        size, size, size,  # n, start, count
+        _array(f64, 1), _array(f64, 2), ctypes.c_double,  # linear, upper, offset
+        _array(f64, 1, out=True),  # out, count energies
     ]
-    lib.gray_scan.restype = None
+    lib.qubo_energies.restype = None
     return lib

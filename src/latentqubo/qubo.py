@@ -122,12 +122,10 @@ class _CoupledProblem:
 class QuboProblem(_CoupledProblem):
     """Quadratic unconstrained binary optimization problem.
 
-    Energy of a binary assignment x:
-
-        E(x) = offset + sum_i linear[i] * x_i + sum_{i<j} upper[i, j] * x_i * x_j
-
-    ``quadratic`` takes the couplings as a map or a matrix (see the base
-    class); read back, it is the read-only map of the nonzero ones.
+    Energy of x: offset + sum_i linear[i] x_i + sum_{i<j} upper[i, j] x_i x_j,
+    summed in the order :func:`qubo_energy` defines.  ``quadratic`` takes the
+    couplings as a map or a matrix (see the base class); read back, it is the
+    read-only map of the nonzero ones.
     """
 
     _VECTOR, _WHAT = "linear", "linear coefficients"
@@ -148,10 +146,7 @@ class QuboProblem(_CoupledProblem):
 class IsingProblem(_CoupledProblem):
     """Classical Ising energy model.
 
-    Energy of a spin assignment s in {-1,+1}^n:
-
-        H(s) = offset + sum_i h[i] * s_i + sum_{i<j} upper[i, j] * s_i * s_j
-
+    Energy of s in {-1,+1}^n: offset + sum_i h[i] s_i + sum_{i<j} upper[i, j] s_i s_j.
     ``j`` plays the part of :attr:`QuboProblem.quadratic`.
     """
 
@@ -165,26 +160,38 @@ class IsingProblem(_CoupledProblem):
         return self._pairs()
 
 
-def _energy_kernel(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: float):
-    """offset + x @ vector + x @ upper @ x for every float64 row x of X.
+def _energy_loop(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: float):
+    """The energy of every row of X (0/1 bits or -1/+1 spins), summed in qubo_energy's order.
 
-    einsum rather than BLAS matmul: a row's energy is then bit-identical
-    whatever batch it is evaluated in.
+    A sum that starts at +0.0 is never -0.0, so the +-0.0 terms of unset bits
+    leave it as it is, and the same sum over set bits only gives the same bits.
     """
-    return offset + np.einsum("bi,i->b", X, vector) + np.einsum("bi,ij,bj->b", X, upper, X)
+    cols = np.array(X.T, dtype=np.float64, order="C")
+    fields = np.repeat((0.0 + vector)[:, None], cols.shape[1], axis=1)
+    for j in range(1, cols.shape[0]):
+        fields[:j] += cols[j] * upper[:j, j, None]  # field i gains x_j upper[i, j], j ascending
+    energies = np.full(cols.shape[1], 0.0 + offset)
+    for x, field in zip(cols, fields):
+        energies += x * field
+    return energies
 
 
 def _energies(problem: _CoupledProblem, vector: np.ndarray, states, low: int):
     arr = _checked_states(states, low, max_ndim=2)
     if (size := arr.shape[-1]) != problem.n:
         raise ValueError(f"dimension mismatch: problem has n={problem.n}, vector has length {size}")
-    X = np.atleast_2d(arr).astype(np.float64)
-    energies = _energy_kernel(X, vector, problem.upper, problem.offset)
+    energies = _energy_loop(np.atleast_2d(arr), vector, problem.upper, problem.offset)
     return float(energies[0]) if arr.ndim == 1 else energies
 
 
 def qubo_energy(q: QuboProblem, bits):
-    """QUBO energy of one binary vector (a float) or of each row of a 2-D batch (an array)."""
+    """QUBO energy of one binary vector (a float) or of each row of a 2-D batch (an array).
+
+    The summation order is the definition, so any batch and the brute-force
+    sampler's C kernel give the same bits: (0.0 + offset) + sum over set bits
+    i, ascending, of ((0.0 + linear[i]) + sum over set bits j > i, ascending,
+    of upper[i, j]).
+    """
     return _energies(q, q.linear, bits, 0)
 
 

@@ -7,6 +7,7 @@ are fully deterministic given their inputs.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .qubo import FLOAT_FORMAT, QuboProblem, _energy_kernel, qubo_energy
+from .qubo import FLOAT_FORMAT, QuboProblem, _energy_loop, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -117,120 +118,51 @@ def brute_force_sample(q: QuboProblem, top_k: int) -> SampleSet:
     lexicographic order of their bits.  Rejects problems with n above
     ``BRUTE_FORCE_MAX_BITS``.
 
-    The states are screened a chunk of 2^16 at a time by a small C kernel
-    that walks them in Gray-code order, one bit flip and O(n) work per state,
-    from the package's one cached C build.  Its energies round differently
-    from :func:`qubo_energy`, within a proven bound, so only the states that
-    can make the top_k within that bound are rescored with the energy kernel
-    itself, and every returned energy is bit-identical to ``qubo_energy``.
-    Without a C compiler each chunk is scored by the energy kernel instead;
-    both ways return the same SampleSet.  Memory stays O(2^16 + top_k).
+    Each energy is summed in the order that defines :func:`qubo_energy`, so
+    it is that function's bit for bit: (0.0 + offset) + sum over set bits i,
+    ascending, of ((0.0 + linear[i]) + sum over set bits j > i, ascending, of
+    upper[i, j]).  A C kernel from the package's cached build scores a chunk
+    of 2^16 states at a time, or the numpy energy loop without a compiler,
+    with the same result.  Memory stays O(2^16 + top_k).
     """
+    try:
+        top_k = operator.index(top_k)
+    except TypeError:
+        raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}") from None
     if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+        raise ValueError(f"top_k must be an integer >= 1, got {top_k}")
     if q.n > BRUTE_FORCE_MAX_BITS:
-        raise ValueError(
-            f"brute force enumeration capped at {BRUTE_FORCE_MAX_BITS} bits, problem has n={q.n}"
-        )
+        raise ValueError(f"brute force enumeration capped at {BRUTE_FORCE_MAX_BITS} bits, "
+                         f"problem has n={q.n}")
     top_k = min(top_k, 1 << q.n)
     chunk = 1 << min(q.n, _CHUNK_BITS)
+    k = min(top_k, chunk)  # only a chunk's states at or below its k-th energy can make the top_k
     lib = _native.library()
-    if lib is None:
-        screens, slack = _einsum_screen(q, chunk), 0.0
-    else:
-        screens, slack = _gray_screen(lib, q, chunk), _screen_bound(q, chunk)
-    ints, energies = np.empty(0, dtype=np.uint64), np.empty(0)
-    for start, screened in screens:
-        ints, energies = _merge(q, ints, energies, start, screened, top_k, slack)
-    vectors = _bits_from_ints(ints, q.n)
+    chunks = _looped_energies(q, chunk) if lib is None else _compiled_energies(lib, q, chunk)
+    vectors, energies = np.empty((0, q.n), dtype=np.uint8), np.empty(0)
+    for start, chunk_energies in chunks:
+        kth = np.partition(chunk_energies, k - 1)[k - 1]
+        new = np.flatnonzero(chunk_energies <= kth).astype(np.uint64)
+        vectors = np.concatenate([vectors, _bits_from_ints(new + np.uint64(start), q.n)])
+        energies = np.concatenate([energies, chunk_energies[new]])
+        order = np.lexsort((*vectors.T[::-1], energies))[:top_k]
+        vectors, energies = vectors[order], energies[order]
     return _make_sample_set(vectors, energies, np.ones(top_k, dtype=int), "brute_force", seed=0)
 
 
-def _exact_energies(q: QuboProblem, ints: np.ndarray) -> np.ndarray:
-    """The energy kernel's energies of the states numbered ints."""
-    return _energy_kernel(_bits_from_ints(ints, q.n).astype(np.float64), q.linear, q.upper, q.offset)
-
-
-def _einsum_screen(q: QuboProblem, chunk: int):
-    """Yield (first state, exact energies) per chunk of states, from the energy kernel."""
+def _looped_energies(q: QuboProblem, chunk: int):
+    """Yield (first state, energies) per chunk of states, from the numpy energy loop."""
     for start in range(0, 1 << q.n, chunk):
-        yield start, _exact_energies(q, np.arange(start, start + chunk, dtype=np.uint64))
+        bits = _bits_from_ints(np.arange(start, start + chunk, dtype=np.uint64), q.n)
+        yield start, _energy_loop(bits, q.linear, q.upper, q.offset)
 
 
-def _gray_screen(lib, q: QuboProblem, chunk: int):
-    """Yield (first state, screened energies) per chunk of states, from the compiled walk.
-
-    One buffer is refilled for each chunk, so a yielded array holds until the next.
-    """
-    low = chunk.bit_length() - 1
-    coupling = q.dense_symmetric
-    field, energies = np.empty(low), np.empty(chunk)
+def _compiled_energies(lib, q: QuboProblem, chunk: int):
+    """Yield (first state, energies) per chunk of states into one refilled buffer, from the kernel."""
+    energies = np.empty(chunk)
     for start in range(0, 1 << q.n, chunk):
-        lib.gray_scan(q.n, low, start, q.linear, coupling, q.offset, field, energies)
+        lib.qubo_energies(q.n, start, chunk, q.linear, q.upper, q.offset, energies)
         yield start, energies
-
-
-def _screen_bound(q: QuboProblem, chunk: int) -> float:
-    """A bound delta on |screened - exact| energy over all states, for chunks of this size.
-
-    With u = 2^-53 and gamma(k) = k u / (1 - k u), the sum of m exact terms in
-    any order is within gamma(m - 1) times the sum of their magnitudes
-    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 4.2).
-    Every product in an energy is exact, since each x_i is 0 or 1.  Let
-    A = |offset| + sum |linear| + sum |upper|, which bounds every energy and
-    the magnitudes of its terms, and F = max_j (|linear_j| + sum_i |coupling_ji|),
-    which does the same for every local field.  Let m = n^2 + n + 1 terms and
-    T = chunk.
-
-    - The energy kernel sums at most m terms: within gamma(m - 1) A.
-    - The walk sums each field from scratch (gamma(n - 1) F), then adds one
-      exact term per step: f_t <= (1 + u) f_(t-1) + u F, so after t < T
-      steps a field is within gamma(n + T) F.
-    - The walk's energy starts within gamma(m - 1) A.  Each step adds a
-      field, so it inherits that field's error and rounds by at most u A:
-      e_t <= (1 + u) (e_(t-1) + gamma(n + T) F) + u A.  Unrolled over t < T
-      steps, with (1 + gamma(a)) (1 + gamma(b)) <= 1 + gamma(a + b), this is
-      within gamma(m + T) A + T gamma(2T + n + 1) F.
-
-    The two sum to at most 2 gamma(m + T) A + T gamma(2T + n + 1) F.  The
-    factor 1.25 covers the rounding of A, F and this formula, and of adding
-    delta to an energy (at most u (A + 2 delta), against delta >= 2 m u A).
-    """
-    u = 2.0**-53
-
-    def gamma(k: int) -> float:
-        return k * u / (1 - k * u)
-
-    n, terms = q.n, q.n * q.n + q.n + 1
-    energy_scale = abs(q.offset) + np.abs(q.linear).sum() + np.abs(q.upper).sum()
-    field_scale = (np.abs(q.linear) + np.abs(q.dense_symmetric).sum(axis=1)).max()
-    return 1.25 * (2 * gamma(terms + chunk) * energy_scale
-                   + chunk * gamma(2 * chunk + n + 1) * field_scale)
-
-
-def _merge(q, ints, energies, start, screened, top_k: int, slack: float):
-    """Fold one chunk into the first top_k states so far by (energy, lexicographic bits).
-
-    ints and energies are the states so far in that order, with exact
-    energies; screened holds the chunk's energies, each within slack of the
-    exact one.  A chunk state can make the top_k only if its exact energy is
-    at most the chunk's k-th exact energy, which is at most the k-th screened
-    one plus slack: so its screened energy is within 2 slack of that.  Once
-    top_k states are kept, it must also not exceed the last kept energy, so
-    its screened energy is at most that plus slack.  The states that pass
-    both are rescored exactly and merged; a state that fails either can
-    never be among the first top_k, since the kept energies only fall.
-    """
-    bound = np.inf
-    if screened.size > top_k:
-        bound = np.partition(screened, top_k - 1)[top_k - 1] + 2 * slack
-    if energies.size == top_k:
-        bound = min(bound, energies[-1] + slack)
-    new = np.flatnonzero(screened <= bound).astype(np.uint64) + np.uint64(start)
-    ints = np.concatenate([ints, new])
-    energies = np.concatenate([energies, _exact_energies(q, new)])
-    order = np.lexsort((*_bits_from_ints(ints, q.n).T[::-1], energies))[:top_k]
-    return ints[order], energies[order]
 
 
 def simulated_annealing_sample(

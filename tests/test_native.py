@@ -68,7 +68,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
     monkeypatch.setattr(native.shutil, "which", lambda name: str(compiler))
     epochs = count_calls(monkeypatch, fm, "_epoch_numpy")
     sweeps = count_calls(monkeypatch, samplers, "_anneal_numpy")
-    screens = count_calls(monkeypatch, samplers, "_einsum_screen")
+    screens = count_calls(monkeypatch, samplers, "_looped_energies")
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(0), 8)
     with warnings.catch_warnings(record=True) as caught:
@@ -90,7 +90,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     # the first call anneals its four reads on four threads
     builds = count_calls(monkeypatch, native.subprocess, "run")
-    screens = count_calls(monkeypatch, samplers, "_gray_screen")
+    screens = count_calls(monkeypatch, samplers, "_compiled_energies")
     monkeypatch.setattr(samplers, "_cores", lambda: 4)
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(1), 8)
@@ -248,3 +248,14 @@ def test_every_c_source_is_built_and_packaged():
     sources = sorted(path.name for path in (root / "src" / "latentqubo").glob("*.c"))
     assert sources == sorted(native.SOURCES)
     assert set(sources) <= set(packaged)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", native.SOURCES)
+def test_every_c_source_compiles_without_warnings(name):
+    source = Path(native.__file__).with_name(name)
+    result = subprocess.run(
+        [shutil.which("cc"), "-std=c11", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -41,6 +41,11 @@ class TestBruteForce:
         truth = sorted(lq.qubo_energy(q, x) for x in all_bit_vectors(8))
         assert energies == pytest.approx(truth[:10], abs=1e-9)
 
+    @pytest.mark.parametrize("top_k", [0, -3, 2.5])
+    def test_top_k_must_be_a_positive_integer(self, top_k):
+        with pytest.raises(ValueError, match="top_k must be an integer >= 1"):
+            lq.brute_force_sample(lq.QuboProblem(linear=[1.0, -1.0]), top_k)
+
     def test_cap_enforced_and_named(self):
         q = lq.QuboProblem(linear=np.zeros(30))
         with pytest.raises(ValueError, match="24"):
@@ -76,7 +81,7 @@ def fm_qubo(rng: np.random.Generator, n: int) -> lq.QuboProblem:
 
 
 class TestBruteForceScreen:
-    """The compiled Gray-code screen against the energy-kernel fallback and a full sort."""
+    """The compiled energy kernel against the numpy energy-loop fallback and a full sort."""
 
     def assert_paths_match_oracle(self, monkeypatch, q, top_ks):
         name, seed, ranked = first_by_energy_then_bits(q, max(top_ks))
@@ -117,12 +122,8 @@ class TestBruteForceScreen:
         self.assert_paths_match_oracle(monkeypatch, q, top_ks)
 
     @pytest.mark.parametrize("n", [16, 18])
-    def test_rounding_bound_covers_coefficients_of_many_magnitudes(self, monkeypatch, n):
-        # x_0 flips on every other step of the walk and carries 1e8, so the
-        # screen loses the 1e-8..1e-4 couplings that order the best states
-        lib = native.library()
-        if lib is None:
-            pytest.skip("no compiled screen to bound")
+    def test_coefficients_of_many_magnitudes(self, monkeypatch, n):
+        # 1e8 on x_0 beside the 1e-8..1e-4 couplings that order the best states
         rng = np.random.default_rng(4)
 
         def tiny(*shape):
@@ -131,12 +132,32 @@ class TestBruteForceScreen:
         linear, upper = tiny(n), np.triu(tiny(n, n), 1)
         linear[0], linear[1], upper[0, 1] = 1e8, -1e4, 3.0
         q = lq.QuboProblem(linear=linear, quadratic=upper, offset=1e6)
-        chunk = 1 << samplers._CHUNK_BITS
-        screened = np.concatenate([e.copy() for _, e in samplers._gray_screen(lib, q, chunk)])
-        exact = samplers._exact_energies(q, np.arange(1 << n, dtype=np.uint64))
-        drift = np.abs(screened - exact).max()
-        assert 1e-8 < drift <= samplers._screen_bound(q, chunk)
         self.assert_paths_match_oracle(monkeypatch, q, (1, 40, 1240))
+
+    @pytest.mark.parametrize("linear", [[-0.0, 1.5, -0.0, -2.0, -0.0, 0.25], [-1.0] * 6])
+    def test_signed_zeros_agree_bit_for_bit(self, monkeypatch, linear):
+        # -0.0 + -0.0 is -0.0, and the zero state's unset bits add 0 * -1.0 = -0.0
+        # in the dense sum, so a sum that started at offset = -0.0 would keep its sign
+        n = 6
+        upper = np.triu(np.random.default_rng(2).choice([-0.0, 0.0, -1.5, 2.0], (n, n)), 1)
+        q = lq.QuboProblem(linear=linear, quadratic=upper, offset=-0.0)
+        X = all_bit_vectors(n)  # row s holds state s, x_i = bit i
+
+        def by_state(ss):
+            states = [entry.vector @ (1 << np.arange(n)) for entry in ss.entries]
+            energies = np.empty(1 << n)
+            energies[states] = [entry.energy for entry in ss.entries]
+            return energies.view(np.uint64)
+
+        direct = lq.qubo_energy(q, X).view(np.uint64)
+        compiled = by_state(lq.brute_force_sample(q, 1 << n))
+        with monkeypatch.context() as patched:
+            patched.setattr(native, "library", lambda: None)
+            fallback = by_state(lq.brute_force_sample(q, 1 << n))
+        assert np.array_equal(direct, compiled)
+        assert np.array_equal(direct, fallback)
+        zero = np.float64(lq.qubo_energy(q, np.zeros(n, dtype=int))).view(np.uint64)
+        assert zero == direct[0] == compiled[0] == fallback[0] == 0  # +0.0
 
     def test_memory_is_bounded_by_one_chunk(self):
         # an energy per state at n=20 alone would take 8 MB
