@@ -2,14 +2,15 @@
  *
  * The sweep loop of latentqubo.samplers.simulated_annealing_sample in C,
  * after Isakov et al., "Optimised simulated annealing code for spin glasses",
- * Comput. Phys. Commun. 192 (2015).  It takes the read's own draws (the
- * visiting orders perms and the uniforms, both sweeps x n, row-major) and
- * takes the same steps as the numpy loop: the local field is
- * linear[i] + sum_j coupling[i, j] * x[j], and the flip of bit i is accepted
- * when u < exp(min(0, -beta * delta)).  The field is summed in index order,
- * where numpy's einsum may group the same terms otherwise, so a decision
- * could differ only for a uniform within rounding of its threshold; the
- * tests require identical results.
+ * Comput. Phys. Commun. 192 (2015).  Each sweep visits the bits in index
+ * order, as dwave-neal does, so the read's only draws are its uniforms
+ * (sweeps x n, row-major; no visiting orders).  It takes the numpy loop's
+ * steps: the local field is linear[i] + sum_j coupling[i, j] * x[j], and the
+ * flip of bit i in sweep t is accepted when
+ * uniforms[t * n + i] < exp(min(0, -beta * delta)).  The field is summed in
+ * index order, where numpy's einsum may group the same terms otherwise, so a
+ * decision could differ only for a uniform within rounding of its threshold;
+ * the tests require identical results.
  *
  * The sum visits only the set bits of x, in index order, from a bitmask of
  * x that the step keeps current (one bit flips with each accepted flip).
@@ -28,8 +29,7 @@
 
 void anneal_read(ptrdiff_t n, ptrdiff_t sweeps, const double *linear,
                  const double *coupling, const double *betas,
-                 const ptrdiff_t *perms, const double *uniforms, double *x,
-                 uint64_t *mask)
+                 const double *uniforms, double *x, uint64_t *mask)
 {
     const ptrdiff_t words = (n + 63) / 64;
     for (ptrdiff_t w = 0; w < words; w++)
@@ -39,8 +39,7 @@ void anneal_read(ptrdiff_t n, ptrdiff_t sweeps, const double *linear,
             mask[j / 64] |= (uint64_t)1 << (j % 64);
     for (ptrdiff_t t = 0; t < sweeps; t++) {
         const double beta = betas[t];
-        for (ptrdiff_t p = 0; p < n; p++) {
-            const ptrdiff_t i = perms[t * n + p];
+        for (ptrdiff_t i = 0; i < n; i++) {
             const double *row = coupling + i * n;
             double field = 0.0;
             for (ptrdiff_t w = 0; w < words; w++)
@@ -48,7 +47,7 @@ void anneal_read(ptrdiff_t n, ptrdiff_t sweeps, const double *linear,
                     field += row[w * 64 + __builtin_ctzll(bits)];
             const double delta = (1.0 - 2.0 * x[i]) * (linear[i] + field);
             const double exponent = -beta * delta;
-            if (uniforms[t * n + p] < exp(exponent < 0.0 ? exponent : 0.0)) {
+            if (uniforms[t * n + i] < exp(exponent < 0.0 ? exponent : 0.0)) {
                 x[i] = 1.0 - x[i];
                 mask[i / 64] ^= (uint64_t)1 << (i % 64);
             }

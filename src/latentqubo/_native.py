@@ -131,7 +131,7 @@ def library():
     lib.anneal_read.argtypes = [
         size, size,  # n, sweeps
         _array(f64, 1), _array(f64, 2), _array(f64, 1),  # linear, coupling, betas
-        _array(np.intp, 2), _array(f64, 2),  # perms, uniforms
+        _array(f64, 2),  # uniforms
         _array(f64, 1, out=True), _array(np.uint64, 1, out=True),  # x, mask of x's set bits
     ]
     lib.anneal_read.restype = None

@@ -27,7 +27,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
-# Annealing threads per call.  Each holds one read's draws (16 bytes per step)
+# Annealing threads per call.  Each holds one read's draws (8 bytes per step)
 # while it runs, so the cap also bounds the sampler's memory on any machine.
 _MAX_ANNEAL_WORKERS = 4
 
@@ -46,14 +46,13 @@ class AnnealSchedule:
     num_reads: int = 20
 
     def __post_init__(self):
-        if not self.beta_start > 0:
-            raise ValueError(f"beta_start must be > 0, got {self.beta_start}")
-        if not self.beta_end > self.beta_start:
-            raise ValueError(
-                f"beta_end must exceed beta_start, got {self.beta_end} <= {self.beta_start}"
-            )
-        if self.num_sweeps < 1 or self.num_reads < 1:
-            raise ValueError("num_sweeps and num_reads must both be >= 1")
+        # finite, since a zero-delta flip at beta = inf gives -inf * 0 = nan
+        if not 0 < self.beta_start < np.inf:
+            raise ValueError(f"beta_start must be finite and > 0, got {self.beta_start}")
+        if not self.beta_start < self.beta_end < np.inf:
+            raise ValueError(f"beta_end must be finite and exceed beta_start, got {self.beta_end}")
+        for name in ("num_sweeps", "num_reads"):
+            _positive_int(name, getattr(self, name))
 
     def betas(self) -> np.ndarray:
         if self.num_sweeps == 1:
@@ -87,6 +86,17 @@ class SampleSet:
             lines.append(f"{rank},{FLOAT_FORMAT % entry.energy},{entry.occurrences},{bits}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _positive_int(name: str, value) -> int:
+    """value as an int; a ValueError naming it unless it is an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    return value
 
 
 def _make_sample_set(X, energies, counts, sampler_name: str, seed: int) -> SampleSet:
@@ -125,12 +135,7 @@ def brute_force_sample(q: QuboProblem, top_k: int) -> SampleSet:
     of 2^16 states at a time, or the numpy energy loop without a compiler,
     with the same result.  Memory stays O(2^16 + top_k).
     """
-    try:
-        top_k = operator.index(top_k)
-    except TypeError:
-        raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}") from None
-    if top_k < 1:
-        raise ValueError(f"top_k must be an integer >= 1, got {top_k}")
+    top_k = _positive_int("top_k", top_k)
     if q.n > BRUTE_FORCE_MAX_BITS:
         raise ValueError(f"brute force enumeration capped at {BRUTE_FORCE_MAX_BITS} bits, "
                          f"problem has n={q.n}")
@@ -171,12 +176,13 @@ def simulated_annealing_sample(
     """Single-bit Metropolis annealing with independent restarts.
 
     Each of ``num_reads`` restarts starts from a uniform random assignment and
-    performs ``num_sweeps`` sweeps; within a sweep, bits are visited in a
-    fresh random permutation and a flip is accepted with probability
-    min(1, exp(-beta * delta)).  Restart randomness comes from per-read
-    streams split off the given seed, and each read writes only its own final
-    state, so the result is the same however many reads run at once.  The
-    per-read final states are deduplicated and sorted by energy.
+    performs ``num_sweeps`` sweeps; each sweep visits the bits in index order,
+    as dwave-neal does, and accepts a flip with probability
+    min(1, exp(-beta * delta)).  Read r draws from its own stream,
+    ``SeedSequence(seed).spawn(num_reads)[r]``, its start state and then one
+    uniform per step, and writes only its own final state, so the result is
+    the same however many reads run at once.  The per-read final states are
+    deduplicated and sorted by energy.
 
     The sweeps run in a small C kernel, compiled at the first call after the
     sources or the compiler change and loaded from the on-disk cache after
@@ -187,7 +193,6 @@ def simulated_annealing_sample(
     calling thread.
     """
     n, reads, sweeps = q.n, schedule.num_reads, schedule.num_sweeps
-    base = np.tile(np.arange(n, dtype=np.intp), (sweeps, 1))
     streams = np.random.SeedSequence(seed).spawn(reads)
     linear = q.linear
     coupling = q.dense_symmetric
@@ -196,12 +201,12 @@ def simulated_annealing_sample(
     lib = _native.library()
     x = np.empty((reads, n))
     if lib is None:
-        _anneal_numpy(linear, coupling, betas, (_read_draws(s, base) for s in streams), x)
+        _anneal_numpy(linear, coupling, betas, (_read_draws(s, sweeps, n) for s in streams), x)
     else:
         def anneal(r: int) -> None:
-            x0, perms, uniforms = _read_draws(streams[r], base)
+            x0, uniforms = _read_draws(streams[r], sweeps, n)
             mask = np.empty((n + 63) // 64, dtype=np.uint64)
-            lib.anneal_read(n, sweeps, linear, coupling, betas, perms, uniforms, x0, mask)
+            lib.anneal_read(n, sweeps, linear, coupling, betas, uniforms, x0, mask)
             x[r] = x0
 
         with ThreadPoolExecutor(min(_cores(), reads, _MAX_ANNEAL_WORKERS)) as pool:
@@ -219,11 +224,10 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _read_draws(stream: np.random.SeedSequence, base: np.ndarray):
-    """One read's start state, then its visiting orders and uniforms, each (sweeps, n)."""
+def _read_draws(stream: np.random.SeedSequence, sweeps: int, n: int):
+    """One read's start state (n), then its uniforms (sweeps, n): [t, i] is bit i's in sweep t."""
     rng = np.random.default_rng(stream)
-    x0 = rng.integers(0, 2, base.shape[1]).astype(np.float64)
-    return x0, rng.permuted(base, axis=1), rng.random(base.shape)
+    return rng.integers(0, 2, n).astype(np.float64), rng.random((sweeps, n))
 
 
 def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
@@ -232,17 +236,12 @@ def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
     Runs where no C compiler is found, and is the kernel's reference in the tests.
     """
     reads, n = x.shape
-    perms = np.empty((reads, betas.size, n), dtype=np.intp)
     accept_draws = np.empty((reads, betas.size, n))
-    for r, (x0, read_perms, uniforms) in enumerate(draws):
-        x[r], perms[r], accept_draws[r] = x0, read_perms, uniforms
-    rows = np.arange(reads)
+    for r, (x0, uniforms) in enumerate(draws):
+        x[r], accept_draws[r] = x0, uniforms
     for t, beta in enumerate(betas):
-        for p in range(n):
-            idx = perms[:, t, p]
-            local = linear[idx] + np.einsum("rn,rn->r", coupling[idx], x)
-            delta = (1.0 - 2.0 * x[rows, idx]) * local
-            accepted = accept_draws[:, t, p] < np.exp(np.minimum(0.0, -beta * delta))
-            flip_rows = rows[accepted]
-            flip_cols = idx[accepted]
-            x[flip_rows, flip_cols] = 1.0 - x[flip_rows, flip_cols]
+        for i in range(n):
+            local = linear[i] + np.einsum("rn,n->r", x, coupling[i])
+            delta = (1.0 - 2.0 * x[:, i]) * local
+            accepted = accept_draws[:, t, i] < np.exp(np.minimum(0.0, -beta * delta))
+            x[accepted, i] = 1.0 - x[accepted, i]

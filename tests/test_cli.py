@@ -352,6 +352,14 @@ class TestConfigErrors:
         assert setting.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_beta_end(self, workspace, capsys):
+        tmp_path, config = workspace
+        path = tmp_path / "run.ini"
+        path.write_text(path.read_text().replace("num_reads = 5", "num_reads = 5\nbeta_end = inf"))
+        assert main(["run-loop", "--config", config]) == 2
+        assert "beta_end" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "subcommand", [["run-loop"], ["sample-once", "--out", "s.csv"]], ids=lambda argv: argv[0]
     )

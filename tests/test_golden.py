@@ -15,4 +15,6 @@ def test_reference_run_matches_pinned_csv(tmp_path):
     state = golden_run_state()
     replay = tmp_path / "convergence.csv"
     lq.write_convergence_csv(state.history, replay)
+    # rows first, so a failure names the rows that differ; then every byte
+    assert replay.read_text().splitlines() == GOLDEN_CSV_PATH.read_text().splitlines()
     assert replay.read_bytes() == GOLDEN_CSV_PATH.read_bytes()

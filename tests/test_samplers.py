@@ -1,3 +1,4 @@
+import math
 import shutil
 import sys
 import tracemalloc
@@ -192,6 +193,16 @@ class TestAnnealSchedule:
             lq.AnnealSchedule(beta_start=1.0, beta_end=0.5)
         with pytest.raises(ValueError, match=">= 1"):
             lq.AnnealSchedule(num_sweeps=0)
+        for beta_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta_end"):
+                lq.AnnealSchedule(beta_end=beta_end)
+        with pytest.raises(ValueError, match="beta_start"):
+            lq.AnnealSchedule(beta_start=math.inf, beta_end=math.inf)
+        for name in ("num_sweeps", "num_reads"):
+            for value in (2.5, 0, -1, "3"):
+                with pytest.raises(ValueError, match=name):
+                    lq.AnnealSchedule(**{name: value})
+        assert lq.AnnealSchedule(num_sweeps=np.int64(3), num_reads=np.int64(2)).betas().size == 3
 
 
 class TestSimulatedAnnealing:
@@ -320,7 +331,7 @@ class TestAnnealKernel:
         assert results == [looped, looped]
 
     def test_memory_is_bounded_by_one_read(self, monkeypatch):
-        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 58 MB;
+        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 29 MB;
         # on 64 cores the pool still holds at most four reads' draws at once
         if native.library() is None:
             pytest.skip("the numpy loop holds every read's draws at once")
@@ -334,6 +345,51 @@ class TestAnnealKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def reference_anneal(q: lq.QuboProblem, schedule: lq.AnnealSchedule, seed: int):
+    """Every read's final state, annealed one step at a time in plain Python."""
+    coupling = (q.upper + q.upper.T).tolist()
+    finals = []
+    for stream in np.random.SeedSequence(seed).spawn(schedule.num_reads):
+        rng = np.random.default_rng(stream)
+        x = rng.integers(0, 2, q.n).tolist()
+        uniforms = rng.random((schedule.num_sweeps, q.n)).tolist()
+        for beta, sweep in zip(schedule.betas().tolist(), uniforms):
+            for i in range(q.n):
+                field = 0.0
+                for j in range(q.n):
+                    if x[j]:
+                        field += coupling[i][j]
+                delta = (1 - 2 * x[i]) * (float(q.linear[i]) + field)
+                if sweep[i] < math.exp(min(0.0, -beta * delta)):
+                    x[i] = 1 - x[i]
+        finals.append(tuple(x))
+    return finals
+
+
+class TestAnnealReference:
+    """Both paths against a pure-Python annealer that pins the visiting order and the draws."""
+
+    CASES = [
+        (3, lq.AnnealSchedule(beta_start=0.1, beta_end=0.5, num_sweeps=2, num_reads=2)),
+        (4, lq.AnnealSchedule(beta_start=0.2, beta_end=2.0, num_sweeps=3, num_reads=3)),
+        (5, lq.AnnealSchedule(beta_start=0.1, beta_end=1.0, num_sweeps=4, num_reads=3)),
+        (5, lq.AnnealSchedule(beta_start=0.5, beta_end=5.0, num_sweeps=5, num_reads=2)),
+    ]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("n, schedule", CASES)
+    def test_same_reads_as_reference(self, monkeypatch, compiled, n, schedule):
+        if not compiled:
+            monkeypatch.setattr(native, "library", lambda: None)
+        elif native.library() is None:
+            pytest.skip("no compiled kernel")
+        q = random_qubo(np.random.default_rng(500 + n), n)
+        finals = reference_anneal(q, schedule, seed=n)
+        ss = lq.simulated_annealing_sample(q, schedule, seed=n)
+        got = {tuple(e.vector.tolist()): e.occurrences for e in ss.entries}
+        assert got == {state: finals.count(state) for state in finals}
 
 
 class TestSampleSetCsv:
