@@ -7,10 +7,9 @@
  * (sweeps x n, row-major; no visiting orders).  It takes the numpy loop's
  * steps: the local field is linear[i] + sum_j coupling[i, j] * x[j], and the
  * flip of bit i in sweep t is accepted when
- * uniforms[t * n + i] < exp(min(0, -beta * delta)).  The field is summed in
- * index order, where numpy's einsum may group the same terms otherwise, so a
- * decision could differ only for a uniform within rounding of its threshold;
- * the tests require identical results.
+ * uniforms[t * n + i] < exp(min(0, -beta * delta)).  The field is summed
+ * from 0.0 in index order and exp is the C library's on both paths, so the
+ * two give the same reads bit for bit.
  *
  * The sum visits only the set bits of x, in index order, from a bitmask of
  * x that the step keeps current (one bit flips with each accepted flip).

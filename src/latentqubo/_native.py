@@ -1,7 +1,7 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
-``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (one epoch of FM
-Adagrad) and ``_energy.c`` (the brute-force sampler's energies of a run of
+``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (every epoch of
+FM Adagrad) and ``_energy.c`` (the brute-force sampler's energies of a run of
 states, summed in ``qubo_energy``'s order) are compiled together with ``cc``
 into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
@@ -135,14 +135,14 @@ def library():
         _array(f64, 1, out=True), _array(np.uint64, 1, out=True),  # x, mask of x's set bits
     ]
     lib.anneal_read.restype = None
-    lib.fm_epoch.argtypes = [
-        size, size, size,  # n, k, rows
-        _array(np.intp, 1), _array(np.uint8, 2), _array(f64, 1), ctypes.c_double,  # order, X, Y, lr
+    lib.fm_fit.argtypes = [
+        size, size, size, size,  # n, k, epochs, rows
+        _array(np.intp, 2), _array(np.uint8, 2), _array(f64, 1), ctypes.c_double,  # orders, X, Y, lr
         _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 2, out=True),  # w0, w, V
         _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 2, out=True),  # accumulators
         _array(f64, 1, out=True),  # s, k doubles of scratch
     ]
-    lib.fm_epoch.restype = None
+    lib.fm_fit.restype = None
     lib.qubo_energies.argtypes = [
         size, size, size,  # n, start, count
         _array(f64, 1), _array(f64, 2), ctypes.c_double,  # linear, upper, offset

@@ -98,7 +98,6 @@ class FmTrainReport:
     final_val_mse: float
     test_mse: float
     test_r2: float
-    loss_curve: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -129,24 +128,14 @@ def apply_label_transform(Y, margin: float) -> tuple[np.ndarray, LabelTransform]
     return t.invert(Y), t
 
 
-def _predict(w0, w: np.ndarray, V: np.ndarray, X: np.ndarray):
-    """(prediction, S = X @ V) at one float64 0/1 vector X or at each row of X, in O(nk) a row.
+def _predict(m: FmModel, X: np.ndarray):
+    """The prediction at one float64 0/1 vector X or at each row of X, in O(nk) a row.
 
     Uses the identity sum_{i<j} <v_i,v_j> x_i x_j
     = 0.5 * sum_f [(sum_i V_if x_i)^2 - sum_i V_if^2 x_i], as x_i^2 = x_i.
     """
-    S = X @ V
-    return w0 + X @ w + 0.5 * ((S**2).sum(-1) - X @ (V**2).sum(1)), S
-
-
-def _gradients(V: np.ndarray, x: np.ndarray, s: np.ndarray, residual):
-    """Squared-error gradients (d/dw0, d/dw, d/dV) at x, with s from :func:`_predict`.
-
-    residual is y_pred - target; the loss is residual^2, so every partial is
-    2 * residual * (partial of the prediction).
-    """
-    r2 = 2.0 * residual
-    return r2, r2 * x, r2 * (np.outer(x, s) - V * x[:, None])
+    S = X @ m.V
+    return m.w0 + X @ m.w + 0.5 * ((S**2).sum(-1) - X @ (m.V**2).sum(1))
 
 
 def _check_dim(m: FmModel, x: np.ndarray) -> None:
@@ -164,20 +153,25 @@ def _vector(m: FmModel, bits) -> np.ndarray:
 
 def fm_predict(m: FmModel, bits) -> float:
     """Evaluate the model at one binary vector in O(nk)."""
-    return float(_predict(m.w0, m.w, m.V, _vector(m, bits))[0])
+    return float(_predict(m, _vector(m, bits)))
 
 
 def fm_predict_batch(m: FmModel, X) -> np.ndarray:
     """Vectorized prediction over the rows of X."""
     X = np.atleast_2d(np.asarray(X)).astype(np.float64)
     _check_dim(m, X)
-    return _predict(m.w0, m.w, m.V, X)[0]
+    return _predict(m, X)
 
 
 def fm_gradients(m: FmModel, bits, residual: float):
-    """Squared-error gradients (d/dw0, d/dw, d/dV) at one sample; fm_train steps along these."""
+    """Squared-error gradients (d/dw0, d/dw, d/dV) at one sample; fm_train steps along these.
+
+    residual is y_pred - target; the loss is residual^2, so every partial is
+    2 * residual * (partial of the prediction).
+    """
     x = _vector(m, bits)
-    return _gradients(m.V, x, _predict(m.w0, m.w, m.V, x)[1], float(residual))
+    r2 = 2.0 * float(residual)
+    return r2, r2 * x, r2 * (np.outer(x, x @ m.V) - m.V * x[:, None])
 
 
 def _split_indices(count: int, split, rng: np.random.Generator):
@@ -189,11 +183,11 @@ def _split_indices(count: int, split, rng: np.random.Generator):
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def _fit_stats(w0, w: np.ndarray, V: np.ndarray, X: np.ndarray, Y) -> tuple[float, float]:
-    """(MSE, R^2) of the parameters on the float64 rows X with labels Y; both NaN without rows."""
+def _fit_stats(m: FmModel, X: np.ndarray, Y) -> tuple[float, float]:
+    """(MSE, R^2) of the model on the float64 rows X with labels Y; both NaN without rows."""
     if len(Y) == 0:
         return float("nan"), float("nan")
-    squared = (_predict(w0, w, V, X)[0] - Y) ** 2
+    squared = (_predict(m, X) - Y) ** 2
     ss_res = float(np.sum(squared))
     ss_tot = float(np.sum((Y - np.mean(Y)) ** 2))
     if ss_tot < 1e-12:
@@ -203,23 +197,33 @@ def _fit_stats(w0, w: np.ndarray, V: np.ndarray, X: np.ndarray, Y) -> tuple[floa
     return float(np.mean(squared)), r2
 
 
-def _epoch_numpy(order, X, Y, lr, w0, w, V, acc_w0, acc_w, acc_V) -> None:
-    """One epoch of per-sample Adagrad over the rows in order; steps the arrays in place.
+def _ordered_sum(a: np.ndarray):
+    """0.0 + a[0] + a[1] + ... along the first axis, left to right, as ``_fm.c`` sums."""
+    return np.cumsum(np.concatenate((np.zeros((1, *a.shape[1:])), a)), axis=0)[-1]
 
-    The steps of ``_fm.c`` in numpy.  Runs where no C compiler is found, and
-    is the kernel's reference in the tests.  w0 and acc_w0 hold one value each.
+
+def _fit_numpy(orders, X, Y, lr, w0, w, V, acc_w0, acc_w, acc_V) -> None:
+    """Per-sample Adagrad over the rows of each epoch's order; steps the arrays in place.
+
+    The steps of ``_fm.c`` in numpy, with every sum in the kernel's order, so
+    both give the same bits.  Runs where no C compiler is found, and is the
+    kernel's reference in the tests.  w0 and acc_w0 hold one value each.
     """
     eps = 1e-8
-    for idx in order:
-        x = X[idx]
-        pred, s = _predict(w0[0], w, V, x)
-        g_w0, g_w, g_V = _gradients(V, x, s, pred - Y[idx])
-        acc_w0 += g_w0 * g_w0
-        acc_w += g_w**2
-        acc_V += g_V**2
-        w0 -= lr * g_w0 / (np.sqrt(acc_w0) + eps)
-        w -= lr * g_w / (np.sqrt(acc_w) + eps)
-        V -= lr * g_V / (np.sqrt(acc_V) + eps)
+    for idx in orders.ravel():
+        on = np.flatnonzero(X[idx])
+        v = V[on]
+        s = _ordered_sum(v)
+        squares = _ordered_sum((v * v).ravel())
+        pred = w0[0] + _ordered_sum(w[on]) + 0.5 * (_ordered_sum(s * s) - squares)
+        r2 = 2.0 * (pred - Y[idx])
+        acc_w0 += r2 * r2
+        w0 -= lr * r2 / (np.sqrt(acc_w0) + eps)
+        acc_w[on] += r2 * r2
+        w[on] -= lr * r2 / (np.sqrt(acc_w[on]) + eps)
+        g = r2 * (s - v)
+        acc_V[on] += g * g
+        V[on] -= lr * g / (np.sqrt(acc_V[on]) + eps)
 
 
 def fm_train(
@@ -232,10 +236,11 @@ def fm_train(
     its own learning rate.  warm_start continues from an existing model of
     matching shape instead of a fresh initialization.
 
-    Each epoch runs in a small C kernel, built with the annealer's and
-    cached on disk until the sources or the compiler change; without a C
-    compiler the same steps run in numpy.  The initialization, split and
-    shuffles are drawn here either way.
+    The initialization, split and every epoch's shuffle are drawn here; all
+    epochs then run in one call of a small C kernel, built with the
+    annealer's and cached on disk until the sources or the compiler change.
+    Without a C compiler the same steps run in numpy, with the same result.
+    The report's MSEs and R^2 are those of the final parameters.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -256,32 +261,23 @@ def fm_train(
         V = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n, cfg.rank))
 
     train_idx, val_idx, test_idx = _split_indices(len(data), cfg.split, rng)
-    X = data.X.astype(np.float64)
+    orders = np.array([rng.permutation(train_idx) for _ in range(cfg.epochs)])
     Y = np.ascontiguousarray(data.Y)
-
-    acc_w0 = np.zeros(1)
-    acc_w = np.zeros_like(w)
-    acc_V = np.zeros_like(V)
+    acc_w0, acc_w, acc_V = np.zeros(1), np.zeros_like(w), np.zeros_like(V)
     lib = _native.library()
-    loss_curve = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx)
-        if lib is None:
-            _epoch_numpy(order, X, Y, cfg.learning_rate, w0, w, V, acc_w0, acc_w, acc_V)
-        else:
-            lib.fm_epoch(n, cfg.rank, order.size, order, data.X, Y, cfg.learning_rate,
-                         w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank))
-        loss_curve.append(_fit_stats(w0[0], w, V, X[train_idx], Y[train_idx])[0])
+    if lib is None:
+        _fit_numpy(orders, data.X, Y, cfg.learning_rate, w0, w, V, acc_w0, acc_w, acc_V)
+    else:
+        lib.fm_fit(n, cfg.rank, *orders.shape, orders, data.X, Y, cfg.learning_rate,
+                   w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank))
 
     model = FmModel(w0=w0[0], w=w, V=V)
-    test_mse, test_r2 = _fit_stats(w0[0], w, V, X[test_idx], Y[test_idx])
-    report = FmTrainReport(
-        final_train_mse=loss_curve[-1],
-        final_val_mse=_fit_stats(w0[0], w, V, X[val_idx], Y[val_idx])[0],
-        test_mse=test_mse,
-        test_r2=test_r2,
-        loss_curve=tuple(loss_curve),
+    X = data.X.astype(np.float64)
+    (train_mse, _), (val_mse, _), (test_mse, test_r2) = (
+        _fit_stats(model, X[idx], Y[idx]) for idx in (train_idx, val_idx, test_idx)
     )
+    report = FmTrainReport(final_train_mse=train_mse, final_val_mse=val_mse,
+                           test_mse=test_mse, test_r2=test_r2)
     return model, report
 
 

@@ -7,6 +7,7 @@ are fully deterministic given their inputs.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -233,7 +234,8 @@ def _read_draws(stream: np.random.SeedSequence, sweeps: int, n: int):
 def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
     """The kernel's steps in numpy, all reads at once; anneals the rows of x in place.
 
-    Runs where no C compiler is found, and is the kernel's reference in the tests.
+    Each field is summed in the kernel's order and each threshold is the C library's
+    exp, so both give the same reads.  The fallback, and the kernel's reference in tests.
     """
     reads, n = x.shape
     accept_draws = np.empty((reads, betas.size, n))
@@ -241,7 +243,8 @@ def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
         x[r], accept_draws[r] = x0, uniforms
     for t, beta in enumerate(betas):
         for i in range(n):
-            local = linear[i] + np.einsum("rn,n->r", x, coupling[i])
+            local = linear[i] + (0.0 + np.cumsum(x * coupling[i], axis=1)[:, -1])
             delta = (1.0 - 2.0 * x[:, i]) * local
-            accepted = accept_draws[:, t, i] < np.exp(np.minimum(0.0, -beta * delta))
+            threshold = np.fromiter(map(math.exp, np.minimum(0.0, -beta * delta)), float, reads)
+            accepted = accept_draws[:, t, i] < threshold
             x[accepted, i] = 1.0 - x[accepted, i]

@@ -1,5 +1,6 @@
 """The shared build of the C kernels: cached on disk per source tree, numpy without it."""
 
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -15,7 +16,7 @@ import latentqubo._native as native
 import latentqubo.fm as fm
 import latentqubo.samplers as samplers
 from conftest import random_qubo
-from test_fm import assert_models_close, random_dataset
+from test_fm import assert_same_model, random_dataset
 from test_samplers import sample_set_contents
 
 SCHEDULE = lq.AnnealSchedule(num_sweeps=50, num_reads=4)
@@ -50,13 +51,13 @@ def fm_case():
 def test_without_compiler_fm_train_runs_the_numpy_loop(monkeypatch, fresh_build):
     data, cfg = fm_case()
     compiled, _ = lq.fm_train(data, cfg)
-    epochs = count_calls(monkeypatch, fm, "_epoch_numpy")
+    fits = count_calls(monkeypatch, fm, "_fit_numpy")
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     native.library.cache_clear()
     looped, _ = lq.fm_train(data, cfg)
     assert native.library() is None
-    assert len(epochs) == cfg.epochs
-    assert_models_close(looped, compiled)
+    assert len(fits) == 1
+    assert_same_model(looped, compiled)
 
 
 def test_failing_compiler_warns_once_and_both_kernels_fall_back(
@@ -66,7 +67,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
     compiler.write_text("#!/bin/sh\necho 'cc: error: toolchain is broken' >&2\nexit 1\n")
     compiler.chmod(0o755)
     monkeypatch.setattr(native.shutil, "which", lambda name: str(compiler))
-    epochs = count_calls(monkeypatch, fm, "_epoch_numpy")
+    fits = count_calls(monkeypatch, fm, "_fit_numpy")
     sweeps = count_calls(monkeypatch, samplers, "_anneal_numpy")
     screens = count_calls(monkeypatch, samplers, "_looped_energies")
     data, cfg = fm_case()
@@ -79,7 +80,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
         lq.fm_train(data, cfg)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "toolchain is broken" in str(caught[0].message)
-    assert len(epochs) == 2 * cfg.epochs
+    assert len(fits) == 2
     assert len(sweeps) == 1
     assert len(screens) == 1
     assert len(exhaustive.entries) == 5
@@ -103,6 +104,18 @@ def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     assert len(builds) == 1
     assert len(screens) == 2
     assert native.library() is not None
+
+
+@needs_cc
+@pytest.mark.parametrize("epochs", [1, 7])
+def test_fm_train_makes_one_kernel_call_per_fit(monkeypatch, epochs):
+    data, cfg = fm_case()
+    cfg = dataclasses.replace(cfg, epochs=epochs)
+    fits = count_calls(monkeypatch, native.library(), "fm_fit")
+    model, _ = lq.fm_train(data, cfg)
+    assert len(fits) == 1
+    lq.fm_train(data, cfg, warm_start=model)
+    assert len(fits) == 2
 
 
 def fit_and_anneal():
