@@ -70,11 +70,9 @@ from .qubo import (
     as_binary_vector,
     ising_energy,
     ising_to_qubo,
-    load_ising,
     load_qubo,
     qubo_energy,
     qubo_to_ising,
-    save_ising,
     save_qubo,
 )
 from .samplers import (

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from ._text import _count, _field, _read_tagged, _row, float_text, write_tagged
 from .images import _check_images
-from .qubo import FLOAT_FORMAT, _count, _field, _read_tagged, _row, as_binary_vector
+from .qubo import as_binary_vector
 
 __all__ = [
     "BvaeArchitecture",
@@ -418,14 +418,13 @@ def reconstruction_accuracy(model: BvaeModel, images) -> float:
 
 def save_bvae(model: BvaeModel, path) -> None:
     arch = model.architecture
-    lines = [f"BVAE v1 m={arch.image_side} n={arch.latent_bits}"]
+    lines = []
     for name in _LAYER_NAMES:
         arr = model.params[name]
         lines.append(f"LAYER {name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(FLOAT_FORMAT % v for v in row))
-    lines.append(f"TAU {FLOAT_FORMAT % model.tau}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines += [" ".join(map(float_text, row)) for row in arr]
+    lines.append(f"TAU {float_text(model.tau)}")
+    write_tagged(path, "BVAE", {"m": arch.image_side, "n": arch.latent_bits}, lines)
 
 
 def load_bvae(path) -> BvaeModel:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _text
 from .bvae import BvaeArchitecture, bvae_train, decode, load_bvae, reconstruction_accuracy, save_bvae
 from .dataset import load_dataset, save_dataset
 from .images import load_images, load_pgm, save_images
@@ -36,7 +37,6 @@ from .pipeline import (
     load_inputs,
     run_pipeline,
 )
-from .qubo import FLOAT_FORMAT
 from .samplers import AnnealSchedule
 
 __all__ = ["ConfigError", "main"]
@@ -304,8 +304,10 @@ def _cmd_eval(args) -> int:
         if args.bits is None or args.bvae is None:
             raise ConfigError("eval needs --image, or --bits together with --bvae")
         model = load_bvae(args.bvae)
-        bits = [int(ch) for ch in args.bits]
-        _, pattern = decode(model, bits, blur_radius_px=args.blur)
+        n = model.architecture.latent_bits
+        if len(args.bits) != n or not set(args.bits) <= {"0", "1"}:
+            raise ConfigError(f"--bits must be {n} characters of 0 or 1, got {args.bits!r}")
+        _, pattern = decode(model, [int(ch) for ch in args.bits], blur_radius_px=args.blur)
     value = evaluate_fom(objective, pattern)
     print(f"figure of merit: {value:.6f}")
     return EXIT_OK
@@ -325,11 +327,9 @@ def _cmd_check_hardware(args) -> int:
 
 def _cmd_export_csv(args) -> int:
     data = load_dataset(args.dataset)
-    lines = ["bits,label,provenance"]
-    for r in range(len(data)):
-        bits = "".join(str(b) for b in data.X[r])
-        lines.append(f"{bits},{FLOAT_FORMAT % data.Y[r]},{data.provenance[r]}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = zip(data.X, data.Y, data.provenance)
+    lines = (f"{''.join(map(str, x))},{_text.float_text(y)},{tag}" for x, y, tag in rows)
+    _text.write_lines(args.out, ["bits,label,provenance", *lines])
     print(f"exported {len(data)} rows to {args.out}")
     return EXIT_OK
 

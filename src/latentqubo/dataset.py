@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .qubo import FLOAT_FORMAT, _count, _counted, _field, _read_tagged, as_binary_vector
+from ._text import _count, _counted, _field, _read_tagged, float_text, write_tagged
+from .qubo import as_binary_vector
 
 __all__ = ["LabeledDataset", "save_dataset", "load_dataset"]
 
@@ -126,11 +126,9 @@ class LabeledDataset:
 
 
 def save_dataset(data: LabeledDataset, path) -> None:
-    lines = [f"DATASET v1 n={data.n} count={len(data)}"]
-    for r in range(len(data)):
-        bits = "".join(str(b) for b in data.X[r])
-        lines.append(f"{bits} {FLOAT_FORMAT % data.Y[r]} {data.provenance[r]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(data.X, data.Y, data.provenance)
+    lines = (f"{''.join(map(str, x))} {float_text(y)} {tag}" for x, y, tag in rows)
+    write_tagged(path, "DATASET", {"n": data.n, "count": len(data)}, lines)
 
 
 def load_dataset(path) -> LabeledDataset:

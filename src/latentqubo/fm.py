@@ -9,15 +9,13 @@ problem: Q_i = w_i, Q_ij = <v_i, v_j>, offset = w0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _native
+from ._text import _count, _read_tagged, _records, _zeros, float_text, write_tagged
 from .dataset import LabeledDataset
-from .qubo import (
-    FLOAT_FORMAT, QuboProblem, _count, _read_tagged, _records, _zeros, as_binary_vector,
-)
+from .qubo import QuboProblem, as_binary_vector
 
 __all__ = [
     "FmModel",
@@ -287,13 +285,10 @@ def fm_to_qubo(m: FmModel) -> QuboProblem:
 
 
 def save_fm(m: FmModel, path) -> None:
-    lines = [f"FM v1 n={m.n} k={m.k}", f"w0 {FLOAT_FORMAT % m.w0}"]
-    for i in range(m.n):
-        lines.append(f"w {i} {FLOAT_FORMAT % m.w[i]}")
-    for i in range(m.n):
-        row = " ".join(FLOAT_FORMAT % v for v in m.V[i])
-        lines.append(f"V {i} {row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [f"w0 {float_text(m.w0)}"]
+    lines += [f"w {i} {float_text(m.w[i])}" for i in range(m.n)]
+    lines += [f"V {i} {' '.join(map(float_text, m.V[i]))}" for i in range(m.n)]
+    write_tagged(path, "FM", {"n": m.n, "k": m.k}, lines)
 
 
 def load_fm(path) -> FmModel:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubo import FLOAT_FORMAT, _count, _counted, _read_tagged, _row
+from . import _text
+from ._text import _count, _counted, _read_tagged, _row, float_text, write_tagged
 
 __all__ = ["save_images", "load_images", "save_pgm", "load_pgm"]
 
@@ -25,11 +26,8 @@ def _check_images(images) -> np.ndarray:
 def save_images(images, path) -> None:
     """Write a packed grid file: header line, then one image per line (m*m values)."""
     arr = _check_images(images)
-    count, m = arr.shape[0], arr.shape[1]
-    lines = [f"IMG v1 m={m} count={count}"]
-    for img in arr:
-        lines.append(" ".join(FLOAT_FORMAT % v for v in img.ravel()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = (" ".join(map(float_text, img.ravel())) for img in arr)
+    write_tagged(path, "IMG", {"m": arr.shape[1], "count": arr.shape[0]}, lines)
 
 
 def load_images(path) -> np.ndarray:
@@ -46,13 +44,10 @@ def load_images(path) -> np.ndarray:
 
 def save_pgm(image, path) -> None:
     """Write one [0,1] grayscale image as plain-text PGM with maxval 255."""
-    arr = _check_images(image)[0]
-    m = arr.shape[0]
-    levels = np.rint(arr * 255).astype(int)
-    lines = ["P2", f"{m} {m}", "255"]
-    for row in levels:
-        lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    levels = np.rint(_check_images(image)[0] * 255).astype(int)
+    m = levels.shape[0]
+    rows = [" ".join(map(str, row)) for row in levels]
+    _text.write_lines(path, ["P2", f"{m} {m}", "255", *rows])
 
 
 def load_pgm(path) -> np.ndarray:

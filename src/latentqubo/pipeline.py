@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _text
 from .bvae import BvaeModel, decode, load_bvae
 from .dataset import LabeledDataset, load_dataset, save_dataset
 from .fm import (
@@ -30,7 +31,7 @@ from .fm import (
 )
 from .images import save_pgm
 from .objectives import FigureOfMerit, evaluate_fom
-from .qubo import FLOAT_FORMAT, as_binary_vector
+from .qubo import as_binary_vector
 from .samplers import (
     BRUTE_FORCE_MAX_BITS,
     AnnealSchedule,
@@ -257,15 +258,14 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
 
 
 def write_convergence_csv(history, path) -> None:
-    fmt = FLOAT_FORMAT
-    lines = ["iteration,mean_fom,std_fom,max_fom,running_max_fom,dataset_size,min_energy"]
-    for rec in history:
-        lines.append(
-            f"{rec.iteration},{fmt % rec.mean_fom},{fmt % rec.std_fom},"
-            f"{fmt % rec.max_fom},{fmt % rec.running_max_fom},{rec.dataset_size},"
-            f"{fmt % rec.sampler_energy_min}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    fmt = _text.float_text
+    lines = (
+        f"{rec.iteration},{fmt(rec.mean_fom)},{fmt(rec.std_fom)},{fmt(rec.max_fom)},"
+        f"{fmt(rec.running_max_fom)},{rec.dataset_size},{fmt(rec.sampler_energy_min)}"
+        for rec in history
+    )
+    header = "iteration,mean_fom,std_fom,max_fom,running_max_fom,dataset_size,min_energy"
+    _text.write_lines(path, [header, *lines])
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[BvaeModel, LabeledDataset]:
@@ -313,8 +313,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunState:
     best_bits, best_label = state.dataset.best_row()
     _, pattern = decode(state.bvae, best_bits, blur_radius_px=cfg.decode_blur)
     save_pgm(pattern.astype(np.float64), out / "best_design.pgm")
-    bits_text = "".join(str(b) for b in best_bits)
-    (out / "best_design_bits.txt").write_text(f"{bits_text} {FLOAT_FORMAT % best_label}\n")
+    best_line = f"{''.join(map(str, best_bits))} {_text.float_text(best_label)}"
+    _text.write_lines(out / "best_design_bits.txt", [best_line])
     return state
 
 

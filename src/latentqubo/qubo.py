@@ -5,16 +5,17 @@ A QUBO instance is a second-order polynomial over binary vectors
 ``s in {-1,+1}^n`` under the substitution ``s_i = 2*x_i - 1``.  Both carry an
 explicit constant offset so that energies (not just argmins) are preserved
 exactly by the conversions.  Each problem holds its couplings as one dense,
-read-only, strictly upper-triangular matrix; the text files stay sparse.
+read-only, strictly upper-triangular matrix; a QUBO file stays sparse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
+
+from ._text import _count, _field, _read_tagged, _records, _zeros, float_text, write_tagged
 
 __all__ = [
     "QuboProblem",
@@ -26,12 +27,7 @@ __all__ = [
     "ising_to_qubo",
     "save_qubo",
     "load_qubo",
-    "save_ising",
-    "load_ising",
 ]
-
-# Decimal precision that round-trips float64 exactly.
-FLOAT_FORMAT = "%.17g"
 
 
 def _checked_states(values, low: int, max_ndim: int = 1) -> np.ndarray:
@@ -224,109 +220,14 @@ def ising_to_qubo(m: IsingProblem) -> QuboProblem:
     )
 
 
-def _save(problem: _CoupledProblem, path, header: str) -> None:
-    vector = getattr(problem, problem._VECTOR)
-    lines = [f"{header} v1 n={problem.n} offset={FLOAT_FORMAT % problem.offset}"]
-    lines += [f"L {i} {FLOAT_FORMAT % c}" for i, c in enumerate(vector.tolist()) if c != 0.0]
-    lines += [f"Q {i} {j} {FLOAT_FORMAT % c}" for (i, j), c in problem._pairs().items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+def save_qubo(q: QuboProblem, path) -> None:
+    lines = [f"L {i} {float_text(c)}" for i, c in enumerate(q.linear.tolist()) if c != 0.0]
+    lines += [f"Q {i} {j} {float_text(c)}" for (i, j), c in q.quadratic.items()]
+    write_tagged(path, "QUBO", {"n": q.n, "offset": float_text(q.offset)}, lines)
 
 
-def _read_tagged(path, name: str, keys: tuple[str, str]):
-    """Split a '<name> v1 <key>=.. <key>=..' file into header location, values and body.
-
-    Every tagged loader starts here.  The body streams as (lineno, fields) per
-    nonblank line; errors name the file and the 1-based line, blanks counted.
-    """
-    lines = enumerate(Path(path).read_text().splitlines(), start=1)
-    body = ((lineno, fields) for lineno, line in lines if (fields := line.split()))
-    lineno, head = next(body, (None, None))
-    if head is None:
-        raise ValueError(f"{path}: empty file")
-    if len(head) != 4 or head[:2] != [name, "v1"] or not all(
-        field.startswith(f"{key}=") for field, key in zip(head[2:], keys)
-    ):
-        expected = " ".join([name, "v1", *(f"{key}=<{key}>" for key in keys)])
-        raise ValueError(f"{path}:{lineno}: expected header '{expected}', got {' '.join(head)!r}")
-    return f"{path}:{lineno}", [field.split("=", 1)[1] for field in head[2:]], body
-
-
-def _field(token: str, convert, valid, where: str, what: str):
-    """convert(token), which valid() must accept; else a ValueError saying what it must be."""
-    try:
-        value = convert(token)
-    except ValueError:
-        value = None
-    if value is None or not valid(value):
-        raise ValueError(f"{where}: {what}, got {token!r}")
-    return value
-
-
-def _count(token: str, what: str, where: str, low: int = 1) -> int:
-    return _field(token, int, lambda v: v >= low, where, f"{what} must be an integer >= {low}")
-
-
-def _row(fields: list[str], size: int, where: str) -> np.ndarray:
-    """A whole line as exactly size finite float64 values."""
-    try:
-        values = np.array(fields, dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is None or values.size != size or not np.all(np.isfinite(values)):
-        raise ValueError(f"{where}: expected {size} finite numbers, got {len(fields)} fields")
-    return values
-
-
-def _zeros(shape, where: str) -> np.ndarray:
-    """Zeroed float64 coefficients of a header-given shape; too large a shape is a ValueError."""
-    try:
-        return np.zeros(shape)
-    except (MemoryError, ValueError):  # numpy raises ValueError past its maximum array size
-        raise ValueError(f"{where}: cannot allocate coefficients of shape {shape}") from None
-
-
-def _counted(path, body, count_text: str, head: str):
-    """Yield (where, fields) per body line; there must be as many as the header's count=."""
-    count = _count(count_text, "count", head, low=0)
-    rows = 0
-    for rows, (lineno, fields) in enumerate(body, start=1):
-        if rows > count:
-            raise ValueError(f"{path}:{lineno}: more rows than count={count}")
-        yield f"{path}:{lineno}", fields
-    if rows != count:
-        raise ValueError(f"{head}: count={count} but the file has {rows} rows")
-
-
-def _records(path, body, n: int, layout: dict[str, tuple[int, int]]):
-    """Yield (where, tag, indices, values) per body line; reject malformed or repeated lines.
-
-    ``layout`` maps each tag to its number of indices (each in [0, n)) and of values.
-    """
-    seen: set[tuple] = set()
-    for lineno, (tag, *args) in body:
-        where = f"{path}:{lineno}"
-        if tag not in layout:
-            raise ValueError(f"{where}: unrecognized line starting with {tag!r}")
-        n_indices, n_values = layout[tag]
-        if len(args) != n_indices + n_values:
-            raise ValueError(
-                f"{where}: a {tag} line takes {n_indices + n_values} fields, not {len(args)}"
-            )
-        indices = tuple(
-            _field(t, int, lambda v: 0 <= v < n, where, f"an index must lie in [0, {n})")
-            for t in args[:n_indices]
-        )
-        if (tag, indices) in seen:
-            raise ValueError(f"{where}: duplicate {tag} line")
-        seen.add((tag, indices))
-        values = [
-            _field(t, float, np.isfinite, where, "a value must be finite") for t in args[n_indices:]
-        ]
-        yield where, tag, indices, values
-
-
-def _load(path, header: str, problem_type):
-    head, (n_text, offset_text), body = _read_tagged(path, header, ("n", "offset"))
+def load_qubo(path) -> QuboProblem:
+    head, (n_text, offset_text), body = _read_tagged(path, "QUBO", ("n", "offset"))
     n = _count(n_text, "n", head)
     offset = _field(offset_text, float, np.isfinite, head, "offset= must be a finite number")
     records = []
@@ -335,24 +236,8 @@ def _load(path, header: str, problem_type):
             raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
         records.append((tag, idx, value))
     # the whole body is read before the header's n sizes any array
-    vector = _zeros(n, head)
+    linear = _zeros(n, head)
     upper = _zeros((n, n), head)
     for tag, idx, value in records:
-        (vector if tag == "L" else upper)[idx] = value
-    return problem_type(vector, upper, offset)
-
-
-def save_qubo(q: QuboProblem, path) -> None:
-    _save(q, path, "QUBO")
-
-
-def load_qubo(path) -> QuboProblem:
-    return _load(path, "QUBO", QuboProblem)
-
-
-def save_ising(m: IsingProblem, path) -> None:
-    _save(m, path, "ISING")
-
-
-def load_ising(path) -> IsingProblem:
-    return _load(path, "ISING", IsingProblem)
+        (linear if tag == "L" else upper)[idx] = value
+    return QuboProblem(linear, upper, offset)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
-from .qubo import FLOAT_FORMAT, QuboProblem, _energy_loop, qubo_energy
+from . import _native, _text
+from .qubo import QuboProblem, _energy_loop, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -84,9 +84,8 @@ class SampleSet:
         lines = ["rank,energy,occurrences,bits"]
         for rank, entry in enumerate(self.entries):
             bits = "".join(str(b) for b in entry.vector)
-            lines.append(f"{rank},{FLOAT_FORMAT % entry.energy},{entry.occurrences},{bits}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            lines.append(f"{rank},{_text.float_text(entry.energy)},{entry.occurrences},{bits}")
+        _text.write_lines(path, lines)
 
 
 def _positive_int(name: str, value) -> int:

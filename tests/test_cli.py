@@ -504,6 +504,14 @@ class TestEval:
         assert rc == 2
         assert "--bits together with --bvae" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bits", ["01x1", "0" * 15], ids=["not-binary", "too-short"])
+    def test_bad_bits_are_a_configuration_error(self, workspace, capsys, bits):
+        tmp_path, config = workspace
+        checkpoint = str(tmp_path / "bvae.txt")
+        rc = main(["eval", "--config", config, "--bits", bits, "--bvae", checkpoint])
+        assert rc == 2
+        assert f"--bits must be 16 characters of 0 or 1, got {bits!r}" in capsys.readouterr().err
+
     def test_missing_image(self, workspace):
         tmp_path, config = workspace
         rc = main(["eval", "--config", config, "--image", str(tmp_path / "absent.pgm")])

@@ -1,10 +1,13 @@
-"""Strict text loaders: a malformed file fails with a ValueError naming file:line.
+"""Text formats: strict loaders, exact round trips, and the one atomic writer.
 
-PGM, the one untagged format, names the file only.
+A malformed file fails with a ValueError naming file:line; PGM, the one
+untagged format, names the file only.
 """
 
+import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
 from conftest import random_qubo
+from latentqubo import _text
+from latentqubo.cli import main
 
 QUBO_HEAD = "QUBO v1 n=2 offset=0\n"
-ISING_HEAD = "ISING v1 n=2 offset=0\n"
 FM_HEAD = "FM v1 n=2 k=1\nw0 0.5\n"
 DATASET_HEAD = "DATASET v1 n=2 count=1\n"
 IMG_HEAD = "IMG v1 m=1 count=1\n"
@@ -52,10 +56,6 @@ MALFORMED = [
     pytest.param(lq.load_qubo, "QUBO v1 n=2 offset=x\n", 1, id="qubo-bad-offset"),
     pytest.param(lq.load_qubo, "\n\nQUBO v1 n=2 offset=0\n\nL 5 1\n", 5, id="qubo-blank-lines-count"),
     pytest.param(lq.load_qubo, "QUBO v1 n=10000000 offset=0\n", 1, id="qubo-unallocatable-n"),
-    pytest.param(lq.load_ising, ISING_HEAD + "L -1 3.0\n", 2, id="ising-negative-index"),
-    pytest.param(lq.load_ising, ISING_HEAD + "Q 0 1 1\n\nQ 0 1 1\n", 4, id="ising-duplicate-pair"),
-    pytest.param(lq.load_ising, ISING_HEAD + "Q 1 0 1\n", 2, id="ising-lower-pair"),
-    pytest.param(lq.load_ising, "ISING v1 n=1000000000000 offset=0\n", 1, id="ising-unallocatable-n"),
     pytest.param(lq.load_fm, FM_HEAD + "w -1 5\n", 3, id="fm-negative-index"),
     pytest.param(lq.load_fm, FM_HEAD + "w 2 5\n", 3, id="fm-index-out-of-range"),
     pytest.param(lq.load_fm, FM_HEAD + "w 0 1\nw 0 2\n", 4, id="fm-duplicate-w"),
@@ -129,7 +129,6 @@ def test_malformed_file_names_path_and_line(tmp_path, loader, body, line):
 # headers that would size 20 GB of coefficients, each followed by a malformed line 2
 OVERSIZED = [
     pytest.param(lq.load_qubo, "QUBO v1 n=50000 offset=0\nL 0 abc\n", id="qubo"),
-    pytest.param(lq.load_ising, "ISING v1 n=50000 offset=0\nQ 1 0 1\n", id="ising"),
     pytest.param(lq.load_fm, "FM v1 n=50000 k=50000\nw 0 abc\n", id="fm"),
 ]
 
@@ -159,11 +158,11 @@ def test_malformed_pgm_names_path(tmp_path, body):
 def test_every_loader_has_malformed_cases():
     loaders = {value for name, value in vars(lq).items() if name.startswith("load_")}
     tabled = {case.values[0] for case in MALFORMED} | {lq.load_pgm}
-    assert len(loaders) == 7 and loaders <= tabled
+    assert len(loaders) == 6 and loaders <= tabled
 
 
 def valid_samples():
-    """(saver, loader, object) for one small valid object of each of the seven formats."""
+    """(saver, loader, object) for one small valid object of each of the six formats."""
     rng = np.random.default_rng(21)
     q = random_qubo(rng, 7, density=0.5)
     fm = lq.FmModel(w0=rng.normal(), w=rng.normal(size=5), V=rng.normal(size=(5, 3)))
@@ -173,7 +172,6 @@ def valid_samples():
     params = {name: rng.normal(size=shape) for name, shape in TINY_BVAE.layer_shapes().items()}
     return [
         (lq.save_qubo, lq.load_qubo, q),
-        (lq.save_ising, lq.load_ising, lq.qubo_to_ising(q)),
         (lq.save_fm, lq.load_fm, fm),
         (lq.save_dataset, lq.load_dataset, data),
         (lq.save_images, lq.load_images, rng.random((3, 2, 2))),
@@ -200,6 +198,76 @@ def test_tiny_checkpoint_is_valid(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(tiny_checkpoint())
     assert lq.load_bvae(path).architecture == TINY_BVAE
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """The paths that _text.write_lines wrote while the test ran."""
+    paths = set()
+    write_lines = _text.write_lines
+
+    def spy(path, lines):
+        paths.add(Path(path))
+        write_lines(path, lines)
+
+    monkeypatch.setattr(_text, "write_lines", spy)
+    return paths
+
+
+def test_every_writer_goes_through_write_lines(tmp_path, written):
+    for save, load, obj in valid_samples():
+        save(obj, tmp_path / f"{load.__name__}.txt")
+    rng = np.random.default_rng(5)
+    arch = lq.BvaeArchitecture(
+        image_side=4, latent_bits=4, encoder_hidden=(3, 3), decoder_hidden=(3, 3)
+    )
+    params = {name: rng.normal(size=shape) for name, shape in arch.layer_shapes().items()}
+    lq.save_bvae(lq.BvaeModel(arch, params, tau=1.0), tmp_path / "bvae.txt")
+    data = lq.LabeledDataset(X=rng.integers(0, 2, (6, 4)), Y=rng.random(6), provenance=("r",) * 6)
+    lq.save_dataset(data, tmp_path / "dataset.txt")
+    cfg = lq.PipelineConfig(
+        latent_bits=4, fm_rank=2, objective=lq.TargetOverlapObjective(target=np.eye(4)),
+        bvae_checkpoint=str(tmp_path / "bvae.txt"), dataset_path=str(tmp_path / "dataset.txt"),
+        output_dir=str(tmp_path / "out"), samples_per_iteration=2, iterations=1,
+        sampler="brute_force",
+    )
+    state = lq.run_pipeline(cfg)
+    lq.write_convergence_csv(state.history, tmp_path / "history.csv")
+    lq.brute_force_sample(random_qubo(rng, 4), top_k=3).write_csv(tmp_path / "samples.csv")
+    assert main(["export-csv", "--dataset", str(tmp_path / "dataset.txt"),
+                 "--out", str(tmp_path / "dataset.csv")]) == 0
+    assert {path.name for path in (tmp_path / "out").iterdir()} == {
+        "convergence.csv", "dataset_final.txt", "fm_final.txt", "best_design.pgm",
+        "best_design_bits.txt",
+    }
+    assert {path for path in tmp_path.rglob("*") if path.is_file()} == written
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("old\n")
+
+    def body():
+        yield "new"
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        _text.write_lines(path, body())
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_new_file_has_the_mode_of_a_plain_write(tmp_path, umask):
+    plain, atomic = tmp_path / "plain.txt", tmp_path / "atomic.txt"
+    old = os.umask(umask)
+    try:
+        plain.write_text("x\n")
+        _text.write_lines(atomic, ["x"])
+    finally:
+        os.umask(old)
+    assert atomic.stat().st_mode == plain.stat().st_mode
+    assert atomic.read_bytes() == plain.read_bytes()
 
 
 # replacement tokens for the mutation property: numbers in and out of range,

@@ -123,15 +123,6 @@ class TestSerialization:
         assert loaded.quadratic == q.quadratic
         assert loaded.offset == q.offset
 
-    def test_ising_round_trip(self, tmp_path):
-        m = lq.IsingProblem(h=[0.1, -2.0 / 3.0], j={(0, 1): np.pi}, offset=-1e-17)
-        path = tmp_path / "problem.txt"
-        lq.save_ising(m, path)
-        loaded = lq.load_ising(path)
-        assert loaded.h.tolist() == m.h.tolist()
-        assert loaded.j == m.j
-        assert loaded.offset == m.offset
-
     def test_header_shape(self, tmp_path):
         q = lq.QuboProblem(linear=[0.0, 1.0], quadratic={(0, 1): 2.0}, offset=0.5)
         path = tmp_path / "problem.txt"
