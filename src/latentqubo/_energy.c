@@ -8,9 +8,13 @@
  *
  * with every sum taken in ascending index order.  That order is the
  * definition of latentqubo.qubo.qubo_energy, so each energy is bit-identical
- * to it.  Each state costs O(set bits^2); ctz finds the next set bit.
- * upper is the dense strictly upper-triangular n x n matrix, and the kernel
- * allocates nothing.  ptrdiff_t matches numpy's intp.
+ * to it.  field_i depends only on the bits above i, and from state s - 1 to
+ * s those bits are unchanged for every i >= ctz(s), while the bits below
+ * ctz(s) are cleared.  So the fields of set bits are kept from state to
+ * state, and each state sums only the field of its new bit ctz(s), then its
+ * energy: O(set bits) per state after the first.  ctz finds the next set
+ * bit.  upper is the dense strictly upper-triangular n x n matrix, and the
+ * kernel allocates nothing.  ptrdiff_t matches numpy's intp.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -18,17 +22,21 @@
 void qubo_energies(ptrdiff_t n, ptrdiff_t start, ptrdiff_t count, const double *linear,
                    const double *upper, double offset, double *out)
 {
+    double field[64]; /* field[i] for each set bit i of the current state */
     for (ptrdiff_t t = 0; t < count; t++) {
-        double energy = 0.0 + offset;
-        for (uint64_t rest = (uint64_t)(start + t); rest;) {
-            const int i = __builtin_ctzll(rest);
+        const uint64_t state = (uint64_t)(start + t);
+        /* the first state sums every field; each later one only its lowest set bit's */
+        for (uint64_t fresh = t ? state & -state : state; fresh; fresh &= fresh - 1) {
+            const int i = __builtin_ctzll(fresh);
             const double *row = upper + i * n;
-            double field = 0.0 + linear[i];
-            rest &= rest - 1;
-            for (uint64_t above = rest; above; above &= above - 1)
-                field += row[__builtin_ctzll(above)];
-            energy += field;
+            double sum = 0.0 + linear[i];
+            for (uint64_t above = state & ~(fresh ^ (fresh - 1)); above; above &= above - 1)
+                sum += row[__builtin_ctzll(above)];
+            field[i] = sum;
         }
+        double energy = 0.0 + offset;
+        for (uint64_t rest = state; rest; rest &= rest - 1)
+            energy += field[__builtin_ctzll(rest)];
         out[t] = energy;
     }
 }

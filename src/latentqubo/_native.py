@@ -1,9 +1,10 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
 ``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (every epoch of
-FM Adagrad) and ``_energy.c`` (the brute-force sampler's energies of a run of
-states, summed in ``qubo_energy``'s order) are compiled together with ``cc``
-into one library, loaded through ``ctypes``.  The library is kept in the
+FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
+states, summed in ``qubo_energy``'s order) and ``_parse.c`` (the checkpoint
+loader's rows of decimal text, read as ``float()`` reads them) are compiled
+together with ``cc`` into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
 sources, the compiler flags, the compiler and the machine, so only the first
 process after a change to any of them runs the compiler.  Where no compiler
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_energy.c")
+SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC")
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"
@@ -149,4 +150,9 @@ def library():
         _array(f64, 1, out=True),  # out, count energies
     ]
     lib.qubo_energies.restype = None
+    lib.parse_floats.argtypes = [
+        _array(np.uint8, 1), size, size, size,  # text, its size in bytes, rows, cols
+        _array(f64, 2, out=True),  # out, rows x cols values
+    ]
+    lib.parse_floats.restype = size  # the number of leading rows read
     return lib

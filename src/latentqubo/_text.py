@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
+
 # Decimal text with the 17 significant digits that read back as the same float64.
 float_text = "%.17g".__mod__
 
@@ -41,13 +43,15 @@ def write_tagged(path, name: str, header: dict, body) -> None:
 def _read_tagged(path, name: str, keys: tuple[str, str]):
     """Split a '<name> v1 <key>=.. <key>=..' file into header location, values and body.
 
-    Every tagged loader starts here.  The body streams as (lineno, fields) per nonblank line.
+    Every tagged loader starts here.  The body streams as (lineno, line) per nonblank line;
+    a blank line is one that str.split() splits into nothing.
     """
     lines = enumerate(Path(path).read_text().splitlines(), start=1)
-    body = ((lineno, fields) for lineno, line in lines if (fields := line.split()))
+    body = ((lineno, line) for lineno, line in lines if line and not line.isspace())
     lineno, head = next(body, (None, None))
     if head is None:
         raise ValueError(f"{path}: empty file")
+    head = head.split()
     if len(head) != 4 or head[:2] != [name, "v1"] or not all(
         field.startswith(f"{key}=") for field, key in zip(head[2:], keys)
     ):
@@ -82,6 +86,34 @@ def _row(fields: list[str], size: int, where: str) -> np.ndarray:
     return values
 
 
+def _rows(path, block: list[tuple[int, str]], cols: int) -> np.ndarray:
+    """Each (lineno, line) of block as exactly cols finite float64 values, as _row reads it.
+
+    The compiled parser reads the lines of plain decimal tokens, with float()'s bits, and
+    hands back each line it refuses, which _row reads or rejects with the ValueError naming
+    its line.  Without a compiler every line goes through _row, as it does where some line
+    is too short to hold cols values, so a header's cols sizes no array beyond the file.
+    """
+    lines = [line for _, line in block]
+    text = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
+    lib = _native.library()
+    # cols values and the newline after them take at least 2 cols bytes a line
+    if lib is None or text.size + 1 < 2 * cols * len(lines):
+        return np.array([_row(line.split(), cols, f"{path}:{lineno}") for lineno, line in block])
+    out = np.empty((len(lines), cols))
+    row = start = 0  # the next line to read and its first byte in text
+    while row < len(lines):
+        read = lib.parse_floats(text[start:], text.size - start, len(lines) - row, cols, out[row:])
+        start += sum(map(len, lines[row : row + read])) + read  # the lines it read are ASCII
+        row += read
+        if row < len(lines):
+            lineno, line = block[row]
+            out[row] = _row(line.split(), cols, f"{path}:{lineno}")
+            start += len(line.encode()) + 1
+            row += 1
+    return out
+
+
 def _zeros(shape, where: str) -> np.ndarray:
     """Zeroed float64 coefficients of a header-given shape; too large a shape is a ValueError."""
     try:
@@ -94,10 +126,10 @@ def _counted(path, body, count_text: str, head: str):
     """Yield (where, fields) per body line; there must be as many as the header's count=."""
     count = _count(count_text, "count", head, low=0)
     rows = 0
-    for rows, (lineno, fields) in enumerate(body, start=1):
+    for rows, (lineno, line) in enumerate(body, start=1):
         if rows > count:
             raise ValueError(f"{path}:{lineno}: more rows than count={count}")
-        yield f"{path}:{lineno}", fields
+        yield f"{path}:{lineno}", line.split()
     if rows != count:
         raise ValueError(f"{head}: count={count} but the file has {rows} rows")
 
@@ -108,7 +140,8 @@ def _records(path, body, n: int, layout: dict[str, tuple[int, int]]):
     ``layout`` maps each tag to its number of indices (each in [0, n)) and of values.
     """
     seen: set[tuple] = set()
-    for lineno, (tag, *args) in body:
+    for lineno, line in body:
+        tag, *args = line.split()
         where = f"{path}:{lineno}"
         if tag not in layout:
             raise ValueError(f"{where}: unrecognized line starting with {tag!r}")

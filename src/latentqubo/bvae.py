@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from ._text import _count, _field, _read_tagged, _row, float_text, write_tagged
-from .images import _check_images
+from ._text import _count, _field, _read_tagged, _rows, float_text, write_tagged
+from .images import _check_images, gaussian_blur
 from .qubo import as_binary_vector
 
 __all__ = [
@@ -399,7 +398,7 @@ def decode(
     m = model.architecture.image_side
     continuous = _sigmoid(_mlp(model.params, "dec", x.astype(np.float64)[None, :])[2]).reshape(m, m)
     if blur_radius_px > 0:
-        continuous = gaussian_filter(continuous, sigma=blur_radius_px)
+        continuous = gaussian_blur(continuous, blur_radius_px)
     pattern = (continuous >= 0.5).astype(np.uint8)
     return continuous, pattern
 
@@ -432,7 +431,8 @@ def load_bvae(path) -> BvaeModel:
     m, n = _count(m_text, "m", head), _count(n_text, "n", head)
     params: dict[str, np.ndarray] = {}
     tau = None
-    for lineno, fields in body:
+    for lineno, line in body:
+        fields = line.split()
         where = f"{path}:{lineno}"
         if fields[0] == "TAU" and len(fields) == 2 and tau is None:
             tau = _field(fields[1], float, np.isfinite, where, "TAU must be finite")
@@ -441,10 +441,10 @@ def load_bvae(path) -> BvaeModel:
             if name not in _LAYER_NAMES or name in params:
                 raise ValueError(f"{where}: unknown or repeated layer {name!r}")
             rows, cols = (_count(t, "a layer size", where) for t in fields[2:])
-            block = [_row(row, cols, f"{path}:{ln}") for ln, row in islice(body, rows)]
+            block = list(islice(body, rows))
+            params[name] = _rows(path, block, cols)
             if len(block) != rows:
                 raise ValueError(f"{where}: layer {name} ends after {len(block)} of {rows} rows")
-            params[name] = np.array(block)
         else:
             raise ValueError(f"{where}: expected one TAU line or a LAYER block, got {fields[0]!r}")
     if tau is None:

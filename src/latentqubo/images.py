@@ -23,6 +23,34 @@ def _check_images(images) -> np.ndarray:
     return arr
 
 
+def gaussian_blur(x, sigma) -> np.ndarray:
+    """Gaussian filter of x with ``sigma`` per axis (a number applies to every axis).
+
+    Gives scipy.ndimage.gaussian_filter's bits by taking its steps: per axis
+    a kernel of radius int(4 sigma + 0.5), normalised by its numpy sum; the
+    edges reflected (d c b a | a b c d | d c b a); each output x[i] w[r],
+    then (x[i-j] + x[i+j]) w[r-j] added for j from r down to 1.  Axes with
+    sigma <= 1e-15 are left as they are.
+    """
+    out = np.array(x, dtype=np.float64)
+    for axis, s in enumerate(np.broadcast_to(np.asarray(sigma, dtype=np.float64), (out.ndim,))):
+        if not s > 1e-15:
+            continue
+        r = int(4 * s + 0.5)
+        t = np.arange(-r, r + 1)
+        w = np.exp(-0.5 / (s * s) * t**2)
+        w = w / w.sum()
+        size = out.shape[axis]
+        reflected = np.arange(-r, size + r) % (2 * size)  # the padded line's source indices
+        reflected = np.where(reflected < size, reflected, 2 * size - 1 - reflected)
+        padded = np.moveaxis(out.take(reflected, axis=axis), axis, -1)
+        acc = padded[..., r : r + size] * w[r]
+        for j in range(r, 0, -1):
+            acc += (padded[..., r - j : r - j + size] + padded[..., r + j : r + j + size]) * w[r - j]
+        out = np.moveaxis(acc, -1, axis)
+    return np.ascontiguousarray(out)
+
+
 def save_images(images, path) -> None:
     """Write a packed grid file: header line, then one image per line (m*m values)."""
     arr = _check_images(images)

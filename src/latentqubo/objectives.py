@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .bvae import BvaeModel, decode
 from .dataset import LabeledDataset
+from .images import gaussian_blur
 
 __all__ = [
     "FigureOfMerit",
@@ -216,7 +216,7 @@ def generate_toy_corpus(kind: str, m: int, count: int, seed: int) -> np.ndarray:
         reps = np.resize(np.arange(len(base)), count)
         return base[rng.permutation(reps)]
     if kind == "blobs":
-        fields = gaussian_filter(rng.normal(size=(count, m, m)), sigma=(0, m / 4, m / 4))
+        fields = gaussian_blur(rng.normal(size=(count, m, m)), (0, m / 4, m / 4))
         cutoffs = np.median(fields, axis=(1, 2), keepdims=True)
         return (fields > cutoffs).astype(np.float64)
     images = np.zeros((count, m, m))

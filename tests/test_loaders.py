@@ -4,10 +4,15 @@ A malformed file fails with a ValueError naming file:line; PGM, the one
 untagged format, names the file only.
 """
 
+import locale
 import os
+import pickle
 import re
+import shutil
 import tracemalloc
+from decimal import Decimal, getcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
 from conftest import random_qubo
-from latentqubo import _text
+from latentqubo import _native, _text
 from latentqubo.cli import main
 
 QUBO_HEAD = "QUBO v1 n=2 offset=0\n"
@@ -126,6 +131,29 @@ def test_malformed_file_names_path_and_line(tmp_path, loader, body, line):
         loader(path)
 
 
+def numpy_only():
+    """Read as where no compiler is found: checkpoint rows go through numpy alone."""
+    return mock.patch.object(_native, "library", lambda: None)
+
+
+def load_or_error(loader, path):
+    """The loaded object's pickle, so equal bits compare equal, or the ValueError's text."""
+    try:
+        return pickle.dumps(loader(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("loader, body, line", MALFORMED)
+def test_malformed_file_fails_alike_without_compiler(tmp_path, loader, body, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    compiled = load_or_error(loader, path)
+    with numpy_only():
+        assert load_or_error(loader, path) == compiled
+    assert compiled.startswith(f"{path}:{line}:")
+
+
 # headers that would size 20 GB of coefficients, each followed by a malformed line 2
 OVERSIZED = [
     pytest.param(lq.load_qubo, "QUBO v1 n=50000 offset=0\nL 0 abc\n", id="qubo"),
@@ -141,6 +169,20 @@ def test_body_is_read_before_allocating(tmp_path, loader, body):
     try:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             loader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_checkpoint_block_is_read_before_allocating(tmp_path):
+    # a header that would size 80 GB of values, above a row of two
+    path = tmp_path / "big.txt"
+    path.write_text("BVAE v1 m=2 n=1\nLAYER enc1_w 100000 100000\n0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            lq.load_bvae(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -290,9 +332,8 @@ def valid_files(tmp_path_factory):
     return files, directory / "mutated.txt"
 
 
-@settings(derandomize=True, max_examples=400)
-@given(data=st.data())
-def test_mutated_file_loads_or_raises_value_error_naming_it(valid_files, data):
+def write_mutated_file(valid_files, data):
+    """Write one valid file with one line deleted, duplicated or retokened; return its loader."""
     files, path = valid_files
     load, lines = data.draw(st.sampled_from(files), label="format")
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -308,7 +349,173 @@ def test_mutated_file_loads_or_raises_value_error_naming_it(valid_files, data):
         )
         lines = lines[:i] + [" ".join(tokens)] + lines[i + 1 :]
     path.write_text("\n".join(lines) + "\n")
+    return load, path
+
+
+@settings(derandomize=True, max_examples=400)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_value_error_naming_it(valid_files, data):
+    load, path = write_mutated_file(valid_files, data)
     try:
         load(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(data=st.data())
+def test_mutated_file_reads_alike_without_compiler(valid_files, data):
+    """The mutated files load to the same bits, or fail with the same text, on both paths."""
+    load, path = write_mutated_file(valid_files, data)
+    compiled = load_or_error(load, path)
+    with numpy_only():
+        assert load_or_error(load, path) == compiled
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def count_parses(monkeypatch) -> list:
+    lib = _native.library()
+    calls = []
+    parse = lib.parse_floats
+    monkeypatch.setattr(lib, "parse_floats", lambda *args: calls.append(1) or parse(*args))
+    return calls
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "side, bits", [pytest.param(8, 16, id="toy_loop"), pytest.param(16, 180, id="wide_latent")]
+)
+def test_checkpoint_reads_alike_on_both_paths(tmp_path, monkeypatch, side, bits):
+    # magnitudes from 1e-14 to 10, so some values need more than the exact integer path
+    arch = lq.BvaeArchitecture(image_side=side, latent_bits=bits)
+    rng = np.random.default_rng(bits)
+    params = {
+        name: rng.normal(size=shape) * 10.0 ** rng.integers(-14, 2, size=shape)
+        for name, shape in arch.layer_shapes().items()
+    }
+    path = tmp_path / "bvae.txt"
+    lq.save_bvae(lq.BvaeModel(arch, params, tau=0.4), path)
+    parses = count_parses(monkeypatch)
+    compiled = lq.load_bvae(path)
+    assert len(parses) == len(params)  # one call per LAYER block
+    with numpy_only():
+        looped = lq.load_bvae(path)
+    for name, values in params.items():
+        assert compiled.params[name].view(np.uint64).tolist() == values.view(np.uint64).tolist()
+        assert looped.params[name].view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert compiled.tau == looped.tau == 0.4
+
+
+# tokens on which the compiled parser and numpy may part: numpy reads 1_0 and the
+# Arabic-Indic digit one, the compiled parser refuses both and hands the line back
+EDGE_TOKENS = ["1_0", "\u0661", "+.5", "5.", "-0", "5e-324", "1e-400", "1e400", "inf", "nan",
+               "0x1p-2", "1,5"]
+
+
+def checkpoint_with(token: str) -> str:
+    """tiny_checkpoint() with token as the enc1_b value, the rows around it all plain."""
+    return tiny_checkpoint().replace("LAYER enc1_b 1 1\n0\n", f"LAYER enc1_b 1 1\n{token}\n")
+
+
+def read_alike(tmp_path, body: str):
+    path = tmp_path / "model.txt"
+    path.write_text(body)
+    compiled = load_or_error(lq.load_bvae, path)
+    with numpy_only():
+        assert load_or_error(lq.load_bvae, path) == compiled
+    return compiled
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_edge_token_reads_alike_on_both_paths(tmp_path, token):
+    result = read_alike(tmp_path, checkpoint_with(token))
+    if token in ("1e400", "inf", "nan", "0x1p-2", "1,5"):
+        assert result == f"{tmp_path / 'model.txt'}:8: expected 1 finite numbers, got 1 fields"
+    else:
+        assert pickle.loads(result).params["enc1_b"][0, 0] == float(token.replace("\u0661", "1"))
+
+
+@needs_cc
+def test_refused_lines_resume_the_compiled_parser(tmp_path, monkeypatch):
+    # a 2-byte UTF-8 character and numpy-only tokens scattered through one 40-row block
+    arch = lq.BvaeArchitecture(image_side=4, latent_bits=3, encoder_hidden=(5, 4),
+                               decoder_hidden=(4, 40))
+    rng = np.random.default_rng(3)
+    params = {name: rng.normal(size=shape) for name, shape in arch.layer_shapes().items()}
+    path = tmp_path / "model.txt"
+    lq.save_bvae(lq.BvaeModel(arch, params, tau=1.0), path)
+    lines = path.read_text().splitlines()
+    first = lines.index("LAYER dec3_w 40 16") + 1
+    for row, token in [(0, "\u0661"), (1, "1_0"), (7, "\u0661\u0662"), (8, "+.5"), (39, "1_5")]:
+        fields = lines[first + row].split()
+        fields[row % 16] = token
+        lines[first + row] = " ".join(fields)
+    lines.insert(first + 20, "   ")
+    body = "\n".join(lines) + "\n"
+    parses = count_parses(monkeypatch)
+    loaded = pickle.loads(read_alike(tmp_path, body))
+    # rows 0, 1, 7 and 39 hold tokens only numpy reads, so dec3_w's calls start at rows 0, 1, 2, 8
+    assert len(parses) == len(params) + 3
+    rows = loaded.params["dec3_w"]
+    assert rows[0, 0] == 1 and rows[1, 1] == 10 and rows[7, 7] == 12 and rows[8, 8] == 0.5
+    assert rows[39, 39 % 16] == 15
+    params["dec3_w"][[0, 1, 7, 8, 39], [0, 1, 7, 8, 39 % 16]] = rows[[0, 1, 7, 8, 39], [0, 1, 7, 8, 7]]
+    assert all(np.array_equal(loaded.params[name], values) for name, values in params.items())
+
+
+def near_ties(count: int) -> list[str]:
+    """Decimals at, just below and just above the midpoints between neighbouring doubles.
+
+    Each midpoint is written exactly and to 19 significant digits, one unit either side too,
+    with decimal exponents from -34 to 8, so the parser's integer rounding meets exact ties,
+    and remainders and products past 64 bits whose cut-off bits decide the rounding alone.
+    """
+    rng = np.random.default_rng(11)
+    getcontext().prec = 80
+    tokens = []
+    for x in rng.uniform(1, 10, count) * 10.0 ** rng.integers(-16, 27, count):
+        mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        digits, exponent = f"{mid:.18e}".split("e")
+        last = int(digits.replace(".", ""))
+        tokens += [f"{mid:f}"[:60]] + [f"{last + step}e{int(exponent) - 18}" for step in (-1, 0, 1)]
+    ties = rng.integers(1 << 52, 1 << 53, count) * 2 + 1  # odd integers in [2^53, 2^54): exact ties
+    return tokens + [str(t) for t in ties] + [f"{t}0e-1" for t in ties]
+
+
+def test_near_ties_read_as_float_reads_them(monkeypatch):
+    tokens = near_ties(500)
+    expected = np.array([float(t) for t in tokens]).view(np.uint64).tolist()
+    block = [(1, " ".join(tokens))]
+    assert _text._rows("near-ties", block, len(tokens))[0].view(np.uint64).tolist() == expected
+    with numpy_only():
+        assert _text._rows("near-ties", block, len(tokens))[0].view(np.uint64).tolist() == expected
+
+
+COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8", "nl_NL.UTF-8")
+
+
+@pytest.fixture
+def comma_locale():
+    """The process in a locale whose decimal point is a comma, or a skip where none is installed."""
+    old = locale.setlocale(locale.LC_ALL)
+    try:
+        for name in COMMA_LOCALES:
+            try:
+                locale.setlocale(locale.LC_ALL, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] == ",":
+                yield name
+                return
+        pytest.skip("no locale with a comma decimal point is installed")
+    finally:
+        locale.setlocale(locale.LC_ALL, old)
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_edge_token_reads_alike_under_a_comma_locale(tmp_path, comma_locale, token):
+    in_comma_locale = read_alike(tmp_path, checkpoint_with(token))
+    locale.setlocale(locale.LC_ALL, "C")
+    assert read_alike(tmp_path, checkpoint_with(token)) == in_comma_locale
