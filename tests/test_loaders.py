@@ -10,7 +10,7 @@ import pickle
 import re
 import shutil
 import tracemalloc
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -473,10 +473,11 @@ def near_ties(count: int) -> list[str]:
     and remainders and products past 64 bits whose cut-off bits decide the rounding alone.
     """
     rng = np.random.default_rng(11)
-    getcontext().prec = 80
     tokens = []
     for x in rng.uniform(1, 10, count) * 10.0 ** rng.integers(-16, 27, count):
-        mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        with localcontext() as exact:
+            exact.prec = 80
+            mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
         digits, exponent = f"{mid:.18e}".split("e")
         last = int(digits.replace(".", ""))
         tokens += [f"{mid:f}"[:60]] + [f"{last + step}e{int(exponent) - 18}" for step in (-1, 0, 1)]
