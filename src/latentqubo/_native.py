@@ -1,6 +1,6 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
-``_anneal.c`` (the annealer's Metropolis sweep), ``_fm.c`` (every epoch of
+``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
 states, summed in ``qubo_energy``'s order) and ``_parse.c`` (the checkpoint
 loader's rows of decimal text, read as ``float()`` reads them) are compiled
@@ -129,13 +129,13 @@ def library():
                       RuntimeWarning)
         return None
     size, f64 = ctypes.c_ssize_t, np.float64
-    lib.anneal_read.argtypes = [
-        size, size,  # n, sweeps
-        _array(f64, 1), _array(f64, 2), _array(f64, 1),  # linear, coupling, betas
-        _array(f64, 2),  # uniforms
-        _array(f64, 1, out=True), _array(np.uint64, 1, out=True),  # x, mask of x's set bits
+    lib.anneal_block.argtypes = [
+        size, size, size,  # n, sweeps, lanes (reads in the block)
+        _array(f64, 1), _array(f64, 2), _array(f64, 1),  # linear, coupling pairs (n x 2n), betas
+        _array(np.uint64, 2),  # each read's PCG64 state and increment, lanes x 4 words
+        _array(f64, 2, out=True), _array(np.uint64, 2, out=True),  # x, n x 16 lane masks
     ]
-    lib.anneal_read.restype = None
+    lib.anneal_block.restype = None
     lib.fm_fit.argtypes = [
         size, size, size, size,  # n, k, epochs, rows
         _array(np.intp, 2), _array(np.uint8, 2), _array(f64, 1), ctypes.c_double,  # orders, X, Y, lr

@@ -28,9 +28,10 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
-# Annealing threads per call.  Each holds one read's draws (8 bytes per step)
-# while it runs, so the cap also bounds the sampler's memory on any machine.
+# Annealing threads per call.  Each holds one block's lane masks (16 words per
+# bit) while it runs, so the cap also bounds the sampler's memory on any machine.
 _MAX_ANNEAL_WORKERS = 4
+_LANES = 16  # reads per kernel call, one per lane; LANES in _anneal.c
 
 
 @dataclass(frozen=True)
@@ -178,40 +179,31 @@ def simulated_annealing_sample(
     Each of ``num_reads`` restarts starts from a uniform random assignment and
     performs ``num_sweeps`` sweeps; each sweep visits the bits in index order,
     as dwave-neal does, and accepts a flip with probability
-    min(1, exp(-beta * delta)).  Read r draws from its own stream,
+    min(1, exp(-beta * delta)).  Read r draws from its own PCG64 stream,
     ``SeedSequence(seed).spawn(num_reads)[r]``, its start state and then one
     uniform per step, and writes only its own final state, so the result is
-    the same however many reads run at once.  The per-read final states are
+    the same however the reads are grouped.  The per-read final states are
     deduplicated and sorted by energy.
 
     The sweeps run in a small C kernel, compiled at the first call after the
     sources or the compiler change and loaded from the on-disk cache after
-    that, with the reads spread over a pool of up to
-    ``min(cores, num_reads, 4)`` threads; each thread draws one read's
-    randomness, then anneals it with the interpreter lock released.  Without
-    a C compiler the same steps run in numpy, all reads at once, in the
-    calling thread.
+    that.  One kernel call anneals a block of up to 16 reads, one read per
+    vector lane, and draws each read's uniforms from its PCG64 state in C,
+    the same numbers ``Generator.random`` would give.  The blocks, of
+    near-equal size, run on a pool of up to ``min(cores, blocks, 4)`` threads
+    with the interpreter lock released.  Without a C compiler the same steps
+    run in numpy, all reads at once, in the calling thread, drawing each
+    read's uniforms one sweep at a time.
     """
-    n, reads, sweeps = q.n, schedule.num_reads, schedule.num_sweeps
-    streams = np.random.SeedSequence(seed).spawn(reads)
-    linear = q.linear
-    coupling = q.dense_symmetric
-    betas = schedule.betas()
+    streams = np.random.SeedSequence(seed).spawn(schedule.num_reads)
+    rngs = [np.random.Generator(np.random.PCG64(stream)) for stream in streams]
+    x = np.array([rng.integers(0, 2, q.n) for rng in rngs], dtype=np.float64)
     # resolved before the pool starts, so two threads never build it at once
     lib = _native.library()
-    x = np.empty((reads, n))
     if lib is None:
-        _anneal_numpy(linear, coupling, betas, (_read_draws(s, sweeps, n) for s in streams), x)
+        _anneal_numpy(q, schedule.betas(), rngs, x)
     else:
-        def anneal(r: int) -> None:
-            x0, uniforms = _read_draws(streams[r], sweeps, n)
-            mask = np.empty((n + 63) // 64, dtype=np.uint64)
-            lib.anneal_read(n, sweeps, linear, coupling, betas, uniforms, x0, mask)
-            x[r] = x0
-
-        with ThreadPoolExecutor(min(_cores(), reads, _MAX_ANNEAL_WORKERS)) as pool:
-            list(pool.map(anneal, range(reads)))  # re-raises any read's exception
-
+        _anneal_blocks(lib, q, schedule.betas(), rngs, x)
     finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
     energies = qubo_energy(q, finals)
     return _make_sample_set(finals, energies, counts, "simulated_annealing", seed=seed)
@@ -224,26 +216,52 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _read_draws(stream: np.random.SeedSequence, sweeps: int, n: int):
-    """One read's start state (n), then its uniforms (sweeps, n): [t, i] is bit i's in sweep t."""
-    rng = np.random.default_rng(stream)
-    return rng.integers(0, 2, n).astype(np.float64), rng.random((sweeps, n))
+def _pcg64_words(rng: np.random.Generator) -> list[int]:
+    """The generator's 128-bit PCG64 state and increment as four uint64 words, low first."""
+    state = rng.bit_generator.state["state"]
+    low = (1 << 64) - 1
+    return [state["state"] & low, state["state"] >> 64, state["inc"] & low, state["inc"] >> 64]
 
 
-def _anneal_numpy(linear, coupling, betas, draws, x: np.ndarray) -> None:
+def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
+    """The kernel's steps, a block of up to 16 reads per call; anneals the rows of x in place.
+
+    The reads split into ``workers * ceil(reads / (16 * workers))`` blocks of
+    near-equal size, so each of the pool's threads gets as many blocks as the
+    next.  Read r's generator has drawn its start state; the kernel goes on
+    with its stream from the state it is handed.
+    """
+    reads, n = x.shape
+    pairs = np.repeat(q.dense_symmetric, 2, axis=1)  # each coefficient twice: one 2-lane load
+    states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
+    workers = min(_cores(), _MAX_ANNEAL_WORKERS)
+    blocks = min(reads, workers * -(-reads // (_LANES * workers)))
+    bounds = [reads * b // blocks for b in range(blocks + 1)]
+
+    def anneal(b: int) -> None:
+        lo, hi = bounds[b], bounds[b + 1]
+        masks = np.empty((n, _LANES), dtype=np.uint64)
+        lib.anneal_block(n, betas.size, hi - lo, q.linear, pairs, betas, states[lo:hi], x[lo:hi], masks)
+
+    with ThreadPoolExecutor(min(workers, blocks)) as pool:
+        list(pool.map(anneal, range(blocks)))  # re-raises any block's exception
+
+
+def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
     """The kernel's steps in numpy, all reads at once; anneals the rows of x in place.
 
     Each field is summed in the kernel's order and each threshold is the C library's
-    exp, so both give the same reads.  The fallback, and the kernel's reference in tests.
+    exp, so both give the same reads.  Read r's uniforms come from ``rngs[r]`` one
+    sweep at a time, the stream the kernel draws, so memory stays O(reads·n).
+    The fallback, and the kernel's reference in tests.
     """
     reads, n = x.shape
-    accept_draws = np.empty((reads, betas.size, n))
-    for r, (x0, uniforms) in enumerate(draws):
-        x[r], accept_draws[r] = x0, uniforms
-    for t, beta in enumerate(betas):
+    linear, coupling = q.linear, q.dense_symmetric
+    for beta in betas:
+        uniforms = np.array([rng.random(n) for rng in rngs])
         for i in range(n):
             local = linear[i] + (0.0 + np.cumsum(x * coupling[i], axis=1)[:, -1])
             delta = (1.0 - 2.0 * x[:, i]) * local
             threshold = np.fromiter(map(math.exp, np.minimum(0.0, -beta * delta)), float, reads)
-            accepted = accept_draws[:, t, i] < threshold
+            accepted = uniforms[:, i] < threshold
             x[accepted, i] = 1.0 - x[accepted, i]

@@ -272,3 +272,15 @@ def test_every_c_source_compiles_without_warnings(name):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+@needs_cc
+def test_the_library_builds_without_warnings(tmp_path):
+    # the sources together, with the flags of the cached build
+    sources = [str(Path(native.__file__).with_name(name)) for name in native.SOURCES]
+    result = subprocess.run(
+        [shutil.which("cc"), *native._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "_latentqubo.so"), *sources, *native._LIBS],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -281,6 +281,14 @@ class TestAnnealKernel:
         (65, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
         (130, lq.AnnealSchedule(num_sweeps=20, num_reads=3)),
     ]
+    # One kernel call anneals a block of up to 16 reads, one per lane: one read, a block
+    # one short of full, a full block, one read over, two blocks and one over, and many
+    # blocks, each at three sizes.
+    CASES += [
+        (n, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
+        for n, sweeps in ((16, 100), (64, 20), (180, 6))
+        for reads in (1, 15, 16, 17, 33, 100)
+    ]
 
     @pytest.mark.parametrize("n, schedule", CASES)
     def test_same_sample_set_as_numpy_loop(self, monkeypatch, n, schedule):
@@ -315,10 +323,11 @@ class TestAnnealKernel:
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
     def test_same_result_on_any_number_of_cores(self, monkeypatch):
+        # 40 reads make 3 blocks on one core, 4 on two, 3 on three and 4 on eight
         q = random_qubo(np.random.default_rng(140), 40)
-        schedule = lq.AnnealSchedule(num_sweeps=300, num_reads=9)
+        schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
         results = []
-        for cores in (1, 8):
+        for cores in (1, 2, 3, 8):
             monkeypatch.setattr(samplers, "_cores", lambda: cores)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
@@ -328,23 +337,32 @@ class TestAnnealKernel:
                 sys.setswitchinterval(interval)
         monkeypatch.setattr(native, "library", lambda: None)
         looped = sample_set_contents(lq.simulated_annealing_sample(q, schedule, 7))
-        assert results == [looped, looped]
+        assert results == [looped] * 4
 
     def test_memory_is_bounded_by_one_read(self, monkeypatch):
-        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 29 MB;
-        # on 64 cores the pool still holds at most four reads' draws at once
+        # the draws of 100 reads x 200 sweeps x 180 bits alone would take 29 MB; the
+        # kernel draws none, and on 64 cores the pool holds four blocks' masks at once
         if native.library() is None:
-            pytest.skip("the numpy loop holds every read's draws at once")
+            pytest.skip("no compiled kernel")
         monkeypatch.setattr(samplers, "_cores", lambda: 64)
-        q = random_qubo(np.random.default_rng(0), 180)
-        schedule = lq.AnnealSchedule(num_sweeps=200, num_reads=100)
-        tracemalloc.start()
-        try:
-            lq.simulated_annealing_sample(q, schedule, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(180, lq.AnnealSchedule(num_sweeps=200, num_reads=100)) < 1.25 * 2**20
+
+    def test_numpy_loop_memory_is_bounded_by_one_sweep(self, monkeypatch):
+        # the draws of 100 reads x 20 sweeps x 180 bits would take 2.9 MB; the loop
+        # holds one sweep's, 144 kB
+        monkeypatch.setattr(native, "library", lambda: None)
+        assert traced_peak(180, lq.AnnealSchedule(num_sweeps=20, num_reads=100)) < 1.25 * 2**20
+
+
+def traced_peak(n: int, schedule: lq.AnnealSchedule) -> int:
+    """The traced peak memory of one annealing call on a random QUBO, in bytes."""
+    q = random_qubo(np.random.default_rng(0), n)
+    tracemalloc.start()
+    try:
+        lq.simulated_annealing_sample(q, schedule, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_anneal(q: lq.QuboProblem, schedule: lq.AnnealSchedule, seed: int):
