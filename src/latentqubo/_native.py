@@ -2,8 +2,8 @@
 
 ``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
-states, summed in ``qubo_energy``'s order) and ``_parse.c`` (the checkpoint
-loader's rows of decimal text, read as ``float()`` reads them) are compiled
+states, summed in ``qubo_energy``'s order) and ``_parse.c`` (rows of decimal
+text straight from the text reader's buffer, read as ``float()`` reads them) are compiled
 together with ``cc`` into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
 sources, the compiler flags, the compiler and the machine, so only the first
@@ -153,6 +153,7 @@ def library():
     lib.parse_floats.argtypes = [
         _array(np.uint8, 1), size, size, size,  # text, its size in bytes, rows, cols
         _array(f64, 2, out=True),  # out, rows x cols values
+        _array(np.intp, 1, out=True),  # used: the bytes and the lines passed
     ]
     lib.parse_floats.restype = size  # the number of leading rows read
     return lib

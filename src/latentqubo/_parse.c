@@ -1,13 +1,18 @@
 /* Rows of decimal numbers read from text, each as Python's float() reads it.
  *
- * The kernel of latentqubo.bvae.load_bvae.  text holds size bytes: lines
- * separated by '\n', each of exactly cols tokens separated by spaces or tabs.
- * A token must read [+-]digits[.digits][(e|E)[+-]digits], with digits on at
- * least one side of the point, and have a finite value.  Line r fills
- * out[r * cols ..].  The return value is the number of leading lines read:
- * rows when every line passed, else the index of the first line refused,
- * which the caller reads itself.  A line is refused for any other byte, a
- * token of 64 or more bytes, an overflow or a count other than cols.
+ * The kernel of latentqubo._text._Lines.floats, which passes it whole lines
+ * straight from its read buffer.  text holds size bytes: lines each ended by
+ * '\n', but for a last line that ends at size.  A row is a line of exactly
+ * cols tokens separated by spaces or tabs; a line of spaces and tabs alone is
+ * blank and passed over.  A token must read [+-]digits[.digits][(e|E)[+-]digits],
+ * with digits on at least one side of the point, and have a finite value.  The
+ * r-th row read fills out[r * cols ..].  Reading stops after rows rows, at the
+ * end of text, or at the first line refused, which the caller reads itself.  A
+ * line is refused for any other byte, a token of 64 or more bytes, an overflow
+ * or a count of tokens other than cols and 0.  The return value is the number
+ * of rows read; used[0] and used[1] receive the bytes and the lines passed (the
+ * rows read and the blank lines among them), so text + used[0] is the first
+ * line not read.
  *
  * Each value is the token's decimal value rounded to nearest, ties to even,
  * as float() rounds it, so it has float()'s bits.  A token of at most 19
@@ -141,37 +146,46 @@ static ptrdiff_t read_token(const char *p, const char *end, locale_t c_locale, d
     return stop == token + length && isfinite(*value) ? length : 0;
 }
 
-static ptrdiff_t read_rows(locale_t c_locale, const char *p, const char *end, ptrdiff_t rows,
-                           ptrdiff_t cols, double *out)
+static ptrdiff_t read_rows(locale_t c_locale, const char *text, const char *end, ptrdiff_t rows,
+                           ptrdiff_t cols, double *out, ptrdiff_t *used)
 {
-    for (ptrdiff_t row = 0; row < rows; row++) {
+    const char *p = text; /* the first byte of the next line */
+    ptrdiff_t row = 0, lines = 0;
+    while (row < rows && p < end) {
+        const char *q = p;
         ptrdiff_t col = 0;
         for (;;) {
-            while (p < end && (*p == ' ' || *p == '\t'))
-                p++;
-            if (p == end || *p == '\n')
+            while (q < end && (*q == ' ' || *q == '\t'))
+                q++;
+            if (q == end || *q == '\n')
                 break;
             if (col == cols)
-                return row;
-            const ptrdiff_t length = read_token(p, end, c_locale, out + row * cols + col++);
+                goto refused;
+            const ptrdiff_t length = read_token(q, end, c_locale, out + row * cols + col++);
             if (length == 0)
-                return row;
-            p += length;
+                goto refused;
+            q += length;
         }
-        if (col != cols)
-            return row;
-        p += p < end; /* past the newline */
+        if (col != cols && col != 0)
+            break;
+        row += col == cols;
+        lines++;
+        p = q + (q < end); /* past the newline */
     }
-    return rows;
+refused:
+    used[0] = p - text;
+    used[1] = lines;
+    return row;
 }
 
 ptrdiff_t parse_floats(const char *text, ptrdiff_t size, ptrdiff_t rows, ptrdiff_t cols,
-                       double *out)
+                       double *out, ptrdiff_t *used)
 {
+    used[0] = used[1] = 0;
     locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
     if (c_locale == (locale_t)0)
         return 0;
-    const ptrdiff_t read = read_rows(c_locale, text, text + size, rows, cols, out);
+    const ptrdiff_t read = read_rows(c_locale, text, text + size, rows, cols, out, used);
     freelocale(c_locale);
     return read;
 }

@@ -10,11 +10,10 @@ numpy arrays so gradients can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from ._text import _count, _field, _read_tagged, _rows, float_text, write_tagged
+from ._text import _count, _field, _read_tagged, float_text, write_tagged
 from .images import _check_images, gaussian_blur
 from .qubo import as_binary_vector
 
@@ -427,26 +426,29 @@ def save_bvae(model: BvaeModel, path) -> None:
 
 
 def load_bvae(path) -> BvaeModel:
-    head, (m_text, n_text), body = _read_tagged(path, "BVAE", ("m", "n"))
-    m, n = _count(m_text, "m", head), _count(n_text, "n", head)
-    params: dict[str, np.ndarray] = {}
-    tau = None
-    for lineno, line in body:
-        fields = line.split()
-        where = f"{path}:{lineno}"
-        if fields[0] == "TAU" and len(fields) == 2 and tau is None:
-            tau = _field(fields[1], float, np.isfinite, where, "TAU must be finite")
-        elif fields[0] == "LAYER" and len(fields) == 4:
-            name = fields[1]
-            if name not in _LAYER_NAMES or name in params:
-                raise ValueError(f"{where}: unknown or repeated layer {name!r}")
-            rows, cols = (_count(t, "a layer size", where) for t in fields[2:])
-            block = list(islice(body, rows))
-            params[name] = _rows(path, block, cols)
-            if len(block) != rows:
-                raise ValueError(f"{where}: layer {name} ends after {len(block)} of {rows} rows")
-        else:
-            raise ValueError(f"{where}: expected one TAU line or a LAYER block, got {fields[0]!r}")
+    with _read_tagged(path, "BVAE", ("m", "n")) as (head, (m_text, n_text), body):
+        m, n = _count(m_text, "m", head), _count(n_text, "n", head)
+        params: dict[str, np.ndarray] = {}
+        tau = None
+        for lineno, line in body:
+            fields = line.split()
+            where = f"{path}:{lineno}"
+            if fields[0] == "TAU" and len(fields) == 2 and tau is None:
+                tau = _field(fields[1], float, np.isfinite, where, "TAU must be finite")
+            elif fields[0] == "LAYER" and len(fields) == 4:
+                name = fields[1]
+                if name not in _LAYER_NAMES or name in params:
+                    raise ValueError(f"{where}: unknown or repeated layer {name!r}")
+                rows, cols = (_count(t, "a layer size", where) for t in fields[2:])
+                params[name] = block = body.floats(rows, cols)
+                if len(block) != rows:
+                    raise ValueError(
+                        f"{where}: layer {name} ends after {len(block)} of {rows} rows"
+                    )
+            else:
+                raise ValueError(
+                    f"{where}: expected one TAU line or a LAYER block, got {fields[0]!r}"
+                )
     if tau is None:
         raise ValueError(f"{path}: checkpoint is missing the TAU line")
     if missing := set(_LAYER_NAMES) - set(params):

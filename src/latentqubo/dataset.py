@@ -132,17 +132,19 @@ def save_dataset(data: LabeledDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
-    head, (n_text, count_text), body = _read_tagged(path, "DATASET", ("n", "count"))
-    n = _count(n_text, "n", head)
-    rows, labels, tags = [], [], []
-    for where, fields in _counted(path, body, count_text, head):
-        if len(fields) != 3:
-            raise ValueError(f"{where}: a row takes 3 fields (bits label tag), not {len(fields)}")
-        bits, label, tag = fields
-        if len(bits) != n or not set(bits) <= {"0", "1"}:
-            raise ValueError(f"{where}: expected {n} bits of 0 or 1, got {bits!r}")
-        rows.append([int(ch) for ch in bits])
-        labels.append(_field(label, float, np.isfinite, where, "a label must be finite"))
-        tags.append(tag)
+    with _read_tagged(path, "DATASET", ("n", "count")) as (head, (n_text, count_text), body):
+        n = _count(n_text, "n", head)
+        rows, labels, tags = [], [], []
+        for where, fields in _counted(path, body, count_text, head):
+            if len(fields) != 3:
+                raise ValueError(
+                    f"{where}: a row takes 3 fields (bits label tag), not {len(fields)}"
+                )
+            bits, label, tag = fields
+            if len(bits) != n or not set(bits) <= {"0", "1"}:
+                raise ValueError(f"{where}: expected {n} bits of 0 or 1, got {bits!r}")
+            rows.append([int(ch) for ch in bits])
+            labels.append(_field(label, float, np.isfinite, where, "a label must be finite"))
+            tags.append(tag)
     X = np.array(rows, dtype=np.uint8).reshape(-1, n)
     return LabeledDataset(X=X, Y=np.array(labels), provenance=tuple(tags))

@@ -292,10 +292,10 @@ def save_fm(m: FmModel, path) -> None:
 
 
 def load_fm(path) -> FmModel:
-    where, (n_text, k_text), body = _read_tagged(path, "FM", ("n", "k"))
-    n = _count(n_text, "n", where)
-    k = _count(k_text, "k", where)
-    records = list(_records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}))
+    with _read_tagged(path, "FM", ("n", "k")) as (where, (n_text, k_text), body):
+        n = _count(n_text, "n", where)
+        k = _count(k_text, "k", where)
+        records = list(_records(path, body, n, {"w0": (0, 1), "w": (1, 1), "V": (1, k)}))
     w0 = next((values[0] for _, tag, _, values in records if tag == "w0"), None)
     if w0 is None:
         raise ValueError(f"{path}: model file is missing the w0 line")

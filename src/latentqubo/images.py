@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from . import _text
@@ -59,14 +57,14 @@ def save_images(images, path) -> None:
 
 
 def load_images(path) -> np.ndarray:
-    head, (m_text, count_text), body = _read_tagged(path, "IMG", ("m", "count"))
-    m = _count(m_text, "m", head)
-    rows = []
-    for where, fields in _counted(path, body, count_text, head):
-        pixels = _row(fields, m * m, where)
-        if not np.all((pixels >= 0.0) & (pixels <= 1.0)):
-            raise ValueError(f"{where}: pixel values must lie in [0, 1]")
-        rows.append(pixels)
+    with _read_tagged(path, "IMG", ("m", "count")) as (head, (m_text, count_text), body):
+        m = _count(m_text, "m", head)
+        rows = []
+        for where, fields in _counted(path, body, count_text, head):
+            pixels = _row(fields, m * m, where)
+            if not np.all((pixels >= 0.0) & (pixels <= 1.0)):
+                raise ValueError(f"{where}: pixel values must lie in [0, 1]")
+            rows.append(pixels)
     return np.array(rows).reshape(-1, m, m)
 
 
@@ -80,9 +78,8 @@ def save_pgm(image, path) -> None:
 
 def load_pgm(path) -> np.ndarray:
     """Read a plain (P2) PGM file as a (height, width) array scaled to [0, 1]."""
-    tokens = []
-    for ln in Path(path).read_text().splitlines():
-        tokens.extend(ln.split("#", 1)[0].split())
+    with _text._Lines(path) as lines:
+        tokens = [token for _, line in lines for token in line.split("#", 1)[0].split()]
     if tokens[:1] != ["P2"]:
         raise ValueError(f"expected a plain PGM (P2) file: {path}")
     try:

@@ -227,14 +227,14 @@ def save_qubo(q: QuboProblem, path) -> None:
 
 
 def load_qubo(path) -> QuboProblem:
-    head, (n_text, offset_text), body = _read_tagged(path, "QUBO", ("n", "offset"))
-    n = _count(n_text, "n", head)
-    offset = _field(offset_text, float, np.isfinite, head, "offset= must be a finite number")
-    records = []
-    for where, tag, idx, (value,) in _records(path, body, n, {"L": (1, 1), "Q": (2, 1)}):
-        if tag == "Q" and idx[0] >= idx[1]:
-            raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
-        records.append((tag, idx, value))
+    with _read_tagged(path, "QUBO", ("n", "offset")) as (head, (n_text, offset_text), body):
+        n = _count(n_text, "n", head)
+        offset = _field(offset_text, float, np.isfinite, head, "offset= must be a finite number")
+        records = []
+        for where, tag, idx, (value,) in _records(path, body, n, {"L": (1, 1), "Q": (2, 1)}):
+            if tag == "Q" and idx[0] >= idx[1]:
+                raise ValueError(f"{where}: a Q line needs i < j, got {idx[0]} {idx[1]}")
+            records.append((tag, idx, value))
     # the whole body is read before the header's n sizes any array
     linear = _zeros(n, head)
     upper = _zeros((n, n), head)

@@ -226,16 +226,17 @@ def _pcg64_words(rng: np.random.Generator) -> list[int]:
 def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
     """The kernel's steps, a block of up to 16 reads per call; anneals the rows of x in place.
 
-    The reads split into ``workers * ceil(reads / (16 * workers))`` blocks of
-    near-equal size, so each of the pool's threads gets as many blocks as the
-    next.  Read r's generator has drawn its start state; the kernel goes on
-    with its stream from the state it is handed.
+    The reads split into ``ceil(reads / 16)`` blocks of near-equal size, on any
+    number of cores: a block costs its 16 lanes' sums however few it holds, so
+    fewer, fuller blocks beat one more block per thread.  Read r's generator
+    has drawn its start state; the kernel goes on with its stream from the
+    state it is handed.
     """
     reads, n = x.shape
     pairs = np.repeat(q.dense_symmetric, 2, axis=1)  # each coefficient twice: one 2-lane load
     states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
     workers = min(_cores(), _MAX_ANNEAL_WORKERS)
-    blocks = min(reads, workers * -(-reads // (_LANES * workers)))
+    blocks = -(-reads // _LANES)
     bounds = [reads * b // blocks for b in range(blocks + 1)]
 
     def anneal(b: int) -> None:

@@ -1,15 +1,17 @@
-"""Text formats: strict loaders, exact round trips, and the one atomic writer.
+"""Text formats: strict loaders, exact round trips, the one reader and the one atomic writer.
 
 A malformed file fails with a ValueError naming file:line; PGM, the one
-untagged format, names the file only.
+untagged format, names the file only, but for a byte that is not UTF-8.
 """
 
+import gc
 import locale
 import os
 import pickle
 import re
 import shutil
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
@@ -41,6 +43,12 @@ def tiny_checkpoint() -> str:
     return "\n".join(lines + ["TAU 1"]) + "\n"
 
 
+def write(path: Path, body) -> Path:
+    """Write body, a str as UTF-8 or bytes as they are, to path."""
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    return path
+
+
 # (loader, file body, 1-based line number the error must name)
 MALFORMED = [
     pytest.param(lq.load_qubo, QUBO_HEAD + "L -1 3.0\n", 2, id="qubo-negative-index"),
@@ -61,6 +69,10 @@ MALFORMED = [
     pytest.param(lq.load_qubo, "QUBO v1 n=2 offset=x\n", 1, id="qubo-bad-offset"),
     pytest.param(lq.load_qubo, "\n\nQUBO v1 n=2 offset=0\n\nL 5 1\n", 5, id="qubo-blank-lines-count"),
     pytest.param(lq.load_qubo, "QUBO v1 n=10000000 offset=0\n", 1, id="qubo-unallocatable-n"),
+    pytest.param(lq.load_qubo, b"QUBO v1 n=2 offset=0\xff\n", 1, id="qubo-undecodable-header"),
+    pytest.param(
+        lq.load_qubo, b"QUBO v1 n=2 offset=0\nL 0 1\x0b\xff\n", 3, id="qubo-undecodable-line"
+    ),
     pytest.param(lq.load_fm, FM_HEAD + "w -1 5\n", 3, id="fm-negative-index"),
     pytest.param(lq.load_fm, FM_HEAD + "w 2 5\n", 3, id="fm-index-out-of-range"),
     pytest.param(lq.load_fm, FM_HEAD + "w 0 1\nw 0 2\n", 4, id="fm-duplicate-w"),
@@ -82,6 +94,9 @@ MALFORMED = [
     pytest.param(lq.load_dataset, "DATASET v1 n=2 count=-1\n", 1, id="dataset-negative-count"),
     pytest.param(lq.load_dataset, "DATASET v1 n=0 count=0\n", 1, id="dataset-zero-n"),
     pytest.param(lq.load_dataset, "\nDATA v1 n=2 count=0\n", 2, id="dataset-bad-header"),
+    pytest.param(
+        lq.load_dataset, DATASET_HEAD.encode() + b"01 0.5 t\xe9\n", 2, id="dataset-undecodable-row"
+    ),
     pytest.param(lq.load_images, IMG_HEAD + "nan\n", 2, id="img-nan-pixel"),
     pytest.param(lq.load_images, IMG_HEAD + "1.5\n", 2, id="img-pixel-above-one"),
     pytest.param(lq.load_images, IMG_HEAD + "x\n", 2, id="img-bad-number"),
@@ -99,6 +114,10 @@ MALFORMED = [
     pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 2 1\n0\n", 2, id="bvae-truncated-block"),
     pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 2\n0 nan\n", 3, id="bvae-nan-value"),
     pytest.param(lq.load_bvae, BVAE_HEAD + "LAYER enc1_b 1 2\n0\n", 3, id="bvae-short-row"),
+    pytest.param(
+        lq.load_bvae, BVAE_HEAD.encode() + b"LAYER enc1_b 1 2\n0 \xff\n", 3,
+        id="bvae-undecodable-row",
+    ),
     pytest.param(lq.load_bvae, BVAE_HEAD + "TAU 1\n\nTAU 1\n", 4, id="bvae-duplicate-tau"),
     pytest.param(lq.load_bvae, BVAE_HEAD + "TAU inf\n", 2, id="bvae-non-finite-tau"),
     pytest.param(lq.load_bvae, BVAE_HEAD + "TAU\n", 2, id="bvae-short-tau"),
@@ -120,13 +139,13 @@ MALFORMED_PGM = [
     pytest.param("P2\n1 1\n255\nword\n", id="pgm-word"),
     pytest.param("P2\n2 1\n255\n0\n", id="pgm-missing-pixel"),
     pytest.param("", id="pgm-empty"),
+    pytest.param(b"P2\n1 1\n255\n\xff\n", id="pgm-undecodable"),
 ]
 
 
 @pytest.mark.parametrize("loader, body, line", MALFORMED)
 def test_malformed_file_names_path_and_line(tmp_path, loader, body, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
+    path = write(tmp_path / "bad.txt", body)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
         loader(path)
 
@@ -146,8 +165,7 @@ def load_or_error(loader, path):
 
 @pytest.mark.parametrize("loader, body, line", MALFORMED)
 def test_malformed_file_fails_alike_without_compiler(tmp_path, loader, body, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
+    path = write(tmp_path / "bad.txt", body)
     compiled = load_or_error(loader, path)
     with numpy_only():
         assert load_or_error(loader, path) == compiled
@@ -191,8 +209,7 @@ def test_checkpoint_block_is_read_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("body", MALFORMED_PGM)
 def test_malformed_pgm_names_path(tmp_path, body):
-    path = tmp_path / "bad.pgm"
-    path.write_text(body)
+    path = write(tmp_path / "bad.pgm", body)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         lq.load_pgm(path)
 
@@ -372,6 +389,62 @@ def test_mutated_file_reads_alike_without_compiler(valid_files, data):
         assert load_or_error(load, path) == compiled
 
 
+# every line boundary str.splitlines() knows, each with a newline byte after it or not
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BREAKS = SEPARATORS + [sep + "\n" for sep in SEPARATORS] + ["\n\n", " \t\n", "\r\r\n"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lines_are_numbered_as_read_text_splits_them(valid_files, data):
+    """A valid file with line breaks put anywhere reads as its read_text().splitlines() lines.
+
+    The file loads to the same bits, or fails with the same text, on both paths and
+    through buffers of any size, as the file of those lines ended by one newline each.
+    """
+    files, path = valid_files
+    load, lines = data.draw(st.sampled_from(files), label="format")
+    text = "\n".join(lines) + "\n"
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(text) - 1), label="at")
+        newline = text.find("\n", at)
+        if newline >= 0 and data.draw(st.booleans(), label="replace a newline"):
+            at, end = newline, newline + 1  # the first newline from at
+        else:
+            end = at  # a break put before character at
+        text = text[:at] + data.draw(st.sampled_from(BREAKS), label="break") + text[end:]
+    buffer = data.draw(st.sampled_from([_text._BUFFER, 1, 2, 3, 8, 64]), label="buffer")
+    path.write_bytes(text.encode())
+    with mock.patch.object(_text, "_BUFFER", buffer):
+        compiled = load_or_error(load, path)
+        with numpy_only():
+            looped = load_or_error(load, path)
+    path.write_text("\n".join(path.read_text().splitlines()) + "\n")
+    assert compiled == looped == load_or_error(load, path)
+
+
+def test_malformed_files_fail_alike_through_a_tiny_buffer(tmp_path):
+    for loader, body, _ in (case.values for case in MALFORMED):
+        path = write(tmp_path / "bad.txt", body)
+        expected = load_or_error(loader, path)
+        with mock.patch.object(_text, "_BUFFER", 3):
+            assert load_or_error(loader, path) == expected
+
+
+def test_malformed_files_leave_no_file_open(tmp_path):
+    cases = [case.values[:2] for case in MALFORMED]
+    cases += [(lq.load_pgm, case.values[0]) for case in MALFORMED_PGM]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for loader, body in cases:
+            try:
+                loader(write(tmp_path / "bad.txt", body))
+            except ValueError:
+                pass
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
@@ -383,29 +456,98 @@ def count_parses(monkeypatch) -> list:
     return calls
 
 
-@needs_cc
-@pytest.mark.parametrize(
-    "side, bits", [pytest.param(8, 16, id="toy_loop"), pytest.param(16, 180, id="wide_latent")]
-)
-def test_checkpoint_reads_alike_on_both_paths(tmp_path, monkeypatch, side, bits):
-    # magnitudes from 1e-14 to 10, so some values need more than the exact integer path
-    arch = lq.BvaeArchitecture(image_side=side, latent_bits=bits)
-    rng = np.random.default_rng(bits)
-    params = {
-        name: rng.normal(size=shape) * 10.0 ** rng.integers(-14, 2, size=shape)
-        for name, shape in arch.layer_shapes().items()
-    }
-    path = tmp_path / "bvae.txt"
-    lq.save_bvae(lq.BvaeModel(arch, params, tau=0.4), path)
+def parser_calls(data: bytes, buffer: int) -> int:
+    """The parse_floats calls that load_bvae makes on a checkpoint whose rows all parse.
+
+    The reader reads on only where no whole line is left in its buffer: it keeps the
+    unended line and fills the rest, and it doubles a buffer the line fills.  So each fill's
+    whole lines are one span of the file, whatever was read between, and the parser is
+    called once for each span that a LAYER block's rows reach into.
+    """
+    capacity, start, spans = min(buffer, len(data) + 1), 0, []
+    while start < len(data):
+        window = data[start : start + capacity]
+        stop = window.rfind(b"\n") + 1
+        if not stop and len(window) == capacity:
+            capacity *= 2
+            continue
+        spans.append((start, start + (stop or len(window))))
+        start = spans[-1][1]
+    lines = data.splitlines(keepends=True)
+    offsets = np.cumsum([0] + [len(line) for line in lines])
+    calls = 0
+    for i, line in enumerate(lines):
+        if line.startswith(b"LAYER "):
+            first, end = offsets[i + 1], offsets[i + 1 + int(line.split()[2])]
+            calls += sum(lo < end and first < hi for lo, hi in spans)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """save(side, bits): the path and params of a random checkpoint, written once per module."""
+    saved = {}
+
+    def save(side: int, bits: int):
+        if (side, bits) not in saved:
+            # magnitudes from 1e-14 to 10, so some values need more than the exact integer path
+            arch = lq.BvaeArchitecture(image_side=side, latent_bits=bits)
+            rng = np.random.default_rng(bits)
+            params = {
+                name: rng.normal(size=shape) * 10.0 ** rng.integers(-14, 2, size=shape)
+                for name, shape in arch.layer_shapes().items()
+            }
+            path = tmp_path_factory.mktemp("checkpoint") / "bvae.txt"
+            lq.save_bvae(lq.BvaeModel(arch, params, tau=0.4), path)
+            saved[side, bits] = path, params
+        return saved[side, bits]
+
+    return save
+
+
+CHECKPOINTS = [pytest.param(8, 16, id="toy_loop"), pytest.param(16, 180, id="wide_latent")]
+
+
+def check_checkpoint_reads_alike(monkeypatch, path, params, buffer: int):
+    monkeypatch.setattr(_text, "_BUFFER", buffer)
     parses = count_parses(monkeypatch)
     compiled = lq.load_bvae(path)
-    assert len(parses) == len(params)  # one call per LAYER block
+    assert len(parses) == parser_calls(path.read_bytes(), buffer)
     with numpy_only():
         looped = lq.load_bvae(path)
     for name, values in params.items():
         assert compiled.params[name].view(np.uint64).tolist() == values.view(np.uint64).tolist()
         assert looped.params[name].view(np.uint64).tolist() == values.view(np.uint64).tolist()
     assert compiled.tau == looped.tau == 0.4
+
+
+@needs_cc
+@pytest.mark.parametrize("side, bits", CHECKPOINTS)
+def test_checkpoint_reads_alike_on_both_paths(saved_checkpoint, monkeypatch, side, bits):
+    path, params = saved_checkpoint(side, bits)
+    check_checkpoint_reads_alike(monkeypatch, path, params, _text._BUFFER)
+
+
+@needs_cc
+@pytest.mark.parametrize("side, bits", CHECKPOINTS)
+def test_checkpoint_reads_alike_through_a_tiny_buffer(saved_checkpoint, monkeypatch, side, bits):
+    # 5 bytes, doubled to hold the longest row: every row and token crosses a buffer edge
+    path, params = saved_checkpoint(side, bits)
+    check_checkpoint_reads_alike(monkeypatch, path, params, 5)
+
+
+@needs_cc
+def test_checkpoint_load_holds_no_more_than_its_arrays(saved_checkpoint):
+    # the arrays, the model's locked copies of them and the read buffer; the file is 14 MB
+    path, params = saved_checkpoint(16, 180)
+    arrays = sum(values.nbytes for values in params.values())
+    tracemalloc.start()
+    try:
+        lq.load_bvae(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * arrays + 2 * 2**20
 
 
 # tokens on which the compiled parser and numpy may part: numpy reads 1_0 and the
@@ -485,13 +627,15 @@ def near_ties(count: int) -> list[str]:
     return tokens + [str(t) for t in ties] + [f"{t}0e-1" for t in ties]
 
 
-def test_near_ties_read_as_float_reads_them(monkeypatch):
+def test_near_ties_read_as_float_reads_them(tmp_path):
     tokens = near_ties(500)
     expected = np.array([float(t) for t in tokens]).view(np.uint64).tolist()
-    block = [(1, " ".join(tokens))]
-    assert _text._rows("near-ties", block, len(tokens))[0].view(np.uint64).tolist() == expected
-    with numpy_only():
-        assert _text._rows("near-ties", block, len(tokens))[0].view(np.uint64).tolist() == expected
+    path = tmp_path / "near-ties.txt"
+    path.write_text(" ".join(tokens) + "\n")
+    with _text._Lines(path) as lines:
+        assert lines.floats(1, len(tokens))[0].view(np.uint64).tolist() == expected
+    with numpy_only(), _text._Lines(path) as lines:
+        assert lines.floats(1, len(tokens))[0].view(np.uint64).tolist() == expected
 
 
 COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8", "nl_NL.UTF-8")

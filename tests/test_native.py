@@ -284,3 +284,79 @@ def test_the_library_builds_without_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+SANITIZERS = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+# parse_floats over every prefix of each text, in heap buffers of exactly the prefix's
+# size, for 1-4 rows of 1-3 columns: plain rows, blank lines, an unended last line, and
+# the tokens it refuses or reads at the edges of its exact and strtod_l paths
+PARSE_DRIVER = r"""
+#include <stddef.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+ptrdiff_t parse_floats(const char *, ptrdiff_t, ptrdiff_t, ptrdiff_t, double *, ptrdiff_t *);
+
+static const char *const TEXTS[] = {
+    "1.5 -2e-3\n0.25 7\n-0 +.5\n",
+    "\t1\t2 \n  \n\n3 4\n5 6",
+    "1_0 2\n5. 1e\n1e+ .\n- +\ne5 0x1p-2\n1,5 inf\nnan 1e400\n1e-400 5e-324\n",
+    "1234567890123456789012345 9999999999999999999e27\n1e-27 0.000000000000000000001\n",
+    "1234567890123456789012345678901234567890123456789012345678901234567890 1\n",
+    "1 2\r\n3 4\v\n5 6 7\n8\n\xc2\x85 9\n",
+};
+
+int main(void)
+{
+    for (size_t t = 0; t < sizeof TEXTS / sizeof *TEXTS; t++) {
+        const ptrdiff_t length = (ptrdiff_t)strlen(TEXTS[t]);
+        for (ptrdiff_t size = 0; size <= length; size++) {
+            char *text = malloc(size ? (size_t)size : 1);
+            memcpy(text, TEXTS[t], (size_t)size);
+            for (ptrdiff_t rows = 1; rows <= 4; rows++)
+                for (ptrdiff_t cols = 1; cols <= 3; cols++) {
+                    double *out = malloc((size_t)(rows * cols) * sizeof *out);
+                    ptrdiff_t used[2];
+                    const ptrdiff_t read = parse_floats(text, size, rows, cols, out, used);
+                    const int at_line = !used[0] || used[0] == size || text[used[0] - 1] == '\n';
+                    if (read < 0 || read > rows || used[0] < 0 || used[0] > size || used[1] < read
+                        || !at_line) {
+                        printf("text %zu size %td rows %td cols %td: read %td used %td %td\n",
+                               t, size, rows, cols, read, used[0], used[1]);
+                        return 1;
+                    }
+                    free(out);
+                }
+            free(text);
+        }
+    }
+    return 0;
+}
+"""
+
+
+def sanitized_build(tmp_path: Path, name: str, sources) -> Path:
+    """An executable of the sources, built with the sanitizers and the library's flags."""
+    flags = [flag for flag in native._FLAGS if flag != "-shared"]
+    exe = tmp_path / name
+    subprocess.run([shutil.which("cc"), *flags, *SANITIZERS, "-g", "-o", str(exe),
+                    *map(str, sources), *native._LIBS], check=True, capture_output=True, text=True)
+    return exe
+
+
+@needs_cc
+def test_parser_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    try:
+        exe = sanitized_build(tmp_path, "probe", [probe])
+        subprocess.run([exe], check=True, capture_output=True)
+    except subprocess.CalledProcessError:
+        pytest.skip("cc cannot build or run a program with -fsanitize=address,undefined")
+    driver = tmp_path / "driver.c"
+    driver.write_text(PARSE_DRIVER)
+    exe = sanitized_build(tmp_path, "driver", [driver, Path(native.__file__).with_name("_parse.c")])
+    result = subprocess.run([exe], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")

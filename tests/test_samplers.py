@@ -323,7 +323,7 @@ class TestAnnealKernel:
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
     def test_same_result_on_any_number_of_cores(self, monkeypatch):
-        # 40 reads make 3 blocks on one core, 4 on two, 3 on three and 4 on eight
+        # 40 reads make 3 blocks on any number of cores, run by 1, 2, 3 and 3 threads
         q = random_qubo(np.random.default_rng(140), 40)
         schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
         results = []
