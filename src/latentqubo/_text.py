@@ -1,10 +1,9 @@
 """The package's text codec: the float format, the one file writer and the one reader.
 
-Files are UTF-8 text.  The reader, _Lines, streams a file through one byte buffer
-of _BUFFER bytes, which grows only to hold a longer line, and numbers its lines as
-Path.read_text().splitlines() does, blank lines counted.  Rows of decimal numbers
-go from the buffer to the compiled parser as bytes, every whole line buffered in one
-call, so no loader holds a file's text.  A tagged file starts with
+Files are UTF-8 text.  The reader, _Lines, reads a file line by line through Python's
+buffered file object and numbers its lines as Path.read_text().splitlines() does, blank
+lines counted.  Rows of decimal numbers go to the compiled parser as bytes, in chunks of
+whole lines, so no loader holds a file's text.  A tagged file starts with
 '<NAME> v1 <key>=<value> <key>=<value>'; its readers' ValueErrors name the file and
 the 1-based line.
 """
@@ -24,7 +23,9 @@ from . import _native
 # Decimal text with the 17 significant digits that read back as the same float64.
 float_text = "%.17g".__mod__
 
-_BUFFER = 256 * 1024  # the bytes _Lines reads at a time
+# Bytes of a parser chunk, before the rest of its last line.  Each chunk is new, so it stays
+# under glibc's 128 KiB mmap threshold: freeing a bigger one raises it, so the heap holds the next.
+_BUFFER = 64 * 1024
 
 
 def write_lines(path, lines) -> None:
@@ -50,10 +51,10 @@ def write_tagged(path, name: str, header: dict, body) -> None:
 
 
 class _Lines:
-    """A UTF-8 file's lines read through one buffer; iterating gives each nonblank (lineno, line).
+    """A UTF-8 file's lines; iterating gives each nonblank (lineno, line).
 
-    The file splits at each newline byte into pieces, and each piece's str.splitlines()
-    gives its lines, so the lines are numbered as
+    The buffered file splits at each newline byte into pieces, and each piece's
+    str.splitlines() gives its lines, so the lines are numbered as
     enumerate(Path(path).read_text().splitlines(), 1) numbers them: universal newlines,
     and \\v, \\f, \\x1c-\\x1e, U+0085, U+2028 and U+2029 end a line too.  A line is blank
     where str.split() splits it into nothing.  A byte that is not UTF-8 is a ValueError
@@ -62,10 +63,8 @@ class _Lines:
 
     def __init__(self, path):
         self.path = path
-        self._file = open(path, "rb", buffering=0)
+        self._file = open(path, "rb")
         self._size = os.fstat(self._file.fileno()).st_size
-        self._buf = bytearray(min(_BUFFER, self._size + 1))  # no larger than the file needs
-        self._start = self._end = 0  # the bytes read but not yet passed are _buf[_start:_end]
         self._lineno = 0  # the lines passed, queued ones included
         self._queued: deque[tuple[int, str]] = deque()  # decoded lines not yet handed out
 
@@ -79,45 +78,16 @@ class _Lines:
         return self
 
     def __next__(self) -> tuple[int, str]:
-        while self._queued or self._queue_piece():
+        while self._queued or self._queue(self._file.readline()):
             lineno, line = self._queued.popleft()
             if line and not line.isspace():
                 return lineno, line
         raise StopIteration
 
-    def _fill(self) -> bool:
-        """Move the unpassed bytes to the front and read on after them; False at the end of file.
-
-        Where they fill the buffer, a line longer than it, the buffer doubles.
-        """
-        kept = self._end - self._start
-        if kept == len(self._buf):
-            self._buf = self._buf + bytes(kept)
-        else:
-            self._buf[:kept] = self._buf[self._start : self._end]
-        self._start, self._end = 0, kept
-        read = self._file.readinto(memoryview(self._buf)[kept:])
-        self._end += read
-        return read > 0
-
-    def _whole(self, last: bool) -> int:
-        """The end of the first (or the last) whole line buffered from _start; reads on for one.
-
-        At the end of file, _end: past the unended last line, or _start where nothing is left.
-        """
-        while True:
-            find = self._buf.rfind if last else self._buf.find
-            stop = find(b"\n", self._start, self._end) + 1
-            if stop or not self._fill():
-                return stop or self._end
-
-    def _queue_piece(self) -> bool:
-        """Decode the next piece and queue its lines; False at the end of file."""
-        stop = self._whole(last=False)
-        if stop == self._start:
+    def _queue(self, piece: bytes) -> bool:
+        """Decode a piece and queue its lines; False for the empty piece of the end of file."""
+        if not piece:
             return False
-        piece = self._buf[self._start : stop]
-        self._start = stop
         try:
             lines = piece.decode().splitlines()
         except UnicodeDecodeError as exc:
@@ -131,17 +101,17 @@ class _Lines:
     def floats(self, rows: int, cols: int) -> np.ndarray:
         """The next rows nonblank lines, each as cols finite float64 values, as _row reads them.
 
-        Fewer rows only where the file ends first.  The compiled parser reads the whole lines
-        buffered, straight from the buffer, with float()'s bits, passing over blank lines, and
-        hands back the line it refuses, which _row reads or rejects with the ValueError naming
-        its line.  Without a compiler every line goes through _row, as it does where the bytes
-        left in the file are too few to hold rows x cols values, so a header's rows and cols
-        size no array beyond the file.
+        Fewer rows only where the file ends first.  The compiled parser reads chunks of
+        _BUFFER bytes and the rest of their last line, with float()'s bits, passing over blank
+        lines; the bytes it did not pass go back to the file, and _row reads the line it
+        refuses or rejects it with the ValueError naming its line.  Without a compiler, on a
+        file that cannot seek, or where the bytes left are too few to hold rows x cols values,
+        every line goes through _row, so a header's rows and cols size no array beyond the file.
         """
         lib = _native.library()
-        left = self._size - self._file.tell() + self._end - self._start
+        chunked = lib is not None and self._file.seekable()  # a pipe cannot take bytes back
         # cols values and the newline after them take at least 2 cols bytes a line
-        if lib is None or left + 1 < 2 * cols * rows:
+        if not chunked or self._size - self._file.tell() + 1 < 2 * cols * rows:
             block = [_row(line.split(), cols, f"{self.path}:{n}") for n, line in islice(self, rows)]
             return np.array(block).reshape(-1, cols)
         out = np.empty((rows, cols))
@@ -149,16 +119,20 @@ class _Lines:
         row = 0
         while row < rows:
             if not self._queued:
-                stop = self._whole(last=True)
-                if stop == self._start:
+                chunk = bytearray(_BUFFER)
+                del chunk[self._file.readinto(chunk) :]
+                chunk += self._file.readline()
+                if not chunk:
                     break
-                text = np.frombuffer(self._buf, np.uint8, stop - self._start, self._start)
+                text = np.frombuffer(chunk, np.uint8)
                 row += lib.parse_floats(text, text.size, rows - row, cols, out[row:], used)
-                self._start += int(used[0])
+                self._file.seek(int(used[0]) - text.size, os.SEEK_CUR)
                 self._lineno += int(used[1])
-                if row == rows or self._start == stop:
+                refused = used[0] < text.size
+                del text, chunk  # so that the next chunk is the only one
+                if row == rows or not refused:
                     continue
-            item = next(self, None)  # a line of the piece the parser refused
+            item = next(self, None)  # a line of the chunk the parser refused
             if item is None:
                 break
             out[row] = _row(item[1].split(), cols, f"{self.path}:{item[0]}")

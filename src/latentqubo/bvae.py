@@ -301,6 +301,13 @@ def _init_params(arch: BvaeArchitecture, rng: np.random.Generator) -> dict[str, 
     return params
 
 
+def _check_training(epochs: int, learning_rate: float, batch_size: int) -> None:
+    if epochs < 1 or batch_size < 1:
+        raise ValueError(f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+
+
 def bvae_train(
     data,
     arch: BvaeArchitecture,
@@ -316,8 +323,7 @@ def bvae_train(
     All stochastic choices (init, shuffles, Gumbel draws) come from a single
     seeded generator, so identical inputs give identical models.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _check_training(epochs, learning_rate, batch_size)
     T_all = _check_batch(arch, data)
     count = T_all.shape[0]
     if count == 0:
@@ -392,8 +398,8 @@ def decode(
     n = model.architecture.latent_bits
     if x.size != n:
         raise ValueError(f"dimension mismatch: model has n={n}, vector has length {x.size}")
-    if blur_radius_px < 0:
-        raise ValueError(f"blur_radius_px must be >= 0, got {blur_radius_px}")
+    if not 0 <= blur_radius_px < np.inf:
+        raise ValueError(f"blur_radius_px must be finite and >= 0, got {blur_radius_px}")
     m = model.architecture.image_side
     continuous = _sigmoid(_mlp(model.params, "dec", x.astype(np.float64)[None, :])[2]).reshape(m, m)
     if blur_radius_px > 0:

@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import _text
-from .bvae import BvaeArchitecture, bvae_train, decode, load_bvae, reconstruction_accuracy, save_bvae
+from .bvae import (
+    BvaeArchitecture,
+    _check_training,
+    bvae_train,
+    decode,
+    load_bvae,
+    reconstruction_accuracy,
+    save_bvae,
+)
 from .dataset import load_dataset, save_dataset
 from .images import load_images, load_pgm, save_images
 from .objectives import (
@@ -225,8 +233,9 @@ def _cmd_train_bvae(args) -> int:
             encoder_hidden=tuple(int(s) for s in args.encoder_hidden.split(",")),
             decoder_hidden=tuple(int(s) for s in args.decoder_hidden.split(",")),
         )
+        _check_training(args.epochs, args.learning_rate, args.batch_size)
     except ValueError as exc:
-        raise ConfigError(f"invalid autoencoder architecture: {exc}") from exc
+        raise ConfigError(f"invalid autoencoder architecture or training: {exc}") from exc
     model, curves = bvae_train(
         images,
         arch,

@@ -82,8 +82,8 @@ class FmTrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.rank < 1:
             raise ValueError("epochs and rank must both be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if len(self.split) != 3 or any(f < 0 for f in self.split):
             raise ValueError(f"split must be three nonnegative fractions, got {self.split!r}")
         if abs(sum(self.split) - 1.0) > 1e-9:

@@ -104,14 +104,16 @@ class PipelineConfig:
             raise ValueError(
                 f"bit_flip copies must lie in [1, {self.latent_bits}], got {self.bit_flip_copies}"
             )
-        if not self.label_margin >= 0:
-            raise ValueError(f"label_margin must be >= 0, got {self.label_margin}")
+        if not 0 <= self.label_margin < np.inf:
+            raise ValueError(f"label_margin must be finite and >= 0, got {self.label_margin}")
         if self.fm_epochs < 1:
             raise ValueError(f"fm_epochs must be >= 1, got {self.fm_epochs}")
-        if not self.decode_blur >= 0:
-            raise ValueError(f"decode_blur must be >= 0, got {self.decode_blur}")
-        if not self.fm_learning_rate > 0:
-            raise ValueError(f"fm_learning_rate must be > 0, got {self.fm_learning_rate}")
+        if not 0 <= self.decode_blur < np.inf:
+            raise ValueError(f"decode_blur must be finite and >= 0, got {self.decode_blur}")
+        if not 0 < self.fm_learning_rate < np.inf:
+            raise ValueError(
+                f"fm_learning_rate must be finite and > 0, got {self.fm_learning_rate}"
+            )
 
 
 @dataclass(frozen=True)

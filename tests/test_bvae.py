@@ -257,6 +257,17 @@ class TestTraining:
         with pytest.raises(ValueError):
             lq.bvae_train(np.zeros((0, 4, 4)), tiny_arch(), epochs=1, seed=0)
 
+    @pytest.mark.parametrize("setting, match", [
+        (dict(epochs=0), "epochs"), (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=-3), "batch_size"), (dict(learning_rate=-1.0), "learning_rate"),
+        (dict(learning_rate=0.0), "learning_rate"), (dict(learning_rate=math.inf), "learning_rate"),
+        (dict(learning_rate=math.nan), "learning_rate"),
+    ])
+    def test_bad_setting_rejected_before_the_images_are_read(self, setting, match):
+        # images of the wrong side: the settings are checked first
+        with pytest.raises(ValueError, match=match):
+            lq.bvae_train(np.zeros((2, 3, 3)), tiny_arch(), **{"epochs": 1, "seed": 0, **setting})
+
     def test_fixture_reconstruction_quality(self, toy_bvae, half_plane_corpus):
         assert lq.reconstruction_accuracy(toy_bvae, half_plane_corpus) >= 0.9
 
@@ -308,6 +319,11 @@ class TestEncodeDecode:
     def test_negative_blur_rejected(self, toy_bvae):
         with pytest.raises(ValueError, match="blur"):
             lq.decode(toy_bvae, np.zeros(16, dtype=np.uint8), blur_radius_px=-1.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_infinite_or_nan_blur_rejected(self, toy_bvae, radius):
+        with pytest.raises(ValueError, match="blur"):
+            lq.decode(toy_bvae, np.zeros(16, dtype=np.uint8), blur_radius_px=radius)
 
 
 class TestCheckpoint:

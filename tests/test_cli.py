@@ -94,6 +94,12 @@ class TestTrainBvae:
         ("--encoder-hidden", "16,x"),
         ("--decoder-hidden", "0,8"),
         ("--latent-bits", "0"),
+        ("--batch-size", "-3"),
+        ("--batch-size", "0"),
+        ("--epochs", "0"),
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "inf"),
+        ("--learning-rate", "nan"),
     ])
     def test_bad_size_is_a_configuration_error(self, tmp_path, capsys, flag, value):
         corpus = tmp_path / "corpus.txt"
@@ -104,6 +110,17 @@ class TestTrainBvae:
                    "--out", str(out)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["IMG v1 m=6 count=0\n", "IMG v1 m=6 count=1\n0 1\n"],
+                             ids=["empty", "malformed"])
+    def test_bad_corpus_is_a_runtime_error(self, tmp_path, capsys, body):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(body)
+        out = tmp_path / "model.txt"
+        rc = main(["train-bvae", "--images", str(corpus), "--epochs", "1", "--out", str(out)])
+        assert rc == 4
+        assert "configuration error" not in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -222,6 +239,16 @@ class TestRunLoop:
         rc = main(["run-loop", "--config", config])
         assert rc == 4
         assert f"{path}:2:" in capsys.readouterr().err
+
+
+def check_setting_is_rejected(workspace, capsys, setting: str):
+    """run-loop exits 2, naming the key, with one [pipeline] setting added, and writes nothing."""
+    tmp_path, config = workspace
+    path = tmp_path / "run.ini"
+    path.write_text(path.read_text().replace("seed = 21", f"seed = 21\n{setting}"))
+    assert main(["run-loop", "--config", config]) == 2
+    assert setting.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:
@@ -345,12 +372,13 @@ class TestConfigErrors:
          "fm_learning_rate = 0", "fm_learning_rate = -0.1"],
     )
     def test_nan_or_non_positive_setting(self, workspace, capsys, setting):
-        tmp_path, config = workspace
-        path = tmp_path / "run.ini"
-        path.write_text(path.read_text().replace("seed = 21", f"seed = 21\n{setting}"))
-        assert main(["run-loop", "--config", config]) == 2
-        assert setting.split()[0] in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        check_setting_is_rejected(workspace, capsys, setting)
+
+    @pytest.mark.parametrize(
+        "setting", ["label_margin = inf", "decode_blur = inf", "fm_learning_rate = inf"]
+    )
+    def test_infinite_setting(self, workspace, capsys, setting):
+        check_setting_is_rejected(workspace, capsys, setting)
 
     def test_infinite_beta_end(self, workspace, capsys):
         tmp_path, config = workspace

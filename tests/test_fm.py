@@ -292,6 +292,11 @@ class TestTraining:
         with pytest.raises(ValueError, match="sum to 1"):
             lq.FmTrainConfig(split=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("rate", [0.0, -0.05, float("inf"), float("nan")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            lq.FmTrainConfig(learning_rate=rate)
+
 
 class TestFmKernel:
     """The compiled Adagrad fit against the numpy loop it replaces: the same bits."""

@@ -10,6 +10,7 @@ import os
 import pickle
 import re
 import shutil
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -431,14 +432,17 @@ def test_malformed_files_fail_alike_through_a_tiny_buffer(tmp_path):
             assert load_or_error(loader, path) == expected
 
 
-def test_malformed_files_leave_no_file_open(tmp_path):
+def test_loaded_and_malformed_files_leave_no_file_open(tmp_path):
     cases = [case.values[:2] for case in MALFORMED]
     cases += [(lq.load_pgm, case.values[0]) for case in MALFORMED_PGM]
+    for save, load, obj in valid_samples():
+        save(obj, tmp_path / "good.txt")
+        cases.append((load, (tmp_path / "good.txt").read_bytes()))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         for loader, body in cases:
             try:
-                loader(write(tmp_path / "bad.txt", body))
+                loader(write(tmp_path / "file.txt", body))
             except ValueError:
                 pass
         gc.collect()
@@ -459,27 +463,18 @@ def count_parses(monkeypatch) -> list:
 def parser_calls(data: bytes, buffer: int) -> int:
     """The parse_floats calls that load_bvae makes on a checkpoint whose rows all parse.
 
-    The reader reads on only where no whole line is left in its buffer: it keeps the
-    unended line and fills the rest, and it doubles a buffer the line fills.  So each fill's
-    whole lines are one span of the file, whatever was read between, and the parser is
-    called once for each span that a LAYER block's rows reach into.
+    From a LAYER block's next row, each call's chunk is buffer bytes and the rest of the
+    line they end in, and the parser passes every whole row of the block in it.
     """
-    capacity, start, spans = min(buffer, len(data) + 1), 0, []
-    while start < len(data):
-        window = data[start : start + capacity]
-        stop = window.rfind(b"\n") + 1
-        if not stop and len(window) == capacity:
-            capacity *= 2
-            continue
-        spans.append((start, start + (stop or len(window))))
-        start = spans[-1][1]
     lines = data.splitlines(keepends=True)
     offsets = np.cumsum([0] + [len(line) for line in lines])
     calls = 0
     for i, line in enumerate(lines):
         if line.startswith(b"LAYER "):
-            first, end = offsets[i + 1], offsets[i + 1 + int(line.split()[2])]
-            calls += sum(lo < end and first < hi for lo, hi in spans)
+            start, end = offsets[i + 1], offsets[i + 1 + int(line.split()[2])]
+            while start < end:
+                start = min(end, data.find(b"\n", start + buffer) + 1 or len(data))
+                calls += 1
     return calls
 
 
@@ -531,14 +526,51 @@ def test_checkpoint_reads_alike_on_both_paths(saved_checkpoint, monkeypatch, sid
 @needs_cc
 @pytest.mark.parametrize("side, bits", CHECKPOINTS)
 def test_checkpoint_reads_alike_through_a_tiny_buffer(saved_checkpoint, monkeypatch, side, bits):
-    # 5 bytes, doubled to hold the longest row: every row and token crosses a buffer edge
+    # 5 bytes and the rest of the row they end in: one chunk, and one parser call, per row
     path, params = saved_checkpoint(side, bits)
     check_checkpoint_reads_alike(monkeypatch, path, params, 5)
 
 
 @needs_cc
+def test_tiny_checkpoint_reads_alike_through_every_buffer(tmp_path, monkeypatch):
+    """Chunks of 1 byte to the whole file, each read on to the end of its line, give one result.
+
+    Valid, that is the file's bits, in the calls parser_calls counts; with a row of two values
+    in a block of one column, the error naming that row.  Both as the numpy path gives them.
+    """
+    good = write(tmp_path / "good.txt", tiny_checkpoint())
+    bad = write(tmp_path / "bad.txt", checkpoint_with("0 0"))
+    with numpy_only():
+        expected = [load_or_error(lq.load_bvae, good), load_or_error(lq.load_bvae, bad)]
+    assert expected[1] == f"{bad}:8: expected 1 finite numbers, got 2 fields"
+    parses = count_parses(monkeypatch)
+    for buffer in range(1, good.stat().st_size + 1):
+        monkeypatch.setattr(_text, "_BUFFER", buffer)
+        parses.clear()
+        assert load_or_error(lq.load_bvae, good) == expected[0]
+        assert len(parses) == parser_calls(good.read_bytes(), buffer)
+        assert load_or_error(lq.load_bvae, bad) == expected[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_checkpoint_reads_alike_from_a_pipe(saved_checkpoint, tmp_path):
+    # a pipe cannot seek, so every row goes through numpy, sized by no header
+    path, _ = saved_checkpoint(8, 16)
+    pipe = tmp_path / "bvae.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        piped = load_or_error(lq.load_bvae, pipe)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped == load_or_error(lq.load_bvae, path)
+
+
+@needs_cc
 def test_checkpoint_load_holds_no_more_than_its_arrays(saved_checkpoint):
-    # the arrays, the model's locked copies of them and the read buffer; the file is 14 MB
+    # the arrays, the model's locked copies of them and one chunk; the file is 14 MB
     path, params = saved_checkpoint(16, 180)
     arrays = sum(values.nbytes for values in params.values())
     tracemalloc.start()

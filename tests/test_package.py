@@ -1,7 +1,15 @@
+import ast
 import types
+from pathlib import Path
 
 import latentqubo as lq
 from latentqubo import bvae, dataset, fm, images, objectives, pipeline, qubo, samplers
+
+# calls that read or write a file's contents; only _text.py makes them
+FILE_CALLS = {
+    "open", "read_text", "write_text", "read_bytes", "write_bytes",
+    "loadtxt", "savetxt", "fromfile", "tofile",
+}
 
 
 def test_public_names_are_the_modules_exports():
@@ -11,3 +19,21 @@ def test_public_names_are_the_modules_exports():
     }
     modules = (bvae, dataset, fm, images, objectives, pipeline, qubo, samplers)
     assert exported == {name for module in modules for name in module.__all__}
+
+
+def file_calls(source: str) -> list[str]:
+    """The names of the FILE_CALLS that source makes, as functions or as methods."""
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    names = [getattr(func, "id", None) or getattr(func, "attr", None) for func in calls]
+    return [name for name in names if name in FILE_CALLS]
+
+
+def test_only_the_text_codec_reads_and_writes_files():
+    # _native hashes its own C sources; every other file goes through _text's reader and writer
+    package = Path(lq.__file__).parent
+    found = {
+        path.name: calls for path in sorted(package.glob("*.py"))
+        if path.name != "_text.py" and (calls := file_calls(path.read_text()))
+    }
+    assert found == {"_native.py": ["read_bytes"]}
+    assert file_calls("from pathlib import Path\nPath('x').read_text()\n") == ["read_text"]

@@ -99,6 +99,9 @@ class TestConfigValidation:
             (dict(fm_learning_rate=-0.05), "fm_learning_rate"),
             (dict(fm_learning_rate=float("nan")), "fm_learning_rate"),
             (dict(sampler="brute_force", latent_bits=25), "BRUTE_FORCE_MAX_BITS = 24"),
+            (dict(label_margin=float("inf")), "label_margin"),
+            (dict(decode_blur=float("inf")), "decode_blur"),
+            (dict(fm_learning_rate=float("inf")), "fm_learning_rate"),
         ],
     )
     def test_rejections(self, half_plane_target, overrides, msg):
