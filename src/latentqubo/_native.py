@@ -1,6 +1,7 @@
 """The package's C kernels, built once per source tree and cached on disk.
 
-``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads), ``_fm.c`` (every epoch of
+``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads, over a
+dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
 states, summed in ``qubo_energy``'s order) and ``_parse.c`` (rows of decimal
 text straight from the text reader's buffer, read as ``float()`` reads them) are compiled
@@ -130,10 +131,12 @@ def library():
         return None
     size, f64 = ctypes.c_ssize_t, np.float64
     lib.anneal_block.argtypes = [
-        size, size, size,  # n, sweeps, lanes (reads in the block)
-        _array(f64, 1), _array(f64, 2), _array(f64, 1),  # linear, coupling pairs (n x 2n), betas
+        size, size, size, size,  # n, k (0 for the dense form), sweeps, lanes (reads in the block)
+        _array(f64, 1), _array(f64, 2),  # linear; coupling pairs (n x 2n) or factors (n x k)
+        _array(f64, 1), _array(f64, 1),  # |v_i|^2 (n, or none), betas
         _array(np.uint64, 2),  # each read's PCG64 state and increment, lanes x 4 words
-        _array(f64, 2, out=True), _array(np.uint64, 2, out=True),  # x, n x 16 lane masks
+        _array(f64, 2, out=True), _array(f64, 2, out=True),  # x; each lane's s = V^T x, k x 16
+        _array(np.uint64, 2, out=True),  # n x 16 lane masks
     ]
     lib.anneal_block.restype = None
     lib.fm_fit.argtypes = [

@@ -190,7 +190,8 @@ def fit_and_sample(
         # samples_per_iteration new ones
         samples = brute_force_sample(q, top_k=cfg.samples_per_iteration + len(data))
     else:
-        samples = simulated_annealing_sample(q, cfg.schedule, seed=sampler_seed)
+        # the factors let each annealing step cost O(rank) instead of O(latent bits)
+        samples = simulated_annealing_sample(q, cfg.schedule, seed=sampler_seed, factors=model.V)
     return model, report, transform, samples
 
 

@@ -32,6 +32,9 @@ _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
 # bit) while it runs, so the cap also bounds the sampler's memory on any machine.
 _MAX_ANNEAL_WORKERS = 4
 _LANES = 16  # reads per kernel call, one per lane; LANES in _anneal.c
+# An FM QUBO anneals through its rank-k factors when n > _FACTORED_BITS_PER_RANK * k,
+# where a step's O(k) factored field costs less than its O(n) dense one.
+_FACTORED_BITS_PER_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _compiled_energies(lib, q: QuboProblem, chunk: int):
 
 
 def simulated_annealing_sample(
-    q: QuboProblem, schedule: AnnealSchedule, seed: int
+    q: QuboProblem, schedule: AnnealSchedule, seed: int, factors=None
 ) -> SampleSet:
     """Single-bit Metropolis annealing with independent restarts.
 
@@ -185,6 +188,15 @@ def simulated_annealing_sample(
     the same however the reads are grouped.  The per-read final states are
     deduplicated and sorted by energy.
 
+    ``factors``, the (n, k) factor matrix V of the factorization machine that
+    q was read off (``fm_to_qubo``), lets a step cost O(k) instead of O(n):
+    q's coupling is then V Vᵀ off the diagonal, so bit i's field is
+    v_i·s - |v_i|² x_i with s = Vᵀx kept per read.  A ValueError rejects
+    factors whose ``np.triu(V @ V.T, 1)`` is not ``q.upper`` exactly.  The
+    sampler takes this form where it is the cheaper one, for n > 4k; below
+    that, and without factors, each field sums all n couplings.  The two
+    fields round differently, so a read can take another step at a near-tie.
+
     The sweeps run in a small C kernel, compiled at the first call after the
     sources or the compiler change and loaded from the on-disk cache after
     that.  One kernel call anneals a block of up to 16 reads, one read per
@@ -195,18 +207,40 @@ def simulated_annealing_sample(
     run in numpy, all reads at once, in the calling thread, drawing each
     read's uniforms one sweep at a time.
     """
+    V = None if factors is None else _checked_factors(q, factors)
+    if V is not None and q.n <= _FACTORED_BITS_PER_RANK * V.shape[1]:
+        V = None  # the dense field costs less
     streams = np.random.SeedSequence(seed).spawn(schedule.num_reads)
     rngs = [np.random.Generator(np.random.PCG64(stream)) for stream in streams]
     x = np.array([rng.integers(0, 2, q.n) for rng in rngs], dtype=np.float64)
     # resolved before the pool starts, so two threads never build it at once
     lib = _native.library()
     if lib is None:
-        _anneal_numpy(q, schedule.betas(), rngs, x)
+        _anneal_numpy(q, schedule.betas(), rngs, x, V)
     else:
-        _anneal_blocks(lib, q, schedule.betas(), rngs, x)
+        _anneal_blocks(lib, q, schedule.betas(), rngs, x, V)
     finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
     energies = qubo_energy(q, finals)
     return _make_sample_set(finals, energies, counts, "simulated_annealing", seed=seed)
+
+
+def _checked_factors(q: QuboProblem, factors) -> np.ndarray:
+    """factors as a C-contiguous float64 (n, k) matrix V, or a ValueError unless triu(V Vᵀ, 1) is q.upper."""
+    V = np.ascontiguousarray(factors, dtype=np.float64)
+    if V.ndim != 2 or V.shape[0] != q.n or V.shape[1] == 0:
+        raise ValueError(f"factors must have shape (n, k) with n={q.n} and k >= 1, got {V.shape}")
+    if not np.array_equal(np.triu(V @ V.T, 1), q.upper):
+        raise ValueError("factors V must give the problem's couplings: np.triu(V @ V.T, 1) != q.upper")
+    return V
+
+
+def _factored_start(V: np.ndarray, x: np.ndarray):
+    """|v_i|² for each bit and s = Vᵀx for each read, each summed in index order from 0.0."""
+    norms = 0.0 + np.cumsum(V * V, axis=1)[:, -1]
+    s = np.zeros((x.shape[0], V.shape[1]))
+    for j in range(x.shape[1]):
+        s += x[:, j, None] * V[j]
+    return norms, s
 
 
 def _cores() -> int:
@@ -223,17 +257,23 @@ def _pcg64_words(rng: np.random.Generator) -> list[int]:
     return [state["state"] & low, state["state"] >> 64, state["inc"] & low, state["inc"] >> 64]
 
 
-def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
+def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:
     """The kernel's steps, a block of up to 16 reads per call; anneals the rows of x in place.
 
     The reads split into ``ceil(reads / 16)`` blocks of near-equal size, on any
     number of cores: a block costs its 16 lanes' sums however few it holds, so
     fewer, fuller blocks beat one more block per thread.  Read r's generator
     has drawn its start state; the kernel goes on with its stream from the
-    state it is handed.
+    state it is handed.  With factors V each block starts from its reads' s,
+    laid out one lane per read; without, from each coupling twice in a row.
     """
     reads, n = x.shape
-    pairs = np.repeat(q.dense_symmetric, 2, axis=1)  # each coefficient twice: one 2-lane load
+    if V is None:
+        k, coupling = 0, np.repeat(q.dense_symmetric, 2, axis=1)  # each coefficient twice: one 2-lane load
+        norms, start = np.empty(0), np.empty((reads, 0))
+    else:
+        k, coupling = V.shape[1], V
+        norms, start = _factored_start(V, x)
     states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
     workers = min(_cores(), _MAX_ANNEAL_WORKERS)
     blocks = -(-reads // _LANES)
@@ -242,27 +282,39 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
     def anneal(b: int) -> None:
         lo, hi = bounds[b], bounds[b + 1]
         masks = np.empty((n, _LANES), dtype=np.uint64)
-        lib.anneal_block(n, betas.size, hi - lo, q.linear, pairs, betas, states[lo:hi], x[lo:hi], masks)
+        s = np.zeros((k, _LANES))
+        s[:, : hi - lo] = start[lo:hi].T
+        lib.anneal_block(n, k, betas.size, hi - lo, q.linear, coupling, norms, betas,
+                         states[lo:hi], x[lo:hi], s, masks)
 
     with ThreadPoolExecutor(min(workers, blocks)) as pool:
         list(pool.map(anneal, range(blocks)))  # re-raises any block's exception
 
 
-def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray) -> None:
+def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:
     """The kernel's steps in numpy, all reads at once; anneals the rows of x in place.
 
-    Each field is summed in the kernel's order and each threshold is the C library's
+    Each field is summed in the kernel's order, dense or through the factors V, each
+    s is updated as the kernel updates it, and each threshold is the C library's
     exp, so both give the same reads.  Read r's uniforms come from ``rngs[r]`` one
     sweep at a time, the stream the kernel draws, so memory stays O(reads·n).
     The fallback, and the kernel's reference in tests.
     """
     reads, n = x.shape
-    linear, coupling = q.linear, q.dense_symmetric
+    if V is None:
+        coupling = q.dense_symmetric
+    else:
+        norms, s = _factored_start(V, x)
     for beta in betas:
         uniforms = np.array([rng.random(n) for rng in rngs])
         for i in range(n):
-            local = linear[i] + (0.0 + np.cumsum(x * coupling[i], axis=1)[:, -1])
-            delta = (1.0 - 2.0 * x[:, i]) * local
+            if V is None:
+                field = 0.0 + np.cumsum(x * coupling[i], axis=1)[:, -1]
+            else:
+                field = (0.0 + np.cumsum(s * V[i], axis=1)[:, -1]) - x[:, i] * norms[i]
+            delta = (1.0 - 2.0 * x[:, i]) * (q.linear[i] + field)
             threshold = np.fromiter(map(math.exp, np.minimum(0.0, -beta * delta)), float, reads)
             accepted = uniforms[:, i] < threshold
             x[accepted, i] = 1.0 - x[accepted, i]
+            if V is not None:
+                s += (accepted * (2.0 * x[:, i] - 1.0))[:, None] * V[i]

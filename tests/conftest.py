@@ -22,6 +22,12 @@ def random_qubo(rng: np.random.Generator, n: int, density: float = 1.0) -> lq.Qu
     return lq.QuboProblem(linear=linear, quadratic=quadratic, offset=float(rng.uniform(-1, 1)))
 
 
+def random_fm(rng: np.random.Generator, n: int, k: int) -> lq.FmModel:
+    """An FM of n bits and rank k whose couplings are of the order of random_qubo's."""
+    return lq.FmModel(w0=float(rng.uniform(-1, 1)), w=rng.uniform(-1, 1, n),
+                      V=rng.uniform(-1, 1, (n, k)) / np.sqrt(k))
+
+
 def all_bit_vectors(n: int) -> np.ndarray:
     ints = np.arange(1 << n, dtype=np.uint64)
     shifts = np.arange(n, dtype=np.uint64)

@@ -15,7 +15,7 @@ import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.fm as fm
 import latentqubo.samplers as samplers
-from conftest import random_qubo
+from conftest import random_fm, random_qubo
 from test_fm import assert_same_model, random_dataset
 from test_samplers import sample_set_contents
 
@@ -346,8 +346,8 @@ def sanitized_build(tmp_path: Path, name: str, sources) -> Path:
     return exe
 
 
-@needs_cc
-def test_parser_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+def sanitized_driver(tmp_path: Path, text: str, source: str) -> Path:
+    """The driver's text built with the named kernel source and the sanitizers, or a skip."""
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     try:
@@ -356,7 +356,89 @@ def test_parser_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     except subprocess.CalledProcessError:
         pytest.skip("cc cannot build or run a program with -fsanitize=address,undefined")
     driver = tmp_path / "driver.c"
-    driver.write_text(PARSE_DRIVER)
-    exe = sanitized_build(tmp_path, "driver", [driver, Path(native.__file__).with_name("_parse.c")])
+    driver.write_text(text)
+    return sanitized_build(tmp_path, "driver", [driver, Path(native.__file__).with_name(source)])
+
+
+@needs_cc
+def test_parser_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    exe = sanitized_driver(tmp_path, PARSE_DRIVER, "_parse.c")
     result = subprocess.run([exe], capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+# anneal_block on each case read from standard input: n, k, sweeps and lanes as four int64,
+# then each input array, read into a heap buffer of exactly its size; writes the final x
+ANNEAL_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+void anneal_block(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const double *, const double *,
+                  const double *, const double *, const uint64_t *, double *, double *, uint64_t *);
+
+static void *take(size_t count, size_t size)
+{
+    void *buffer = malloc(count * size);
+    if (count && (!buffer || fread(buffer, size, count, stdin) != count))
+        exit(2);
+    return buffer;
+}
+
+int main(void)
+{
+    int64_t shape[4];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const ptrdiff_t n = shape[0], k = shape[1], sweeps = shape[2], lanes = shape[3];
+        const size_t d = sizeof(double);
+        double *linear = take(n, d), *coupling = take(n * (k ? k : 2 * n), d);
+        double *norms = take(k ? n : 0, d), *betas = take(sweeps, d);
+        uint64_t *streams = take(4 * lanes, 8);
+        double *x = take(lanes * n, d), *s = take(16 * k, d);
+        uint64_t *masks = malloc(16 * n * 8);
+        anneal_block(n, k, sweeps, lanes, linear, coupling, norms, betas, streams, x, s, masks);
+        fwrite(x, d, lanes * n, stdout);
+        free(linear), free(coupling), free(norms), free(betas), free(streams), free(x), free(s);
+        free(masks);
+    }
+    return 0;
+}
+"""
+
+
+def anneal_case(n: int, k: int, sweeps: int, lanes: int):
+    """One block's kernel input, laid out as _anneal_blocks lays it out, and the numpy loop's final x."""
+    model = random_fm(np.random.default_rng(n * 100 + k), n, max(k, 1))
+    q, V = lq.fm_to_qubo(model), model.V if k else None
+    betas = lq.AnnealSchedule(num_sweeps=sweeps).betas()
+
+    def start_states():
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n + k).spawn(lanes)]
+        return rngs, np.array([rng.integers(0, 2, n) for rng in rngs], dtype=np.float64)
+
+    rngs, x = start_states()
+    streams = np.array([samplers._pcg64_words(rng) for rng in rngs], dtype=np.uint64)
+    if k:
+        coupling, (norms, start) = V, samplers._factored_start(V, x)
+    else:
+        coupling, norms, start = np.repeat(q.dense_symmetric, 2, axis=1), np.empty(0), np.empty((lanes, 0))
+    s = np.zeros((k, 16))
+    s[:, :lanes] = start.T
+    stdin = np.array([n, k, sweeps, lanes], dtype=np.int64).tobytes() + b"".join(
+        np.ascontiguousarray(a).tobytes() for a in (q.linear, coupling, norms, betas, streams, x, s))
+    rngs, expected = start_states()
+    samplers._anneal_numpy(q, betas, rngs, expected, V)
+    return stdin, expected
+
+
+@needs_cc
+def test_annealer_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # both forms, dense (k = 0) and factored, at edge sizes of n, of the block and of k
+    exe = sanitized_driver(tmp_path, ANNEAL_DRIVER, "_anneal.c")
+    cases = [anneal_case(n, k, sweeps, lanes) for n in (1, 2, 16, 17, 64) for lanes in (1, 15, 16)
+             for k in (0, 1, 8) for sweeps in (1, 3)]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(x.tobytes() for _, x in cases)

@@ -9,7 +9,7 @@ import pytest
 import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.samplers as samplers
-from conftest import all_bit_vectors, random_qubo
+from conftest import all_bit_vectors, random_fm, random_qubo
 
 
 class TestBruteForce:
@@ -298,6 +298,72 @@ class TestAnnealKernel:
         looped = lq.simulated_annealing_sample(q, schedule, seed=n)
         assert sample_set_contents(compiled) == sample_set_contents(looped)
 
+    # FM QUBOs above the crossover, which anneal through their factors: at rank 1 and 8,
+    # the block sizes above, and one sweep of a full block and of one read
+    FACTORED_CASES = [
+        (n, k, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
+        for n, sweeps in ((64, 20), (130, 8), (180, 6))
+        for k in (1, 8)
+        for reads in (1, 15, 16, 17, 33)
+    ] + [(180, 8, lq.AnnealSchedule(num_sweeps=1, num_reads=16)),
+         (64, 1, lq.AnnealSchedule(num_sweeps=1, num_reads=1))]
+
+    @pytest.mark.parametrize("n, k, schedule", FACTORED_CASES)
+    def test_factored_same_sample_set_as_numpy_loop(self, monkeypatch, n, k, schedule):
+        model = random_fm(np.random.default_rng(300 + n + k), n, k)
+        q = lq.fm_to_qubo(model)
+        compiled = lq.simulated_annealing_sample(q, schedule, seed=n, factors=model.V)
+        monkeypatch.setattr(native, "library", lambda: None)
+        looped = lq.simulated_annealing_sample(q, schedule, seed=n, factors=model.V)
+        assert sample_set_contents(compiled) == sample_set_contents(looped)
+
+    @pytest.mark.parametrize("n, k, factored", [(16, 8, False), (32, 8, False), (33, 8, True),
+                                                (5, 1, True), (4, 1, False)])
+    def test_factors_are_used_above_four_bits_per_rank(self, monkeypatch, n, k, factored):
+        forms = []
+        numpy_loop = samplers._anneal_numpy
+        monkeypatch.setattr(samplers, "_anneal_numpy",
+                            lambda *args: forms.append(args[4] is not None) or numpy_loop(*args))
+        monkeypatch.setattr(native, "library", lambda: None)
+        model = random_fm(np.random.default_rng(n), n, k)
+        lq.simulated_annealing_sample(lq.fm_to_qubo(model), lq.AnnealSchedule(num_sweeps=2), 0,
+                                      factors=model.V)
+        assert forms == [factored]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_factors_below_the_crossover_change_nothing(self, monkeypatch, compiled):
+        if not compiled:
+            monkeypatch.setattr(native, "library", lambda: None)
+        model = random_fm(np.random.default_rng(8), 16, 4)
+        q = lq.fm_to_qubo(model)
+        schedule = lq.AnnealSchedule(num_sweeps=100, num_reads=20)
+        with_factors = lq.simulated_annealing_sample(q, schedule, 3, factors=model.V)
+        assert sample_set_contents(with_factors) == sample_set_contents(
+            lq.simulated_annealing_sample(q, schedule, 3))
+
+    def test_factors_that_do_not_give_the_couplings_are_rejected(self):
+        model = random_fm(np.random.default_rng(6), 40, 3)
+        q = lq.fm_to_qubo(model)
+        off_by_one_ulp = model.V.copy()
+        off_by_one_ulp[7, 2] = np.nextafter(off_by_one_ulp[7, 2], np.inf)
+        schedule = lq.AnnealSchedule(num_sweeps=2, num_reads=1)
+        for bad in (off_by_one_ulp, model.V[:-1], model.V[:, :0], model.V[:, 0], 2.0 * model.V,
+                    np.where(model.V == model.V[0, 0], np.nan, model.V)):
+            with pytest.raises(ValueError, match="factors"):
+                lq.simulated_annealing_sample(q, schedule, 0, factors=bad)
+
+    def test_factored_reads_end_where_dense_reads_end(self):
+        # the two fields round differently, so a read may part at a near-tie, but rarely
+        same = total = 0
+        for seed in range(3):
+            model = random_fm(np.random.default_rng(seed), 180, 8)
+            q = lq.fm_to_qubo(model)
+            finals = [annealed_reads(q, lq.AnnealSchedule(num_sweeps=100, num_reads=48), seed, V)
+                      for V in (None, model.V)]
+            same += int(np.all(finals[0] == finals[1], axis=1).sum())
+            total += len(finals[0])
+        assert same >= 0.95 * total
+
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_kernel_loads_where_a_compiler_is_found(self):
         assert native.library() is not None
@@ -354,6 +420,18 @@ class TestAnnealKernel:
         assert traced_peak(180, lq.AnnealSchedule(num_sweeps=20, num_reads=100)) < 1.25 * 2**20
 
 
+def annealed_reads(q: lq.QuboProblem, schedule: lq.AnnealSchedule, seed: int, V) -> np.ndarray:
+    """Every read's final state in read order, as the sampler anneals them, dense or through V."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(schedule.num_reads)]
+    x = np.array([rng.integers(0, 2, q.n) for rng in rngs], dtype=np.float64)
+    lib = native.library()
+    if lib is None:
+        samplers._anneal_numpy(q, schedule.betas(), rngs, x, V)
+    else:
+        samplers._anneal_blocks(lib, q, schedule.betas(), rngs, x, V)
+    return x
+
+
 def traced_peak(n: int, schedule: lq.AnnealSchedule) -> int:
     """The traced peak memory of one annealing call on a random QUBO, in bytes."""
     q = random_qubo(np.random.default_rng(0), n)
@@ -386,6 +464,43 @@ def reference_anneal(q: lq.QuboProblem, schedule: lq.AnnealSchedule, seed: int):
     return finals
 
 
+def reference_factored_anneal(model: lq.FmModel, schedule: lq.AnnealSchedule, seed: int):
+    """Every read's final state, annealed through the FM's factors one step at a time in plain Python.
+
+    Each read keeps s = V^T x, summed over the bits in index order; bit i's field is the
+    sum over f in index order of V[i, f] s[f], less |v_i|^2 where x[i] is set, and a
+    flip adds V[i, f] to s[f] where it sets the bit and subtracts it where it clears it.
+    """
+    V, linear = model.V.tolist(), model.w.tolist()
+    norms = []
+    for row in V:
+        norm = 0.0
+        for v in row:
+            norm += v * v
+        norms.append(norm)
+    finals = []
+    for stream in np.random.SeedSequence(seed).spawn(schedule.num_reads):
+        rng = np.random.default_rng(stream)
+        x = rng.integers(0, 2, model.n).tolist()
+        uniforms = rng.random((schedule.num_sweeps, model.n)).tolist()
+        s = [0.0] * model.k
+        for j in range(model.n):
+            if x[j]:
+                s = [s_f + v for s_f, v in zip(s, V[j])]
+        for beta, sweep in zip(schedule.betas().tolist(), uniforms):
+            for i in range(model.n):
+                dot = 0.0
+                for v, s_f in zip(V[i], s):
+                    dot += v * s_f
+                field = dot - norms[i] if x[i] else dot
+                delta = (1 - 2 * x[i]) * (linear[i] + field)
+                if sweep[i] < math.exp(min(0.0, -beta * delta)):
+                    x[i] = 1 - x[i]
+                    s = [s_f + v if x[i] else s_f - v for s_f, v in zip(s, V[i])]
+        finals.append(tuple(x))
+    return finals
+
+
 class TestAnnealReference:
     """Both paths against a pure-Python annealer that pins the visiting order and the draws."""
 
@@ -406,6 +521,26 @@ class TestAnnealReference:
         q = random_qubo(np.random.default_rng(500 + n), n)
         finals = reference_anneal(q, schedule, seed=n)
         ss = lq.simulated_annealing_sample(q, schedule, seed=n)
+        got = {tuple(e.vector.tolist()): e.occurrences for e in ss.entries}
+        assert got == {state: finals.count(state) for state in finals}
+
+    # FMs of more than four bits per rank, which anneal through their factors
+    FACTORED_CASES = [
+        (5, 1, lq.AnnealSchedule(beta_start=0.1, beta_end=0.5, num_sweeps=2, num_reads=3)),
+        (9, 2, lq.AnnealSchedule(beta_start=0.2, beta_end=2.0, num_sweeps=3, num_reads=3)),
+        (13, 3, lq.AnnealSchedule(beta_start=0.5, beta_end=5.0, num_sweeps=4, num_reads=2)),
+    ]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("n, k, schedule", FACTORED_CASES)
+    def test_factored_same_reads_as_reference(self, monkeypatch, compiled, n, k, schedule):
+        if not compiled:
+            monkeypatch.setattr(native, "library", lambda: None)
+        elif native.library() is None:
+            pytest.skip("no compiled kernel")
+        model = random_fm(np.random.default_rng(600 + n), n, k)
+        finals = reference_factored_anneal(model, schedule, seed=n)
+        ss = lq.simulated_annealing_sample(lq.fm_to_qubo(model), schedule, seed=n, factors=model.V)
         got = {tuple(e.vector.tolist()): e.occurrences for e in ss.entries}
         assert got == {state: finals.count(state) for state in finals}
 
