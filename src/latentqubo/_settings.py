@@ -1,0 +1,50 @@
+"""The two rules every numeric setting passes: a count and a finite real, each within bounds.
+
+A setting that breaks its rule is a ConfigError naming it, which the command line reports
+as a configuration error (exit 2).  A check that relates two settings stays with them.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent configuration."""
+
+
+def count(name: str, value, low: int = 1, high: float = math.inf) -> int:
+    """value as an int; a ConfigError naming it unless it is an integer in [low, high].
+
+    An integer is an int or anything with __index__, such as numpy's integers.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not low <= number <= high:
+        _reject(name, "an integer", value, low, high, strict=False)
+    return number
+
+
+def real(name: str, value, low: float = -math.inf, high: float = math.inf, strict=False) -> float:
+    """value as a float; a ConfigError naming it unless it is a finite real in [low, high].
+
+    A real is an int or a float, numpy's included.  Where strict, low and high are refused too.
+    """
+    # int and float first: they skip the slower abstract-class check
+    number = float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
+    inside = low < number < high if strict else low <= number <= high
+    if not (inside and math.isfinite(number)):
+        _reject(name, "a finite real", value, low, high, strict)
+    return number
+
+
+def _reject(name: str, kind: str, value, low, high, strict: bool):
+    ops, ends = ((">", "<"), "()") if strict else ((">=", "<="), "[]")
+    bounds = [f"{op} {end}" for op, end in zip(ops, (low, high)) if math.isfinite(end)]
+    if len(bounds) == 2:
+        bounds = [f"in {ends[0]}{low}, {high}{ends[1]}"]
+    raise ConfigError(f"{name} must be {' '.join([kind, *bounds])}, got {value!r}")

@@ -119,9 +119,7 @@ class _Lines:
         row = 0
         while row < rows:
             if not self._queued:
-                chunk = bytearray(_BUFFER)
-                del chunk[self._file.readinto(chunk) :]
-                chunk += self._file.readline()
+                chunk = self._file.read(_BUFFER) + self._file.readline()
                 if not chunk:
                     break
                 text = np.frombuffer(chunk, np.uint8)

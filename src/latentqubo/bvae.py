@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _settings
 from ._text import _count, _field, _read_tagged, float_text, write_tagged
 from .images import _check_images, gaussian_blur
 from .qubo import as_binary_vector
@@ -61,13 +62,14 @@ class BvaeArchitecture:
     decoder_hidden: tuple[int, int] = (256, 512)
 
     def __post_init__(self):
-        if self.image_side < 2:
-            raise ValueError(f"image_side must be >= 2, got {self.image_side}")
-        if self.latent_bits < 1:
-            raise ValueError(f"latent_bits must be >= 1, got {self.latent_bits}")
-        for sizes in (self.encoder_hidden, self.decoder_hidden):
-            if len(sizes) != 2 or any(s < 1 for s in sizes):
-                raise ValueError(f"hidden sizes must be two positive integers, got {sizes!r}")
+        _settings.count("image_side", self.image_side, low=2)
+        _settings.count("latent_bits", self.latent_bits)
+        for name in ("encoder_hidden", "decoder_hidden"):
+            sizes = getattr(self, name)
+            if len(sizes) != 2:
+                raise ValueError(f"{name} must be two layer sizes, got {sizes!r}")
+            for size in sizes:
+                _settings.count(name, size)
 
     def layer_shapes(self) -> dict[str, tuple[int, int]]:
         m2 = self.image_side**2
@@ -119,16 +121,13 @@ class TemperatureSchedule:
     gamma: float = 0.0003
 
     def __post_init__(self):
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ValueError(
-                f"need 0 < tau_min <= tau_max, got {self.tau_min}, {self.tau_max}"
-            )
+        _settings.real("tau_min", self.tau_min, 0, strict=True)
+        _settings.real("tau_max", self.tau_max, self.tau_min)
         if not self.tau_min <= self.tau <= self.tau_max:
             raise ValueError(
                 f"tau must stay within [{self.tau_min}, {self.tau_max}], got {self.tau}"
             )
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _settings.real("gamma", self.gamma, 0)
 
 
 def anneal_tau(s: TemperatureSchedule, epoch: int) -> TemperatureSchedule:
@@ -137,8 +136,7 @@ def anneal_tau(s: TemperatureSchedule, epoch: int) -> TemperatureSchedule:
     The epoch index sits inside the exponent, so the decay compounds faster
     as training progresses.
     """
-    if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch}")
+    _settings.count("epoch", epoch, low=0)
     tau = max(s.tau_min, s.tau * float(np.exp(-s.gamma * epoch)))
     return TemperatureSchedule(tau=tau, tau_max=s.tau_max, tau_min=s.tau_min, gamma=s.gamma)
 
@@ -170,8 +168,7 @@ def gumbel_softmax(logits, tau: float, noise) -> np.ndarray:
     Operates on arrays whose last axis holds the two per-bit category logits;
     outputs are strictly positive and sum to one along that axis.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _settings.real("tau", tau, 0, strict=True)
     logits = np.asarray(logits, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if logits.shape != noise.shape:
@@ -301,13 +298,6 @@ def _init_params(arch: BvaeArchitecture, rng: np.random.Generator) -> dict[str, 
     return params
 
 
-def _check_training(epochs: int, learning_rate: float, batch_size: int) -> None:
-    if epochs < 1 or batch_size < 1:
-        raise ValueError(f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
-    if not 0 < learning_rate < np.inf:
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-
-
 def bvae_train(
     data,
     arch: BvaeArchitecture,
@@ -323,7 +313,10 @@ def bvae_train(
     All stochastic choices (init, shuffles, Gumbel draws) come from a single
     seeded generator, so identical inputs give identical models.
     """
-    _check_training(epochs, learning_rate, batch_size)
+    _settings.count("epochs", epochs)
+    _settings.count("batch_size", batch_size)
+    _settings.real("learning_rate", learning_rate, 0, strict=True)
+    _settings.count("seed", seed, low=0)
     T_all = _check_batch(arch, data)
     count = T_all.shape[0]
     if count == 0:
@@ -398,8 +391,7 @@ def decode(
     n = model.architecture.latent_bits
     if x.size != n:
         raise ValueError(f"dimension mismatch: model has n={n}, vector has length {x.size}")
-    if not 0 <= blur_radius_px < np.inf:
-        raise ValueError(f"blur_radius_px must be finite and >= 0, got {blur_radius_px}")
+    _settings.real("blur_radius_px", blur_radius_px, 0)
     m = model.architecture.image_side
     continuous = _sigmoid(_mlp(model.params, "dec", x.astype(np.float64)[None, :])[2]).reshape(m, m)
     if blur_radius_px > 0:

@@ -2,8 +2,8 @@
 
 Configuration is a flat INI file with [pipeline], [schedule], [objective],
 and optional [stratify] sections; unknown sections or keys are rejected so
-typos fail fast.  Exit codes: 0 success, 2 configuration error, 3 missing
-input file, 4 runtime failure.
+typos fail fast.  Exit codes: 0 success, 2 configuration error (a bad number
+from an INI key or a flag among them), 3 missing input file, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _text
+from . import _settings, _text
+from ._settings import ConfigError
 from .bvae import (
     BvaeArchitecture,
-    _check_training,
     bvae_train,
     decode,
     load_bvae,
@@ -53,10 +53,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_RUNTIME = 4
-
-
-class ConfigError(Exception):
-    """Invalid or inconsistent configuration."""
 
 
 def _as_bool(raw: str) -> bool:
@@ -166,10 +162,7 @@ def build_objective(cp: configparser.ConfigParser, base: Path):
 def build_schedule(cp: configparser.ConfigParser) -> AnnealSchedule:
     if "schedule" not in cp:
         return AnnealSchedule()
-    try:
-        return AnnealSchedule(**_read_fields(cp["schedule"], AnnealSchedule))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [schedule]: {exc}") from exc
+    return AnnealSchedule(**_read_fields(cp["schedule"], AnnealSchedule))
 
 
 def build_pipeline_config(
@@ -185,10 +178,9 @@ def build_pipeline_config(
     values = _read_fields(cp["pipeline"], PipelineConfig, skip=given)
     for name in _PATH_FIELDS - given.keys():
         values[name] = _resolve(base, values[name])
+    values.update(given, objective=build_objective(cp, base), schedule=build_schedule(cp))
     try:
-        return PipelineConfig(
-            **values, **given, objective=build_objective(cp, base), schedule=build_schedule(cp)
-        )
+        return PipelineConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid pipeline configuration: {exc}") from exc
 
@@ -233,9 +225,8 @@ def _cmd_train_bvae(args) -> int:
             encoder_hidden=tuple(int(s) for s in args.encoder_hidden.split(",")),
             decoder_hidden=tuple(int(s) for s in args.decoder_hidden.split(",")),
         )
-        _check_training(args.epochs, args.learning_rate, args.batch_size)
     except ValueError as exc:
-        raise ConfigError(f"invalid autoencoder architecture or training: {exc}") from exc
+        raise ConfigError(f"invalid autoencoder architecture: {exc}") from exc
     model, curves = bvae_train(
         images,
         arch,
@@ -255,16 +246,16 @@ def _cmd_train_bvae(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
+    seeds = np.random.SeedSequence(_settings.count("seed", args.seed, low=0)).spawn(2)
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
     model = load_bvae(args.bvae)
     strat = build_stratification(cp)
-    build_seed_seq, strat_seed_seq = np.random.SeedSequence(args.seed).spawn(2)
-    build_seed = int(build_seed_seq.generate_state(1)[0])
+    build_seed = int(seeds[0].generate_state(1)[0])
     data = build_latent_dataset(model, objective, args.count, build_seed, blur=args.blur)
     if strat is not None:
         spec, total = strat
-        data = stratify_dataset(data, spec, total, int(strat_seed_seq.generate_state(1)[0]))
+        data = stratify_dataset(data, spec, total, int(seeds[1].generate_state(1)[0]))
     save_dataset(data, args.out)
     print(
         f"wrote {len(data)} labeled vectors (n={data.n}, best label "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
+from . import _native, _settings
 from ._text import _count, _read_tagged, _records, _zeros, float_text, write_tagged
 from .dataset import LabeledDataset
 from .qubo import QuboProblem, as_binary_vector
@@ -80,14 +80,13 @@ class FmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.rank < 1:
-            raise ValueError("epochs and rank must both be >= 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if len(self.split) != 3 or any(f < 0 for f in self.split):
-            raise ValueError(f"split must be three nonnegative fractions, got {self.split!r}")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {self.split!r}")
+        _settings.count("epochs", self.epochs)
+        _settings.count("rank", self.rank)
+        _settings.count("seed", self.seed, low=0)
+        _settings.real("learning_rate", self.learning_rate, 0, strict=True)
+        fractions = [_settings.real("split", fraction, 0) for fraction in self.split]
+        if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
+            raise ValueError(f"split must be three fractions that sum to 1, got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,7 @@ def apply_label_transform(Y, margin: float) -> tuple[np.ndarray, LabelTransform]
         raise ValueError(f"labels must form a nonempty 1-D vector, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("labels must be finite")
-    if not margin >= 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    t = LabelTransform(c=float(Y.max()) + float(margin))
+    t = LabelTransform(c=float(Y.max()) + _settings.real("margin", margin, 0))
     return t.invert(Y), t
 
 

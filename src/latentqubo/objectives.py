@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _settings
 from .bvae import BvaeModel, decode
 from .dataset import LabeledDataset
 from .images import gaussian_blur
@@ -63,10 +64,8 @@ class ProductEfficiencyObjective(FigureOfMerit):
     name: str = "product_efficiency"
 
     def __post_init__(self):
-        if not 0.0 < self.target_fill < 1.0:
-            raise ValueError(f"target_fill must lie in (0, 1), got {self.target_fill}")
-        if self.smoothness_weight < 0:
-            raise ValueError(f"smoothness_weight must be >= 0, got {self.smoothness_weight}")
+        _settings.real("target_fill", self.target_fill, 0, 1, strict=True)
+        _settings.real("smoothness_weight", self.smoothness_weight, 0)
 
     def evaluate(self, pattern: np.ndarray) -> float:
         arr = _check_pattern(pattern)
@@ -120,14 +119,12 @@ class StratificationSpec:
 
     def __post_init__(self):
         bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
-        fractions = tuple(float(f) for f in self.fractions)
+        fractions = tuple(_settings.real("fractions", f, 0) for f in self.fractions)
         if len(bands) != len(fractions) or not bands:
             raise ValueError("need one fraction per band and at least one band")
         for lo, hi in bands:
             if not lo < hi:
                 raise ValueError(f"band ({lo}, {hi}) must have lower < upper")
-        if any(f < 0 for f in fractions):
-            raise ValueError("fractions must be nonnegative")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
         ordered = sorted(bands)
@@ -150,10 +147,9 @@ def build_latent_dataset(
     model: BvaeModel, obj: FigureOfMerit, count: int, seed: int, blur: float = 0.0
 ) -> LabeledDataset:
     """Label uniform random latent vectors by decoding and scoring each."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _settings.count("count", count)
     n = model.architecture.latent_bits
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     X = rng.integers(0, 2, size=(count, n)).astype(np.uint8)
     Y = np.zeros(count)
     for r in range(count):
@@ -166,9 +162,8 @@ def stratify_dataset(
     pool: LabeledDataset, spec: StratificationSpec, total: int, seed: int
 ) -> LabeledDataset:
     """Draw round(fraction*total) rows per band from the pool, without replacement."""
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    rng = np.random.default_rng(seed)
+    _settings.count("total", total, low=0)
+    rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     chosen: list[int] = []
     for b, (band, fraction) in enumerate(zip(spec.bands, spec.fractions)):
         quota = int(np.floor(fraction * total + 0.5))
@@ -206,11 +201,9 @@ def generate_toy_corpus(kind: str, m: int, count: int, seed: int) -> np.ndarray:
     """
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}, expected one of {CORPUS_KINDS}")
-    if m < 4:
-        raise ValueError(f"image side must be >= 4, got {m}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    _settings.count("image side m", m, low=4)
+    _settings.count("count", count)
+    rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     if kind == "half_planes":
         base = _half_plane_base(m)
         reps = np.resize(np.arange(len(base)), count)

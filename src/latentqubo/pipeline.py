@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _text
+from . import _settings, _text
 from .bvae import BvaeModel, decode, load_bvae
 from .dataset import LabeledDataset, load_dataset, save_dataset
 from .fm import (
@@ -81,14 +81,9 @@ class PipelineConfig:
     decode_blur: float = 0.0
 
     def __post_init__(self):
-        if self.latent_bits < 1 or self.fm_rank < 1:
-            raise ValueError("latent_bits and fm_rank must both be >= 1")
-        if self.samples_per_iteration < 1:
-            raise ValueError(
-                f"samples_per_iteration must be >= 1, got {self.samples_per_iteration}"
-            )
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("latent_bits", "fm_rank", "samples_per_iteration", "iterations", "fm_epochs"):
+            _settings.count(name, getattr(self, name))
+        _settings.count("seed", self.seed, low=0)
         if self.sampler not in SAMPLER_NAMES:
             raise ValueError(f"sampler must be one of {SAMPLER_NAMES}, got {self.sampler!r}")
         if self.sampler == "brute_force" and self.latent_bits > BRUTE_FORCE_MAX_BITS:
@@ -100,20 +95,12 @@ class PipelineConfig:
             raise ValueError(
                 f"augmentation must be one of {AUGMENTATION_NAMES}, got {self.augmentation!r}"
             )
-        if self.augmentation == "bit_flip" and not 1 <= self.bit_flip_copies <= self.latent_bits:
-            raise ValueError(
-                f"bit_flip copies must lie in [1, {self.latent_bits}], got {self.bit_flip_copies}"
-            )
-        if not 0 <= self.label_margin < np.inf:
-            raise ValueError(f"label_margin must be finite and >= 0, got {self.label_margin}")
-        if self.fm_epochs < 1:
-            raise ValueError(f"fm_epochs must be >= 1, got {self.fm_epochs}")
-        if not 0 <= self.decode_blur < np.inf:
-            raise ValueError(f"decode_blur must be finite and >= 0, got {self.decode_blur}")
-        if not 0 < self.fm_learning_rate < np.inf:
-            raise ValueError(
-                f"fm_learning_rate must be finite and > 0, got {self.fm_learning_rate}"
-            )
+        # at most one copy per bit, where copies are drawn at all
+        copies_cap = self.latent_bits if self.augmentation == "bit_flip" else np.inf
+        _settings.count("bit_flip_copies", self.bit_flip_copies, high=copies_cap)
+        _settings.real("label_margin", self.label_margin, 0)
+        _settings.real("decode_blur", self.decode_blur, 0)
+        _settings.real("fm_learning_rate", self.fm_learning_rate, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -158,9 +145,8 @@ class RunState:
 def bit_flip_augment(bits, copies: int, seed: int) -> list[np.ndarray]:
     """Hamming-distance-1 copies of a vector, flip positions drawn without replacement."""
     x = as_binary_vector(bits)
-    if not 1 <= copies <= x.size:
-        raise ValueError(f"copies must lie in [1, {x.size}], got {copies}")
-    rng = np.random.default_rng(seed)
+    _settings.count("copies", copies, high=x.size)
+    rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     positions = rng.choice(x.size, size=copies, replace=False)
     out = []
     for pos in positions:
@@ -334,8 +320,7 @@ class ConnectivityReport:
 
 def check_hardware_feasibility(cfg: PipelineConfig, max_clique: int) -> ConnectivityReport:
     """Clique check for a fully connected problem of the configured size, answered from n."""
-    if max_clique < 1:
-        raise ValueError(f"max_clique must be >= 1, got {max_clique}")
+    _settings.count("max_clique", max_clique)
     n = cfg.latent_bits
     report = ConnectivityReport(
         n=n, edge_count=n * (n - 1) // 2, is_fully_connected=True,

@@ -8,14 +8,13 @@ are fully deterministic given their inputs.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native, _text
+from . import _native, _settings, _text
 from .qubo import QuboProblem, _energy_loop, qubo_energy
 
 __all__ = [
@@ -52,12 +51,10 @@ class AnnealSchedule:
 
     def __post_init__(self):
         # finite, since a zero-delta flip at beta = inf gives -inf * 0 = nan
-        if not 0 < self.beta_start < np.inf:
-            raise ValueError(f"beta_start must be finite and > 0, got {self.beta_start}")
-        if not self.beta_start < self.beta_end < np.inf:
-            raise ValueError(f"beta_end must be finite and exceed beta_start, got {self.beta_end}")
-        for name in ("num_sweeps", "num_reads"):
-            _positive_int(name, getattr(self, name))
+        _settings.real("beta_start", self.beta_start, 0, strict=True)
+        _settings.real("beta_end", self.beta_end, self.beta_start, strict=True)
+        _settings.count("num_sweeps", self.num_sweeps)
+        _settings.count("num_reads", self.num_reads)
 
     def betas(self) -> np.ndarray:
         if self.num_sweeps == 1:
@@ -90,17 +87,6 @@ class SampleSet:
             bits = "".join(str(b) for b in entry.vector)
             lines.append(f"{rank},{_text.float_text(entry.energy)},{entry.occurrences},{bits}")
         _text.write_lines(path, lines)
-
-
-def _positive_int(name: str, value) -> int:
-    """value as an int; a ValueError naming it unless it is an integer >= 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
-    return value
 
 
 def _make_sample_set(X, energies, counts, sampler_name: str, seed: int) -> SampleSet:
@@ -139,7 +125,7 @@ def brute_force_sample(q: QuboProblem, top_k: int) -> SampleSet:
     of 2^16 states at a time, or the numpy energy loop without a compiler,
     with the same result.  Memory stays O(2^16 + top_k).
     """
-    top_k = _positive_int("top_k", top_k)
+    top_k = _settings.count("top_k", top_k)
     if q.n > BRUTE_FORCE_MAX_BITS:
         raise ValueError(f"brute force enumeration capped at {BRUTE_FORCE_MAX_BITS} bits, "
                          f"problem has n={q.n}")

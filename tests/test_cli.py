@@ -100,6 +100,7 @@ class TestTrainBvae:
         ("--learning-rate", "-1"),
         ("--learning-rate", "inf"),
         ("--learning-rate", "nan"),
+        ("--seed", "-1"),
     ])
     def test_bad_size_is_a_configuration_error(self, tmp_path, capsys, flag, value):
         corpus = tmp_path / "corpus.txt"
@@ -431,6 +432,51 @@ class TestConfigErrors:
         assert main(argv) == code
         expected = "target_fill" if fault == "target_fill" else "target.pgm"
         assert expected in capsys.readouterr().err
+
+
+TARGET = "kind = target_overlap\ntarget = target.pgm"
+PRODUCT = "kind = product_efficiency\ntarget_fill = 0.5\nsmoothness_weight = {}"
+STRATIFY = TARGET + "\n\n[stratify]\ntotal = {}\nbands = 0.0:1.0\nfractions = {}"
+GEN_DATASET = ["gen-dataset", "--config", "{config}", "--bvae", "{bvae}", "--count", "5",
+               "--out", "{out}"]
+RUN_LOOP = ["run-loop", "--config", "{config}", "--out", "{out}"]
+GEN_CORPUS = ["gen-corpus", "--kind", "half_planes", "--side", "4", "--count", "2",
+              "--out", "{out}"]
+EVAL_BITS = ["eval", "--config", "{config}", "--bits", "0" * 16, "--bvae", "{bvae}"]
+
+
+@pytest.mark.parametrize("argv, edit, named", [
+    (GEN_DATASET, (TARGET, PRODUCT.format("inf")), "smoothness_weight"),
+    (GEN_DATASET, (TARGET, PRODUCT.format("nan")), "smoothness_weight"),
+    (GEN_DATASET, (TARGET, STRATIFY.format(5, "nan")), "fractions"),
+    (GEN_DATASET, (TARGET, STRATIFY.format(-3, "1.0")), "total"),
+    (RUN_LOOP, ("seed = 21", "seed = -5"), "seed"),
+    (RUN_LOOP + ["--seed", "-1"], None, "seed"),
+    (GEN_CORPUS + ["--side", "3"], None, "side"),
+    (GEN_CORPUS + ["--count", "0"], None, "count"),
+    (GEN_CORPUS + ["--seed", "-1"], None, "seed"),
+    (GEN_DATASET + ["--count", "0"], None, "count"),
+    (GEN_DATASET + ["--blur", "nan"], None, "blur"),
+    (EVAL_BITS + ["--blur", "-1"], None, "blur"),
+    (["check-hardware", "--config", "{config}", "--max-clique", "0"], None, "max_clique"),
+], ids=[
+    "smoothness_weight-inf", "smoothness_weight-nan", "stratify-fractions-nan",
+    "stratify-total-negative", "pipeline-seed-negative", "run-loop-seed-flag",
+    "gen-corpus-side", "gen-corpus-count", "gen-corpus-seed", "gen-dataset-count",
+    "gen-dataset-blur", "eval-blur", "check-hardware-max-clique",
+])
+def test_a_bad_number_is_a_configuration_error(workspace, capsys, argv, edit, named):
+    tmp_path, config = workspace
+    if edit is not None:
+        path = tmp_path / "run.ini"
+        assert edit[0] in path.read_text()
+        path.write_text(path.read_text().replace(*edit))
+    out = tmp_path / "made"
+    paths = {"config": config, "bvae": str(tmp_path / "bvae.txt"), "out": str(out)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not out.exists() and not (tmp_path / "out").exists()
 
 
 # one non-default value per optional [pipeline] and [schedule] key
