@@ -3,8 +3,9 @@
 ``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads, over a
 dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
-states, summed in ``qubo_energy``'s order) and ``_parse.c`` (rows of decimal
-text straight from the text reader's buffer, read as ``float()`` reads them) are compiled
+states, summed in ``qubo_energy``'s order), ``_parse.c`` (rows of decimal
+text straight from the text reader's buffer, read as ``float()`` reads them) and
+``_adam.c`` (one Adam step of the autoencoder over all its parameters) are compiled
 together with ``cc`` into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
 sources, the compiler flags, the compiler and the machine, so only the first
@@ -29,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c")
-_FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=32", "-shared", "-fPIC")
+SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_adam.c")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-shared",
+          "-fPIC")
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"
 
@@ -111,12 +113,14 @@ def library():
     """The loaded kernels, or None when no C compiler is found or the build fails.
 
     Compiled without -ffast-math and with -ffp-contract=off, so every sum
-    keeps its written order.  -falign-loops=32 starts each loop on its own
-    32-byte boundary, so a kernel's speed does not depend on what the other
-    sources put before it (on x86-64 the annealer's inner loop ran 30 %
-    slower when the FM kernel shifted it across a cache line).  A failed build warns
-    once with the compiler's output and leaves nothing in the cache.  ptrdiff_t
-    matches numpy's intp.
+    keeps its written order.  -fno-math-errno lets sqrt compile to one
+    instruction: it changes no result, only that a math function given a
+    value outside its domain does not set errno, which no kernel reads.
+    -falign-loops=32 starts each loop on its own 32-byte boundary, so a kernel's
+    speed does not depend on what the other sources put before it (on x86-64 the
+    annealer's inner loop ran 30 % slower when the FM kernel shifted it across a
+    cache line).  A failed build warns once with the compiler's output and leaves
+    nothing in the cache.  ptrdiff_t matches numpy's intp.
     """
     compiler = shutil.which("cc")
     if compiler is None:
@@ -159,4 +163,11 @@ def library():
         _array(np.intp, 1, out=True),  # used: the bytes and the lines passed
     ]
     lib.parse_floats.restype = size  # the number of leading rows read
+    lib.adam_step.argtypes = [
+        size,  # the number of parameters
+        _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 1, out=True),  # p, m, v
+        _array(f64, 1),  # g
+        *[ctypes.c_double] * 6,  # lr, b1, b2, c1 = 1 - b1^t, c2 = 1 - b2^t, eps
+    ]
+    lib.adam_step.restype = None
     return lib

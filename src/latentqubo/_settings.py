@@ -1,4 +1,5 @@
-"""The two rules every numeric setting passes: a count and a finite real, each within bounds.
+"""The rules every numeric or boolean setting passes: a count and a finite real, each
+within bounds, and a flag.
 
 A setting that breaks its rule is a ConfigError naming it, which the command line reports
 as a configuration error (exit 2).  A check that relates two settings stays with them.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -40,6 +43,16 @@ def real(name: str, value, low: float = -math.inf, high: float = math.inf, stric
     if not (inside and math.isfinite(number)):
         _reject(name, "a finite real", value, low, high, strict)
     return number
+
+
+def flag(name: str, value) -> bool:
+    """value as a bool; a ConfigError naming it unless it is a bool, numpy's included.
+
+    A string such as "false" is refused rather than read by its truth, which would be True.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _reject(name: str, kind: str, value, low, high, strict: bool):

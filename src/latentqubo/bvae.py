@@ -3,17 +3,19 @@
 Dense encoder and decoder joined by a two-category Gumbel-softmax latent per
 bit.  Training minimizes binary cross-entropy reconstruction plus a Bernoulli
 KL against the uniform prior, with Adam updates and an annealed relaxation
-temperature; forward, backward, and the optimizer are implemented directly on
-numpy arrays so gradients can be checked against finite differences.
+temperature.  Forward and backward are implemented directly on numpy arrays so
+gradients can be checked against finite differences; each Adam step is one call
+of a small C kernel over all the parameters at once, or its numpy twin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _settings
+from . import _native, _settings
 from ._text import _count, _field, _read_tagged, float_text, write_tagged
 from .images import _check_images, gaussian_blur
 from .qubo import as_binary_vector
@@ -41,6 +43,7 @@ __all__ = [
 PROB_CLAMP = 1e-7
 CATEGORIES_PER_BIT = 2
 VAL_FRACTION = 0.15  # share of the images bvae_train holds back for validation
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
 _LAYER_NAMES = (
     "enc1_w", "enc1_b",
@@ -285,17 +288,41 @@ def bvae_loss_and_grads(model: BvaeModel, batch, tau: float, noise):
     return _losses(cache), _backward(params, cache)
 
 
-def _init_params(arch: BvaeArchitecture, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    params = {}
-    for name, shape in arch.layer_shapes().items():
-        if name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
+def _init_params(arch: BvaeArchitecture, rng: np.random.Generator):
+    """Initial parameters as one flat vector, and each layer as a reshaped view into it."""
+    shapes = arch.layer_shapes()
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        params[name] = layer = flat[start : start + math.prod(shape)].reshape(shape)
+        start += layer.size
+        if not name.endswith("_b"):
             fan_in = shape[0]
             # ReLU-oriented scaling for hidden layers, unit-variance for heads
             gain = 2.0 if name not in ("enc3_w", "dec3_w") else 1.0
-            params[name] = rng.normal(0.0, np.sqrt(gain / fan_in), size=shape)
-    return params
+            layer[...] = rng.normal(0.0, np.sqrt(gain / fan_in), size=shape)
+    return flat, params
+
+
+def _adam_numpy(p, m, v, g, lr: float, c1: float, c2: float, scratch) -> None:
+    """_adam.c's adam_step in place, with the kernel's operations in its order.
+
+    g and scratch are overwritten; each ufunc rounds as the kernel's operation does.
+    """
+    np.multiply(g, 1.0 - _BETA1, out=scratch)
+    m *= _BETA1
+    m += scratch
+    g *= g
+    g *= 1.0 - _BETA2
+    v *= _BETA2
+    v += g
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += _EPS
+    np.divide(m, c1, out=g)
+    g *= lr
+    g /= scratch
+    p -= g
 
 
 def bvae_train(
@@ -312,6 +339,11 @@ def bvae_train(
     and tau follows the default :class:`TemperatureSchedule`.
     All stochastic choices (init, shuffles, Gumbel draws) come from a single
     seeded generator, so identical inputs give identical models.
+
+    The parameters, Adam's two moment estimates and the gradient are each
+    one flat vector, so each step is one call of ``_adam.c``'s kernel, built
+    with the other kernels and cached on disk.  Without a C compiler the same
+    step runs in numpy, with the same result.
     """
     _settings.count("epochs", epochs)
     _settings.count("batch_size", batch_size)
@@ -322,7 +354,7 @@ def bvae_train(
     if count == 0:
         raise ValueError("cannot train on an empty image set")
     rng = np.random.default_rng(seed)
-    params = _init_params(arch, rng)
+    flat, params = _init_params(arch, rng)
 
     perm = rng.permutation(count)
     n_val = min(int(np.floor(VAL_FRACTION * count + 0.5)), count - 1)
@@ -330,9 +362,9 @@ def bvae_train(
     val_idx = perm[count - n_val :]
 
     sched = TemperatureSchedule()
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    mom = {k: np.zeros_like(v) for k, v in params.items()}
-    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    mom, vel, grad = (np.zeros_like(flat) for _ in range(3))
+    lib = _native.library()
+    scratch = np.empty_like(flat) if lib is None else None
     step = 0
     n = arch.latent_bits
 
@@ -349,13 +381,13 @@ def bvae_train(
             recon_sum += losses.reconstruction * batch.shape[0]
             kl_sum += losses.kl * batch.shape[0]
             step += 1
-            for name in params:
-                g = grads[name]
-                mom[name] = beta1 * mom[name] + (1.0 - beta1) * g
-                vel[name] = beta2 * vel[name] + (1.0 - beta2) * g**2
-                m_hat = mom[name] / (1.0 - beta1**step)
-                v_hat = vel[name] / (1.0 - beta2**step)
-                params[name] = params[name] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            np.concatenate([grads[name] for name in params], axis=None, out=grad)
+            c1, c2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
+            if lib is None:
+                _adam_numpy(flat, mom, vel, grad, learning_rate, c1, c2, scratch)
+            else:
+                lib.adam_step(flat.size, flat, mom, vel, grad, learning_rate,
+                              _BETA1, _BETA2, c1, c2, _EPS)
         train_curve.append(
             LossBreakdown(recon_sum / len(order), kl_sum / len(order))
         )

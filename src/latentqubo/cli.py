@@ -204,7 +204,8 @@ def build_stratification(cp: configparser.ConfigParser) -> tuple[StratificationS
     bands = _typed(section, "bands", parse_bands)
     fractions = _typed(section, "fractions", parse_fractions)
     try:
-        return StratificationSpec(bands=bands, fractions=fractions), total
+        spec = StratificationSpec(bands=bands, fractions=fractions)
+        return spec, _settings.count("total", total, low=0)
     except ValueError as exc:
         raise ConfigError(f"invalid [stratify]: {exc}") from exc
 
@@ -249,8 +250,8 @@ def _cmd_gen_dataset(args) -> int:
     seeds = np.random.SeedSequence(_settings.count("seed", args.seed, low=0)).spawn(2)
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
-    model = load_bvae(args.bvae)
     strat = build_stratification(cp)
+    model = load_bvae(args.bvae)
     build_seed = int(seeds[0].generate_state(1)[0])
     data = build_latent_dataset(model, objective, args.count, build_seed, blur=args.blur)
     if strat is not None:

@@ -101,6 +101,8 @@ class PipelineConfig:
         _settings.real("label_margin", self.label_margin, 0)
         _settings.real("decode_blur", self.decode_blur, 0)
         _settings.real("fm_learning_rate", self.fm_learning_rate, 0, strict=True)
+        warm = _settings.flag("warm_start_fm", self.warm_start_fm)
+        object.__setattr__(self, "warm_start_fm", warm)
 
 
 @dataclass(frozen=True)

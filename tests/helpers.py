@@ -19,13 +19,16 @@ def reference_corpus() -> np.ndarray:
     return lq.generate_toy_corpus("half_planes", m=8, count=256, seed=11)
 
 
-@lru_cache(maxsize=1)
-def train_reference_bvae() -> lq.BvaeModel:
+def reference_bvae() -> lq.BvaeModel:
+    """The reference autoencoder, trained afresh on each call."""
     arch = lq.BvaeArchitecture(
         image_side=8, latent_bits=16, encoder_hidden=(64, 32), decoder_hidden=(32, 64)
     )
     model, _ = lq.bvae_train(reference_corpus(), arch, epochs=120, seed=3)
     return model
+
+
+train_reference_bvae = lru_cache(maxsize=1)(reference_bvae)
 
 
 def reference_target() -> np.ndarray:
@@ -34,9 +37,12 @@ def reference_target() -> np.ndarray:
     return target
 
 
-def golden_run_state() -> lq.RunState:
-    """Replay the fixed small optimization run behind the golden CSV."""
-    model = train_reference_bvae()
+def golden_run_state(model: lq.BvaeModel | None = None) -> lq.RunState:
+    """Replay the fixed small optimization run behind the golden CSV.
+
+    model is the reference autoencoder, by default the cached one.
+    """
+    model = train_reference_bvae() if model is None else model
     objective = lq.TargetOverlapObjective(target=reference_target())
     data = lq.build_latent_dataset(model, objective, count=60, seed=5)
     cfg = lq.PipelineConfig(

@@ -479,6 +479,18 @@ def test_a_bad_number_is_a_configuration_error(workspace, capsys, argv, edit, na
     assert not out.exists() and not (tmp_path / "out").exists()
 
 
+def test_gen_dataset_checks_stratify_before_reading_the_checkpoint(workspace, capsys):
+    tmp_path, config = workspace
+    path = tmp_path / "run.ini"
+    path.write_text(path.read_text().replace(TARGET, STRATIFY.format(-3, "1.0")))
+    out = tmp_path / "made"
+    argv = [arg.format(config=config, bvae=tmp_path / "absent.txt", out=out) for arg in GEN_DATASET]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "total" in err
+    assert not out.exists()
+
+
 # one non-default value per optional [pipeline] and [schedule] key
 OPTIONAL_KEYS = {
     "pipeline": {

@@ -8,12 +8,12 @@ the pinned file with scripts/make_golden_run.py after intentional changes.
 
 import latentqubo as lq
 import latentqubo._native as native
-from helpers import GOLDEN_CSV_PATH, golden_run_state
+import latentqubo.bvae as bvae
+from helpers import GOLDEN_CSV_PATH, golden_run_state, reference_bvae
 
 
-def test_reference_run_matches_pinned_csv(tmp_path):
+def assert_replays_pinned_csv(state: lq.RunState, tmp_path):
     assert GOLDEN_CSV_PATH.exists(), "pinned trace missing; run scripts/make_golden_run.py"
-    state = golden_run_state()
     replay = tmp_path / "convergence.csv"
     lq.write_convergence_csv(state.history, replay)
     # rows first, so a failure names the rows that differ; then every byte
@@ -21,6 +21,15 @@ def test_reference_run_matches_pinned_csv(tmp_path):
     assert replay.read_bytes() == GOLDEN_CSV_PATH.read_bytes()
 
 
+def test_reference_run_matches_pinned_csv(tmp_path):
+    assert_replays_pinned_csv(golden_run_state(), tmp_path)
+
+
 def test_reference_run_matches_pinned_csv_without_compiler(monkeypatch, tmp_path):
+    # the autoencoder too is trained again here, by the numpy Adam step
+    steps = []
+    numpy_step = bvae._adam_numpy
+    monkeypatch.setattr(bvae, "_adam_numpy", lambda *args: steps.append(1) or numpy_step(*args))
     monkeypatch.setattr(native, "library", lambda: None)
-    test_reference_run_matches_pinned_csv(tmp_path)
+    assert_replays_pinned_csv(golden_run_state(reference_bvae()), tmp_path)
+    assert steps

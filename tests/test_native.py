@@ -1,6 +1,7 @@
 """The shared build of the C kernels: cached on disk per source tree, numpy without it."""
 
 import dataclasses
+import math
 import os
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import latentqubo as lq
 import latentqubo._native as native
+import latentqubo.bvae as bvae
 import latentqubo.fm as fm
 import latentqubo.samplers as samplers
 from conftest import random_fm, random_qubo
@@ -46,6 +48,28 @@ def count_calls(monkeypatch, module, name):
 
 def fm_case():
     return random_dataset(16, 100, seed=3), lq.FmTrainConfig(epochs=4, rank=8, seed=1)
+
+
+def bvae_case():
+    # 255 parameters: an odd count, so the kernel's scalar tail takes the last one
+    arch = lq.BvaeArchitecture(4, 3, encoder_hidden=(5, 3), decoder_hidden=(3, 5))
+    assert sum(math.prod(shape) for shape in arch.layer_shapes().values()) == 255
+    return lq.generate_toy_corpus("half_planes", m=4, count=20, seed=2), arch
+
+
+def test_without_compiler_bvae_train_takes_the_numpy_step(monkeypatch, fresh_build):
+    images, arch = bvae_case()
+    compiled, compiled_curves = lq.bvae_train(images, arch, epochs=7, seed=4, batch_size=5)
+    steps = count_calls(monkeypatch, bvae, "_adam_numpy")
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    native.library.cache_clear()
+    looped, looped_curves = lq.bvae_train(images, arch, epochs=7, seed=4, batch_size=5)
+    assert native.library() is None
+    assert len(steps) == 7 * 4  # 17 training images in batches of 5
+    assert [looped.params[name].tobytes() for name in bvae._LAYER_NAMES] == [
+        compiled.params[name].tobytes() for name in bvae._LAYER_NAMES]
+    assert looped.tau == compiled.tau
+    assert looped_curves == compiled_curves
 
 
 def test_without_compiler_fm_train_runs_the_numpy_loop(monkeypatch, fresh_build):
@@ -95,12 +119,15 @@ def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     monkeypatch.setattr(samplers, "_cores", lambda: 4)
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(1), 8)
+    images, arch = bvae_case()
     lq.simulated_annealing_sample(q, SCHEDULE, seed=0)
     lq.fm_train(data, cfg)
     lq.brute_force_sample(q, top_k=5)
+    lq.bvae_train(images, arch, epochs=1, seed=0)
     lq.simulated_annealing_sample(q, SCHEDULE, seed=1)
     lq.fm_train(data, cfg)
     lq.brute_force_sample(q, top_k=5)
+    lq.bvae_train(images, arch, epochs=1, seed=0)
     assert len(builds) == 1
     assert len(screens) == 2
     assert native.library() is not None
@@ -116,6 +143,15 @@ def test_fm_train_makes_one_kernel_call_per_fit(monkeypatch, epochs):
     assert len(fits) == 1
     lq.fm_train(data, cfg, warm_start=model)
     assert len(fits) == 2
+
+
+@needs_cc
+@pytest.mark.parametrize("batch_size, steps_per_epoch", [(5, 4), (32, 1)])
+def test_bvae_train_makes_one_kernel_call_per_step(monkeypatch, batch_size, steps_per_epoch):
+    images, arch = bvae_case()
+    steps = count_calls(monkeypatch, native.library(), "adam_step")
+    lq.bvae_train(images, arch, epochs=3, seed=0, batch_size=batch_size)
+    assert len(steps) == 3 * steps_per_epoch  # 17 training images
 
 
 def fit_and_anneal():
@@ -442,3 +478,74 @@ def test_annealer_is_clean_under_address_and_undefined_sanitizers(tmp_path):
                             capture_output=True, timeout=120)
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == b"".join(x.tobytes() for _, x in cases)
+
+
+# adam_step on each case read from standard input: size and steps as two int64, then lr,
+# b1, b2 and eps, then the parameters; then per step c1, c2 and the gradient, each in a heap
+# buffer of exactly its size; writes the final parameters and both moments
+ADAM_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+void adam_step(ptrdiff_t, double *, double *, double *, const double *, double, double, double,
+               double, double, double);
+
+static double *take(size_t count)
+{
+    double *buffer = malloc(count * sizeof *buffer);
+    if (!buffer || fread(buffer, sizeof *buffer, count, stdin) != count)
+        exit(2);
+    return buffer;
+}
+
+int main(void)
+{
+    int64_t shape[2];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const ptrdiff_t size = shape[0], steps = shape[1];
+        double *settings = take(4), *p = take(size);
+        double *m = calloc(size, sizeof *m), *v = calloc(size, sizeof *v);
+        for (ptrdiff_t t = 0; t < steps; t++) {
+            double *c = take(2), *g = take(size);
+            adam_step(size, p, m, v, g, settings[0], settings[1], settings[2], c[0], c[1],
+                      settings[3]);
+            free(c), free(g);
+        }
+        fwrite(p, sizeof *p, size, stdout);
+        fwrite(m, sizeof *m, size, stdout);
+        fwrite(v, sizeof *v, size, stdout);
+        free(settings), free(p), free(m), free(v);
+    }
+    return 0;
+}
+"""
+
+
+def adam_case(size: int, steps: int):
+    """One case's driver input, and the numpy twin's final parameters and moments."""
+    rng = np.random.default_rng(size * 1000 + steps)
+    p = rng.normal(size=size)
+    gradients = rng.normal(scale=10.0 ** rng.integers(-6, 2, (steps, 1)), size=(steps, size))
+    gradients[rng.random((steps, size)) < 0.1] = 0.0  # zero gradients leave v at +0.0 at first
+    lr = 1e-3
+    stdin = [np.array([size, steps], dtype=np.int64).tobytes(),
+             np.array([lr, bvae._BETA1, bvae._BETA2, bvae._EPS]).tobytes(), p.tobytes()]
+    m, v, scratch = np.zeros(size), np.zeros(size), np.empty(size)
+    for t, g in enumerate(gradients, start=1):
+        c1, c2 = 1.0 - bvae._BETA1**t, 1.0 - bvae._BETA2**t
+        stdin += [np.array([c1, c2]).tobytes(), g.tobytes()]
+        bvae._adam_numpy(p, m, v, g.copy(), lr, c1, c2, scratch)
+    return b"".join(stdin), p.tobytes() + m.tobytes() + v.tobytes()
+
+
+@needs_cc
+def test_adam_step_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # odd and even sizes, so both the 2-wide pairs and the scalar tail run at the edges
+    exe = sanitized_driver(tmp_path, ADAM_DRIVER, "_adam.c")
+    cases = [adam_case(size, steps) for size in (1, 2, 3, 17) for steps in (1, 2, 1000)]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(expected for _, expected in cases)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import latentqubo as lq
 from latentqubo import cli
-from latentqubo._settings import ConfigError, count, real
+from latentqubo._settings import ConfigError, count, flag, real
 
 OBJECTIVE = lq.ProductEfficiencyObjective(target_fill=0.5, smoothness_weight=1.0)
 
@@ -21,11 +22,11 @@ VALID = {
     lq.TemperatureSchedule: {},
     lq.ProductEfficiencyObjective: dict(target_fill=0.5, smoothness_weight=1.0),
 }
-BAD = {"int": (2.5, -1), "float": (math.nan, math.inf, -math.inf)}
+BAD = {"int": (2.5, -1), "float": (math.nan, math.inf, -math.inf), "bool": ("false", 1, None)}
 
 
 def numeric_fields(cls):
-    """(name, kind) for each int or float field of cls; kind is 'int' or 'float'."""
+    """(name, kind) for each int, float or bool field of cls; kind is the type's name."""
     kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
     return [(name, kind) for name, kind in kinds.items() if kind in BAD]
 
@@ -40,6 +41,11 @@ def test_every_numeric_field_refuses_a_bad_number(cls, name, value):
     cls(**VALID[cls])
     with pytest.raises(ValueError, match=name):
         cls(**{**VALID[cls], name: value})
+
+
+def test_a_bool_field_takes_numpy_bools_as_bools():
+    config = lq.PipelineConfig(**VALID[lq.PipelineConfig], warm_start_fm=np.False_)
+    assert config.warm_start_fm is False
 
 
 def test_the_guard_sees_numbers_in_every_class():
@@ -83,6 +89,13 @@ class TestRules:
         ]:
             with pytest.raises(ConfigError, match=message):
                 real("x", value, **bounds)
+
+    def test_flags(self):
+        assert flag("f", True) is True
+        assert flag("f", np.bool_(False)) is False
+        for value in ("false", 0, 1.0, None, np.int64(1)):
+            with pytest.raises(ConfigError, match=re.escape(f"f must be a bool, got {value!r}")):
+                flag("f", value)
 
 
 def tiny_model():
