@@ -4,7 +4,8 @@
 dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
 states, summed in ``qubo_energy``'s order), ``_parse.c`` (rows of decimal
-text straight from the text reader's buffer, read as ``float()`` reads them) and
+text straight from the text reader's buffer, read as ``float()`` reads them),
+``_format.c`` (rows of float64 values written as ``"%.17g"`` writes them) and
 ``_adam.c`` (one Adam step of the autoencoder over all its parameters) are compiled
 together with ``cc`` into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_adam.c")
+SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-shared",
           "-fPIC")
 _LIBS = ("-lm",)
@@ -163,6 +164,11 @@ def library():
         _array(np.intp, 1, out=True),  # used: the bytes and the lines passed
     ]
     lib.parse_floats.restype = size  # the number of leading rows read
+    lib.format_floats.argtypes = [
+        _array(f64, 2), size, size,  # values, rows, cols
+        _array(np.uint8, 1, out=True),  # out, 25 bytes a value
+    ]
+    lib.format_floats.restype = size  # the bytes written
     lib.adam_step.argtypes = [
         size,  # the number of parameters
         _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 1, out=True),  # p, m, v

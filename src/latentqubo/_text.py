@@ -1,6 +1,7 @@
 """The package's text codec: the float format, the one file writer and the one reader.
 
-Files are UTF-8 text.  The reader, _Lines, reads a file line by line through Python's
+Files are UTF-8 text.  Rows of float64 values are formatted in C, a whole array in one
+call, with float_text's bytes.  The reader, _Lines, reads a file line by line through Python's
 buffered file object and numbers its lines as Path.read_text().splitlines() does, blank
 lines counted.  Rows of decimal numbers go to the compiled parser as bytes, in chunks of
 whole lines, so no loader holds a file's text.  A tagged file starts with
@@ -23,9 +24,29 @@ from . import _native
 # Decimal text with the 17 significant digits that read back as the same float64.
 float_text = "%.17g".__mod__
 
+# Bytes of a value in the compiled formatter's output: the widest %.17g,
+# -2.2250738585072014e-308, and its separator.
+_VALUE_BYTES = 25
+
 # Bytes of a parser chunk, before the rest of its last line.  Each chunk is new, so it stays
 # under glibc's 128 KiB mmap threshold: freeing a bigger one raises it, so the heap holds the next.
 _BUFFER = 64 * 1024
+
+
+def float_rows(arr) -> str:
+    """The rows of a 2-D array as text: values in float_text joined by spaces, rows by newlines.
+
+    One call of the compiled formatter writes the whole array; without a compiler, and for an
+    empty array, the rows are joined in Python, which defines the text.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    lib = _native.library()
+    if lib is not None and arr.size:
+        out = np.empty(_VALUE_BYTES * arr.size, dtype=np.uint8)
+        written = lib.format_floats(arr, *arr.shape, out)
+        if written:  # 0 where the "C" locale could not be made
+            return out[: written - 1].tobytes().decode()
+    return "\n".join(" ".join(map(float_text, row)) for row in arr)
 
 
 def write_lines(path, lines) -> None:

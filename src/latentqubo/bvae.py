@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native, _settings
-from ._text import _count, _field, _read_tagged, float_text, write_tagged
+from ._text import _count, _field, _read_tagged, float_rows, float_text, write_tagged
 from .images import _check_images, gaussian_blur
 from .qubo import as_binary_vector
 
@@ -450,7 +450,7 @@ def save_bvae(model: BvaeModel, path) -> None:
     for name in _LAYER_NAMES:
         arr = model.params[name]
         lines.append(f"LAYER {name} {arr.shape[0]} {arr.shape[1]}")
-        lines += [" ".join(map(float_text, row)) for row in arr]
+        lines.append(float_rows(arr))
     lines.append(f"TAU {float_text(model.tau)}")
     write_tagged(path, "BVAE", {"m": arch.image_side, "n": arch.latent_bits}, lines)
 

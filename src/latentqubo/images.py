@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _text
-from ._text import _count, _counted, _read_tagged, _row, float_text, write_tagged
+from ._text import _count, _counted, _read_tagged, _row, float_rows, write_tagged
 
 __all__ = ["save_images", "load_images", "save_pgm", "load_pgm"]
 
@@ -52,8 +52,9 @@ def gaussian_blur(x, sigma) -> np.ndarray:
 def save_images(images, path) -> None:
     """Write a packed grid file: header line, then one image per line (m*m values)."""
     arr = _check_images(images)
-    lines = (" ".join(map(float_text, img.ravel())) for img in arr)
-    write_tagged(path, "IMG", {"m": arr.shape[1], "count": arr.shape[0]}, lines)
+    count, m = arr.shape[:2]
+    body = [float_rows(arr.reshape(count, m * m))] if count else []
+    write_tagged(path, "IMG", {"m": m, "count": count}, body)
 
 
 def load_images(path) -> np.ndarray:

@@ -696,3 +696,90 @@ def test_edge_token_reads_alike_under_a_comma_locale(tmp_path, comma_locale, tok
     in_comma_locale = read_alike(tmp_path, checkpoint_with(token))
     locale.setlocale(locale.LC_ALL, "C")
     assert read_alike(tmp_path, checkpoint_with(token)) == in_comma_locale
+
+
+def test_checkpoint_writes_alike_under_a_comma_locale(tmp_path, comma_locale):
+    # values the compiled writer hands to snprintf, whose decimal point follows the locale
+    params = {name: np.zeros(shape) for name, shape in TINY_BVAE.layer_shapes().items()}
+    params["dec3_w"][:] = [[1e-300, 5e-324, 1e20, -0.0]]
+    model = lq.BvaeModel(TINY_BVAE, params, tau=1e-300)
+    lq.save_bvae(model, tmp_path / "comma.txt")
+    locale.setlocale(locale.LC_ALL, "C")
+    lq.save_bvae(model, tmp_path / "c.txt")
+    assert (tmp_path / "comma.txt").read_bytes() == (tmp_path / "c.txt").read_bytes()
+
+
+def eighteenth_digit_ties(rng) -> np.ndarray:
+    """Doubles exactly halfway between two 17-digit decimals: c / 2^j for odd c < 2^53.
+
+    Their decimal digits are those of c * 5^j, 18 of them here, the last a 5.
+    """
+    ties = []
+    for j in range(3, 26):
+        low, high = -(-(10**17) // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        odd = rng.integers(low, high + 1, 1000) | 1
+        ties.append(odd[odd <= high] / 2.0**j)
+    return np.concatenate(ties)
+
+
+def formatter_cases(rng) -> np.ndarray:
+    """Over a million doubles on which a %.17g writer can go wrong, signs both ways.
+
+    Random bit patterns over every exponent (NaN payloads among them), 10^k and its neighbours,
+    subnormals, zeros, the extremes, and ties at the 18th significant digit.
+    """
+    powers = 10.0 ** np.arange(-20, 21)
+    tiny = np.finfo(np.float64).smallest_normal
+    edges = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), [0.0, 5e-324, tiny,
+             np.nextafter(tiny, 0), np.finfo(np.float64).max, 1e-16, 1e17, 1e-4, 1e-5]]
+    subnormals = rng.integers(1, 1 << 52, 10_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([*edges, subnormals, eighteenth_digit_ties(rng)])
+    bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    return np.concatenate([values, -values, bits])
+
+
+def test_ties_fall_on_the_18th_digit():
+    ties = eighteenth_digit_ties(np.random.default_rng(1))
+    assert ties.size > 20_000
+    assert all(len(d) == 18 and d[-1] == 5 for d in (Decimal(x).as_tuple().digits for x in ties))
+
+
+def test_float_rows_give_float_texts_bytes_on_both_paths():
+    values = formatter_cases(np.random.default_rng(24))
+    assert values.size > 1_000_000
+    block = np.resize(values, (values.size // 997 + 1, 997))
+    with numpy_only():  # "\n".join(" ".join(map(float_text, row)) for row in block)
+        expected = _text.float_rows(block)
+    compiled = _text.float_rows(block)
+    # the values that differ, so that a failure does not diff 25 MB of text
+    wrong = [(x, a, b) for x, a, b in zip(block.ravel(), compiled.split(), expected.split()) if a != b]
+    assert wrong == []
+    assert compiled == expected
+
+
+def test_float_rows_write_nan_and_inf_as_python_does():
+    # glibc writes a NaN with its sign bit set as -nan; Python writes nan
+    block = np.array([[np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf], [-0.0, 0.0, 1.0, -1.0]])
+    assert np.signbit(block[0, 1])
+    assert _text.float_rows(block) == "nan nan inf -inf\n-0 0 1 -1"
+    with numpy_only():
+        assert _text.float_rows(block) == "nan nan inf -inf\n-0 0 1 -1"
+
+
+def test_checkpoint_of_edge_values_round_trips_bit_for_bit(tmp_path):
+    # finite formatter cases in every layer, written on both paths and loaded back
+    values = formatter_cases(np.random.default_rng(7))
+    values = values[np.isfinite(values)]
+    arch = lq.BvaeArchitecture(image_side=4, latent_bits=3, encoder_hidden=(5, 4),
+                               decoder_hidden=(4, 40))
+    params = {name: np.resize(np.roll(values, i * 101), shape)
+              for i, (name, shape) in enumerate(arch.layer_shapes().items())}
+    model = lq.BvaeModel(arch, params, tau=5e-324)
+    lq.save_bvae(model, tmp_path / "compiled.txt")
+    with numpy_only():
+        lq.save_bvae(model, tmp_path / "looped.txt")
+    assert (tmp_path / "compiled.txt").read_bytes() == (tmp_path / "looped.txt").read_bytes()
+    loaded = lq.load_bvae(tmp_path / "compiled.txt")
+    for name, array in params.items():
+        assert loaded.params[name].view(np.uint64).tolist() == array.view(np.uint64).tolist()
+    assert loaded.tau == 5e-324

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,9 @@ import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.bvae as bvae
 import latentqubo.fm as fm
+import latentqubo.qubo as qubo
 import latentqubo.samplers as samplers
+from latentqubo import _text
 from conftest import random_fm, random_qubo
 from test_fm import assert_same_model, random_dataset
 from test_samplers import sample_set_contents
@@ -143,6 +146,26 @@ def test_fm_train_makes_one_kernel_call_per_fit(monkeypatch, epochs):
     assert len(fits) == 1
     lq.fm_train(data, cfg, warm_start=model)
     assert len(fits) == 2
+
+
+def saved_files(model, images, folder: Path) -> list[bytes]:
+    folder.mkdir()
+    lq.save_bvae(model, folder / "bvae.txt")
+    lq.save_images(images, folder / "images.txt")
+    return [(folder / name).read_bytes() for name in ("bvae.txt", "images.txt")]
+
+
+@needs_cc
+def test_files_are_written_with_one_kernel_call_per_array(monkeypatch, tmp_path):
+    # one per layer of the checkpoint and one for the whole image set; none without the library
+    images, arch = bvae_case()
+    model, _ = lq.bvae_train(images, arch, epochs=1, seed=0)
+    formats = count_calls(monkeypatch, native.library(), "format_floats")
+    compiled = saved_files(model, images, tmp_path / "compiled")
+    assert len(formats) == len(bvae._LAYER_NAMES) + 1
+    with unittest.mock.patch.object(native, "library", lambda: None):
+        assert saved_files(model, images, tmp_path / "looped") == compiled
+    assert len(formats) == len(bvae._LAYER_NAMES) + 1
 
 
 @needs_cc
@@ -545,6 +568,198 @@ def test_adam_step_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     # odd and even sizes, so both the 2-wide pairs and the scalar tail run at the edges
     exe = sanitized_driver(tmp_path, ADAM_DRIVER, "_adam.c")
     cases = [adam_case(size, steps) for size in (1, 2, 3, 17) for steps in (1, 2, 1000)]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(expected for _, expected in cases)
+
+
+# format_floats on each case read from standard input: rows and cols as two int64, then the
+# values, in a heap buffer of exactly their size, and an output buffer of exactly 25 bytes a
+# value; writes the bytes written as one int64, then the text
+FORMAT_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+ptrdiff_t format_floats(const double *, ptrdiff_t, ptrdiff_t, char *);
+
+int main(void)
+{
+    int64_t shape[2];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const size_t count = (size_t)(shape[0] * shape[1]);
+        double *values = malloc(count * sizeof *values);
+        char *out = malloc(25 * count);
+        if (!values || !out || fread(values, sizeof *values, count, stdin) != count)
+            return 2;
+        const int64_t written = format_floats(values, shape[0], shape[1], out);
+        fwrite(&written, sizeof written, 1, stdout);
+        fwrite(out, 1, (size_t)written, stdout);
+        free(values), free(out);
+    }
+    return 0;
+}
+"""
+
+# values of 24 bytes, the widest %.17g writes: the buffer has no byte to spare in a row of them
+WIDEST = [-2.2250738585072014e-308, -1.2345678901234567e-300, -9.8765432109876543e+307]
+# values the kernel hands to snprintf, and the edges of its integer path
+FALLBACK = [1e-300, 5e-324, 1e20, 1e300, 1.7976931348623157e308, 1e-16, 1e17, -1e-17]
+EDGES = [0.0, -0.0, 1e-4, 1e-5, 9.999999999999999e16, 1.0000000000000002e-16, 0.1, -1.5,
+         math.nan, -math.nan, math.inf, -math.inf]
+
+
+def format_case(rows: int, cols: int, pool):
+    """A rows x cols block drawn from pool, the driver's input and the text float_text gives it."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    values = rng.choice(np.array(pool), (rows, cols))
+    stdin = np.array([rows, cols], dtype=np.int64).tobytes() + values.tobytes()
+    with unittest.mock.patch.object(native, "library", lambda: None):
+        text = (_text.float_rows(values) + "\n").encode()
+    return stdin, np.array([len(text)], dtype=np.int64).tobytes() + text
+
+
+@needs_cc
+def test_format_floats_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    assert [len(_text.float_text(x)) for x in WIDEST] == [24] * 3
+    exe = sanitized_driver(tmp_path, FORMAT_DRIVER, "_format.c")
+    normals = np.random.default_rng(0).normal(size=50) * 10.0 ** np.arange(-25, 25)
+    pools = [WIDEST, FALLBACK, EDGES, [*normals, *FALLBACK, *EDGES, *WIDEST]]
+    cases = [format_case(rows, cols, pool) for rows in (1, 2, 17) for cols in (1, 2, 17)
+             for pool in pools]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(expected for _, expected in cases)
+
+
+# qubo_energies on each case read from standard input: n, start and count as three int64, then
+# the offset, linear and upper, each in a heap buffer of exactly its size; writes the energies
+ENERGY_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+void qubo_energies(ptrdiff_t, ptrdiff_t, ptrdiff_t, const double *, const double *, double,
+                   double *);
+
+static double *take(size_t count)
+{
+    double *buffer = malloc(count * sizeof *buffer);
+    if (!buffer || fread(buffer, sizeof *buffer, count, stdin) != count)
+        exit(2);
+    return buffer;
+}
+
+int main(void)
+{
+    int64_t shape[3];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const ptrdiff_t n = shape[0], start = shape[1], count = shape[2];
+        double *offset = take(1), *linear = take(n), *upper = take(n * n);
+        double *out = malloc(count * sizeof *out);
+        qubo_energies(n, start, count, linear, upper, *offset, out);
+        fwrite(out, sizeof *out, count, stdout);
+        free(offset), free(linear), free(upper), free(out);
+    }
+    return 0;
+}
+"""
+
+
+def energy_case(n: int, start: int, count: int):
+    """One chunk's driver input, and the numpy energy loop's energies of its states."""
+    q = random_qubo(np.random.default_rng(n), n)
+    stdin = np.array([n, start, count], dtype=np.int64).tobytes() + np.array([q.offset]).tobytes()
+    stdin += q.linear.tobytes() + q.upper.tobytes()
+    states = samplers._bits_from_ints(np.arange(start, start + count, dtype=np.uint64), n)
+    return stdin, qubo._energy_loop(states, q.linear, q.upper, q.offset).tobytes()
+
+
+@needs_cc
+def test_qubo_energies_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # whole runs from state 0, and one-state chunks at the first, last and a middle state
+    exe = sanitized_driver(tmp_path, ENERGY_DRIVER, "_energy.c")
+    cases = []
+    for n in (1, 2, 16, 17, 64):
+        last = min((1 << n) - 1, (1 << 63) - 1)  # the kernel's start is a ptrdiff_t
+        tail = max(last - 5, 0)
+        cases += [energy_case(n, 0, min(1 << n, 300)), energy_case(n, tail, last - tail + 1)]
+        cases += [energy_case(n, start, 1) for start in (0, last, last // 3)]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(expected for _, expected in cases)
+
+
+# fm_fit on each case read from standard input: n, k, epochs, rows (a shuffle's length) and
+# count (the data's rows) as five int64, then lr, the orders, X, Y, w0, w and V, each in a heap
+# buffer of exactly its size; writes w0, w, V and their three accumulators
+FM_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+void fm_fit(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const ptrdiff_t *, const uint8_t *,
+            const double *, double, double *, double *, double *, double *, double *, double *,
+            double *);
+
+static void *take(size_t count, size_t size)
+{
+    void *buffer = malloc(count * size);
+    if (!buffer || fread(buffer, size, count, stdin) != count)
+        exit(2);
+    return buffer;
+}
+
+int main(void)
+{
+    int64_t shape[5];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const ptrdiff_t n = shape[0], k = shape[1], epochs = shape[2], rows = shape[3];
+        const size_t d = sizeof(double), count = (size_t)shape[4];
+        double *lr = take(1, d);
+        ptrdiff_t *orders = take(epochs * rows, sizeof *orders);
+        uint8_t *X = take(count * n, 1);
+        double *Y = take(count, d), *w0 = take(1, d), *w = take(n, d), *V = take(n * k, d);
+        double *acc_w0 = calloc(1, d), *acc_w = calloc(n, d), *acc_V = calloc(n * k, d);
+        double *s = malloc(k * d);
+        fm_fit(n, k, epochs, rows, orders, X, Y, *lr, w0, w, V, acc_w0, acc_w, acc_V, s);
+        fwrite(w0, d, 1, stdout), fwrite(w, d, n, stdout), fwrite(V, d, n * k, stdout);
+        fwrite(acc_w0, d, 1, stdout), fwrite(acc_w, d, n, stdout), fwrite(acc_V, d, n * k, stdout);
+        free(lr), free(orders), free(X), free(Y), free(w0), free(w), free(V);
+        free(acc_w0), free(acc_w), free(acc_V), free(s);
+    }
+    return 0;
+}
+"""
+
+
+def fm_fit_case(n: int, k: int, epochs: int, rows: int):
+    """One fit's driver input, and the numpy twin's parameters and accumulators after it."""
+    rng = np.random.default_rng(n * 100 + k * 10 + rows)
+    count = rows + 2  # rows the shuffles never visit too
+    X = rng.integers(0, 2, (count, n)).astype(np.uint8)
+    X[0], X[-1] = 0, 1  # a row of no set bits and one of all
+    Y = rng.random(count)
+    orders = np.array([rng.permutation(count)[:rows] for _ in range(epochs)], dtype=np.intp)
+    w0, w, V = np.array([rng.normal()]), rng.normal(size=n), rng.uniform(-0.1, 0.1, (n, k))
+    stdin = np.array([n, k, epochs, rows, count], dtype=np.int64).tobytes() + b"".join(
+        a.tobytes() for a in (np.array([0.05]), orders, X, Y, w0, w, V))
+    accumulators = np.zeros(1), np.zeros(n), np.zeros((n, k))
+    fm._fit_numpy(orders, X, Y, 0.05, w0, w, V, *accumulators)
+    return stdin, b"".join(a.tobytes() for a in (w0, w, V, *accumulators))
+
+
+@needs_cc
+def test_fm_fit_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    exe = sanitized_driver(tmp_path, FM_DRIVER, "_fm.c")
+    cases = [fm_fit_case(n, k, epochs, rows) for n in (1, 2, 16, 17, 64) for k in (1, 8)
+             for epochs, rows in ((1, 1), (1, 20), (3, 7))]
     result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
                             capture_output=True, timeout=120)
     assert (result.returncode, result.stderr) == (0, b"")
