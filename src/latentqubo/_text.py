@@ -45,7 +45,7 @@ def float_rows(arr) -> str:
         out = np.empty(_VALUE_BYTES * arr.size, dtype=np.uint8)
         written = lib.format_floats(arr, *arr.shape, out)
         if written:  # 0 where the "C" locale could not be made
-            return out[: written - 1].tobytes().decode()
+            return str(out[: written - 1], "utf-8")  # decoded from the buffer, with no bytes copy
     return "\n".join(" ".join(map(float_text, row)) for row in arr)
 
 
@@ -59,7 +59,9 @@ def write_lines(path, lines) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            for line in lines:  # two writes, so that a long line is not copied to add its newline
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

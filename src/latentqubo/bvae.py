@@ -445,14 +445,17 @@ def reconstruction_accuracy(model: BvaeModel, images) -> float:
 
 
 def save_bvae(model: BvaeModel, path) -> None:
+    """Write the checkpoint, formatting each layer as it is written, so one layer's text is held."""
     arch = model.architecture
-    lines = []
-    for name in _LAYER_NAMES:
-        arr = model.params[name]
-        lines.append(f"LAYER {name} {arr.shape[0]} {arr.shape[1]}")
-        lines.append(float_rows(arr))
-    lines.append(f"TAU {float_text(model.tau)}")
-    write_tagged(path, "BVAE", {"m": arch.image_side, "n": arch.latent_bits}, lines)
+
+    def lines():
+        for name in _LAYER_NAMES:
+            arr = model.params[name]
+            yield f"LAYER {name} {arr.shape[0]} {arr.shape[1]}"
+            yield float_rows(arr)
+        yield f"TAU {float_text(model.tau)}"
+
+    write_tagged(path, "BVAE", {"m": arch.image_side, "n": arch.latent_bits}, lines())
 
 
 def load_bvae(path) -> BvaeModel:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._text import _count, _counted, _field, _read_tagged, float_text, write_tagged
-from .qubo import as_binary_vector
+from ._text import _count, _counted, _field, _read_tagged, float_rows, write_tagged
+from .qubo import _checked_states, as_binary_vector
 
 __all__ = ["LabeledDataset", "save_dataset", "load_dataset"]
 
@@ -70,7 +71,9 @@ class LabeledDataset:
         return frozenset(self.X[r].tobytes() for r in range(len(self)))
 
     def contains(self, bits) -> bool:
-        x = as_binary_vector(bits)
+        x = np.asarray(bits)
+        if x.dtype != np.uint8 or x.ndim != 1 or x.size == 0 or x.max() > 1:
+            x = as_binary_vector(x)  # converts a binary vector of another kind, or raises
         return x.tobytes() in self._keys
 
     def max_label(self) -> float:
@@ -87,7 +90,8 @@ class LabeledDataset:
         """Append rows, returning (new dataset, number actually added).
 
         A row is skipped when its vector matches any existing row or an
-        earlier row of this same batch; the first label wins.
+        earlier row of this same batch; the first label wins.  The whole
+        batch is checked to be binary at once.
         """
         X_new = np.atleast_2d(np.asarray(X_new))
         Y_new = np.atleast_1d(np.asarray(Y_new, dtype=np.float64))
@@ -100,10 +104,11 @@ class LabeledDataset:
             raise ValueError(
                 f"dimension mismatch: dataset has n={self.n}, new rows have {X_new.shape[1]}"
             )
+        X_new = _checked_states(X_new, 0, max_ndim=2).astype(np.uint8)
         keep = []
         seen = set(self._keys)
-        for r in range(X_new.shape[0]):
-            key = as_binary_vector(X_new[r]).tobytes()
+        for r, row in enumerate(X_new):
+            key = row.tobytes()
             if key not in seen:
                 seen.add(key)
                 keep.append(r)
@@ -126,8 +131,10 @@ class LabeledDataset:
 
 
 def save_dataset(data: LabeledDataset, path) -> None:
-    rows = zip(data.X, data.Y, data.provenance)
-    lines = (f"{''.join(map(str, x))} {float_text(y)} {tag}" for x, y, tag in rows)
+    """Write one '<bits> <label> <tag>' line per row, the label in float_text."""
+    bits = np.ascontiguousarray(data.X + 48).view(f"S{data.n}").ravel().tolist()  # ASCII '0' is 48
+    labels = float_rows(data.Y[:, None]).splitlines()
+    lines = (f"{x.decode()} {y} {tag}" for x, y, tag in zip(bits, labels, data.provenance))
     write_tagged(path, "DATASET", {"n": data.n, "count": len(data)}, lines)
 
 
@@ -141,10 +148,10 @@ def load_dataset(path) -> LabeledDataset:
                     f"{where}: a row takes 3 fields (bits label tag), not {len(fields)}"
                 )
             bits, label, tag = fields
-            if len(bits) != n or not set(bits) <= {"0", "1"}:
+            if len(bits) != n or bits.strip("01"):
                 raise ValueError(f"{where}: expected {n} bits of 0 or 1, got {bits!r}")
-            rows.append([int(ch) for ch in bits])
-            labels.append(_field(label, float, np.isfinite, where, "a label must be finite"))
+            rows.append(bits)
+            labels.append(_field(label, float, math.isfinite, where, "a label must be finite"))
             tags.append(tag)
-    X = np.array(rows, dtype=np.uint8).reshape(-1, n)
+    X = (np.frombuffer("".join(rows).encode(), np.uint8) - 48).reshape(-1, n)  # ASCII '0' is 48
     return LabeledDataset(X=X, Y=np.array(labels), provenance=tuple(tags))

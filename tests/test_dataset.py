@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import latentqubo as lq
+from latentqubo import _native
+from latentqubo._text import float_text
 
 
 def make_dataset(rows, labels, tag="random"):
@@ -144,3 +146,95 @@ class TestSerialization:
         path.write_text("DATASET v1 n=3 count=2\n101 0.5 seed\n")
         with pytest.raises(ValueError):
             lq.load_dataset(path)
+
+
+class TestAtScale:
+    """About 1,500 rows in three batches, as the loop's dataset grows, against per-row code."""
+
+    N = 16
+    EDGE_LABELS = [5e-324, -0.0, 1e300, 0.1]
+    TAGS = ["random", "iter0", "zürich_µ-α", "日本", "ß"]
+
+    def batches(self):
+        """Three (X, Y, tags) batches with repeats inside each and across them."""
+        rng = np.random.default_rng(25)
+        pool = rng.integers(0, 2, (900, self.N)).astype(np.uint8)
+        out = []
+        for count in (1200, 200, 100):
+            X = pool[rng.integers(0, len(pool), count)]
+            Y = rng.normal(size=count)
+            Y[rng.integers(0, count, 4 * len(self.EDGE_LABELS))] = self.EDGE_LABELS * 4
+            tags = tuple(self.TAGS[i] for i in rng.integers(0, len(self.TAGS), count))
+            out.append((X, Y, tags))
+        return out
+
+    def reference_append(self, rows, labels, tags, X, Y, new_tags):
+        """append_rows one row at a time: a row seen before keeps its first label."""
+        seen = {tuple(row) for row in rows}
+        added = 0
+        for x, y, tag in zip(X.tolist(), Y, new_tags):
+            if tuple(x) not in seen:
+                seen.add(tuple(x))
+                rows.append(x), labels.append(y), tags.append(tag)
+                added += 1
+        return added
+
+    def grown(self):
+        data = lq.LabeledDataset.empty(self.N)
+        for X, Y, tags in self.batches():
+            data, _ = data.append_rows(X, Y, tags)
+        return data
+
+    def test_append_rows_matches_per_row_reference(self):
+        data = lq.LabeledDataset.empty(self.N)
+        rows, labels, tags = [], [], []
+        for X, Y, new_tags in self.batches():
+            data, added = data.append_rows(X, Y, new_tags)
+            assert added == self.reference_append(rows, labels, tags, X, Y, new_tags)
+            assert data.X.tolist() == rows
+            assert data.Y.view(np.uint64).tolist() == np.array(labels).view(np.uint64).tolist()
+            assert data.provenance == tuple(tags)
+        assert 700 < len(data) < 900  # repeats were dropped within and across batches
+        assert all(data.contains(row) for row in data.X)
+        absent = np.random.default_rng(3).integers(0, 2, (200, self.N)).astype(np.uint8)
+        for row in absent:
+            assert data.contains(row) == (row.tolist() in rows)
+
+    def test_a_batch_is_checked_whole(self):
+        data = self.grown()
+        X, Y, tags = self.batches()[1]
+        X = X.copy()
+        X[-1, 3] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            data.append_rows(X, Y, tags)
+        with pytest.raises(ValueError, match="0 or 1"):
+            data.contains(X[-1])
+        with pytest.raises(ValueError, match="1-D"):
+            data.contains(np.zeros(0, dtype=np.uint8))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_saved_bytes_are_the_per_row_text(self, tmp_path, monkeypatch, compiled, order):
+        data = self.grown()
+        data = lq.LabeledDataset(X=np.asarray(data.X, order=order), Y=data.Y,
+                                 provenance=data.provenance)
+        if not compiled:
+            monkeypatch.setattr(_native, "library", lambda: None)
+        path = tmp_path / "data.txt"
+        lq.save_dataset(data, path)
+        lines = [f"DATASET v1 n={self.N} count={len(data)}"] + [
+            f"{''.join(map(str, x))} {float_text(y)} {tag}"
+            for x, y, tag in zip(data.X, data.Y, data.provenance)
+        ]
+        assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+    def test_load_gives_back_every_bit(self, tmp_path):
+        data = self.grown()
+        path = tmp_path / "data.txt"
+        lq.save_dataset(data, path)
+        loaded = lq.load_dataset(path)
+        assert loaded.X.dtype == np.uint8 and loaded.X.tolist() == data.X.tolist()
+        assert loaded.Y.view(np.uint64).tolist() == data.Y.view(np.uint64).tolist()
+        assert loaded.provenance == data.provenance
+        assert set(np.array(self.EDGE_LABELS).view(np.uint64).tolist()) <= set(
+            loaded.Y.view(np.uint64).tolist())

@@ -301,7 +301,8 @@ class TestTraining:
 class TestFmKernel:
     """The compiled Adagrad fit against the numpy loop it replaces: the same bits."""
 
-    # (n, rank, rows, split): one-row and all-training splits among them
+    # (n, rank, rows, split): one-row and all-training splits among them; rank 3 takes the
+    # kernel's pairs of factors and its odd last one
     CASES = [
         (1, 1, 30, (0.7, 0.1, 0.2)),
         (2, 8, 30, (0.7, 0.1, 0.2)),
@@ -312,6 +313,8 @@ class TestFmKernel:
         (40, 8, 200, (0.7, 0.1, 0.2)),
         (180, 1, 150, (1.0, 0.0, 0.0)),
         (180, 8, 150, (0.7, 0.1, 0.2)),
+        (16, 3, 150, (0.7, 0.1, 0.2)),
+        (180, 3, 150, (0.7, 0.1, 0.2)),
     ]
 
     @pytest.mark.parametrize("epochs", [1, 30])

@@ -582,6 +582,23 @@ def test_checkpoint_load_holds_no_more_than_its_arrays(saved_checkpoint):
     assert peak < 2 * arrays + 2 * 2**20
 
 
+@needs_cc
+def test_checkpoint_save_holds_one_layers_text(saved_checkpoint, tmp_path):
+    # each layer is formatted as it is written: its text and the formatter's buffer, not the file's
+    path, params = saved_checkpoint(16, 180)
+    model = lq.load_bvae(path)
+    largest = max(len(_text.float_rows(values)) for values in params.values())
+    again = tmp_path / "again.txt"
+    tracemalloc.start()
+    try:
+        lq.save_bvae(model, again)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * largest + 2 * 2**20
+    assert again.read_bytes() == path.read_bytes()
+
+
 # tokens on which the compiled parser and numpy may part: numpy reads 1_0 and the
 # Arabic-Indic digit one, the compiled parser refuses both and hands the line back
 EDGE_TOKENS = ["1_0", "\u0661", "+.5", "5.", "-0", "5e-324", "1e-400", "1e400", "inf", "nan",

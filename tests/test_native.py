@@ -758,7 +758,7 @@ def fm_fit_case(n: int, k: int, epochs: int, rows: int):
 @needs_cc
 def test_fm_fit_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     exe = sanitized_driver(tmp_path, FM_DRIVER, "_fm.c")
-    cases = [fm_fit_case(n, k, epochs, rows) for n in (1, 2, 16, 17, 64) for k in (1, 8)
+    cases = [fm_fit_case(n, k, epochs, rows) for n in (1, 2, 16, 17, 64) for k in (1, 3, 8)
              for epochs, rows in ((1, 1), (1, 20), (3, 7))]
     result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
                             capture_output=True, timeout=120)
