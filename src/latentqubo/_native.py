@@ -5,8 +5,9 @@ dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the brute-force sampler's energies of a run of
 states, summed in ``qubo_energy``'s order), ``_parse.c`` (rows of decimal
 text straight from the text reader's buffer, read as ``float()`` reads them),
-``_format.c`` (rows of float64 values written as ``"%.17g"`` writes them) and
-``_adam.c`` (one Adam step of the autoencoder over all its parameters) are compiled
+``_format.c`` (rows of float64 values written as ``"%.17g"`` writes them),
+``_adam.c`` (one Adam step of the autoencoder over all its parameters) and
+``_decode.c`` (the decoder's head logits for a batch of latent rows) are compiled
 together with ``cc`` into one library, loaded through ``ctypes``.  The library is kept in the
 package's ``__pycache__/`` under a name that carries a SHA-256 of the
 sources, the compiler flags, the compiler and the machine, so only the first
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c")
+SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c", "_decode.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-shared",
           "-fPIC")
 _LIBS = ("-lm",)
@@ -176,4 +177,13 @@ def library():
         *[ctypes.c_double] * 6,  # lr, b1, b2, c1 = 1 - b1^t, c2 = 1 - b2^t, eps
     ]
     lib.adam_step.restype = None
+    lib.decode_heads.argtypes = [
+        size, size, size, size, size,  # rows, n, d1, d2, pixels
+        _array(np.uint8, 2),  # bits, rows x n
+        *[_array(f64, 2)] * 6,  # dec1_w, dec1_b, dec2_w, dec2_b, dec3_w, dec3_b
+        *[_array(f64, 1, out=True)] * 3,  # x, h1, h2: n, d1 and d2 doubles of scratch
+        _array(np.intp, 1, out=True),  # nonzero, max(n, d1, d2) indices of scratch
+        _array(f64, 2, out=True),  # heads, rows x pixels
+    ]
+    lib.decode_heads.restype = None
     return lib

@@ -18,7 +18,7 @@ import numpy as np
 from . import _native, _settings
 from ._text import _count, _field, _read_tagged, float_rows, float_text, write_tagged
 from .images import _check_images, gaussian_blur
-from .qubo import as_binary_vector
+from .qubo import _checked_states
 
 __all__ = [
     "BvaeArchitecture",
@@ -411,36 +411,77 @@ def encode(model: BvaeModel, image) -> np.ndarray:
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 
+def _decode_numpy(params, X: np.ndarray) -> np.ndarray:
+    """_decode.c's decode_heads in numpy: each unit summed over its inputs in index order.
+
+    Unit u is (+0.0 + the sum over j ascending of in[:, j] * W[j, u]) + b[u], then
+    the hidden layers' ReLU, so each row gets the kernel's bits whatever the batch.
+    """
+    h = X.astype(np.float64)
+    for layer in (1, 2, 3):
+        w, b = params[f"dec{layer}_w"], params[f"dec{layer}_b"]
+        acc = np.zeros((h.shape[0], w.shape[1]))
+        for j in range(w.shape[0]):
+            acc += h[:, j, None] * w[j]
+        acc += b
+        h = acc if layer == 3 else np.where(acc > 0, acc, 0.0)
+    return h
+
+
+def _decode_heads(params, X: np.ndarray) -> np.ndarray:
+    """The decoder's head logits for each uint8 row of X, in one decode_heads call or in numpy."""
+    lib = _native.library()
+    if lib is None:
+        return _decode_numpy(params, X)
+    rows, n = X.shape
+    d1, d2, pixels = (params[f"dec{layer}_w"].shape[1] for layer in (1, 2, 3))
+    heads = np.empty((rows, pixels))
+    lib.decode_heads(rows, n, d1, d2, pixels, X, *(params[name] for name in _LAYER_NAMES[6:]),
+                     np.empty(n), np.empty(d1), np.empty(d2), np.empty(max(n, d1, d2), np.intp),
+                     heads)
+    return heads
+
+
 def decode(
     model: BvaeModel, bits, blur_radius_px: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate from hard latent bits: (continuous image, thresholded pattern).
 
-    A nonzero blur radius applies a Gaussian filter (in pixels) to the
-    continuous output before thresholding at 0.5.
+    bits is one vector, giving two (m, m) arrays, or a (B, n) batch, giving two
+    (B, m, m) stacks; each row's result is the same alone or in any batch.  A
+    nonzero blur radius applies a Gaussian filter (in pixels) to each continuous
+    image before thresholding at 0.5.  The decoder runs in ``_decode.c``'s fixed
+    summation order, or its numpy twin where there is no compiler, so its bits
+    depend on neither the batch nor the BLAS.
     """
-    x = as_binary_vector(bits)
+    arr = _checked_states(bits, 0, max_ndim=2)
+    X = np.ascontiguousarray(np.atleast_2d(arr), dtype=np.uint8)
     n = model.architecture.latent_bits
-    if x.size != n:
-        raise ValueError(f"dimension mismatch: model has n={n}, vector has length {x.size}")
+    if X.shape[1] != n:
+        raise ValueError(f"dimension mismatch: model has n={n}, vector has length {X.shape[1]}")
     _settings.real("blur_radius_px", blur_radius_px, 0)
     m = model.architecture.image_side
-    continuous = _sigmoid(_mlp(model.params, "dec", x.astype(np.float64)[None, :])[2]).reshape(m, m)
+    continuous = _sigmoid(_decode_heads(model.params, X)).reshape(-1, m, m)
     if blur_radius_px > 0:
-        continuous = gaussian_blur(continuous, blur_radius_px)
+        continuous = gaussian_blur(continuous, (0, blur_radius_px, blur_radius_px))
     pattern = (continuous >= 0.5).astype(np.uint8)
-    return continuous, pattern
+    return (continuous, pattern) if arr.ndim == 2 else (continuous[0], pattern[0])
 
 
 def reconstruction_accuracy(model: BvaeModel, images) -> float:
-    """Mean fraction of pixels where decode(encode(img)) matches img >= 0.5."""
+    """Mean fraction of pixels where decode(encode(img)) matches img >= 0.5.
+
+    Each image is encoded alone and all the codes are decoded in one batch.
+    """
     T = _check_batch(model.architecture, images)
+    if T.shape[0] == 0:
+        raise ValueError("cannot measure reconstruction on an empty image set")
     m = model.architecture.image_side
+    codes = np.stack([encode(model, row.reshape(m, m)) for row in T])
+    _, patterns = decode(model, codes)
     total = 0.0
-    for row in T:
-        img = row.reshape(m, m)
-        _, pattern = decode(model, encode(model, img))
-        total += float(np.mean(pattern == (img >= 0.5)))
+    for share in (patterns.reshape(T.shape) == (T >= 0.5)).mean(axis=1).tolist():
+        total += share  # left to right in image order, whatever numpy's own summation order
     return total / T.shape[0]
 
 

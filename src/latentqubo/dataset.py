@@ -14,6 +14,11 @@ from .qubo import _checked_states, as_binary_vector
 __all__ = ["LabeledDataset", "save_dataset", "load_dataset"]
 
 
+def _row_keys(X: np.ndarray) -> list[bytes]:
+    """Each row's ``tobytes()``, made in one pass over a 2-D uint8 array."""
+    return np.ascontiguousarray(X).view(np.dtype((np.void, X.shape[1]))).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Immutable (X, Y) table with a free-form provenance token per row.
@@ -68,7 +73,7 @@ class LabeledDataset:
 
     @cached_property
     def _keys(self) -> frozenset[bytes]:
-        return frozenset(self.X[r].tobytes() for r in range(len(self)))
+        return frozenset(_row_keys(self.X))
 
     def contains(self, bits) -> bool:
         x = np.asarray(bits)
@@ -107,8 +112,7 @@ class LabeledDataset:
         X_new = _checked_states(X_new, 0, max_ndim=2).astype(np.uint8)
         keep = []
         seen = set(self._keys)
-        for r, row in enumerate(X_new):
-            key = row.tobytes()
+        for r, key in enumerate(_row_keys(X_new)):
             if key not in seen:
                 seen.add(key)
                 keep.append(r)

@@ -32,25 +32,43 @@ CORPUS_KINDS = ("half_planes", "blobs", "stripes")
 
 
 class FigureOfMerit:
-    """Behavioral contract: a named, deterministic pattern score in [0,1]."""
+    """Behavioral contract: a named, deterministic pattern score in [0,1].
+
+    A subclass defines ``evaluate`` for one pattern, and :func:`evaluate_fom`
+    calls it once per pattern of a stack.  The built-in objectives write their
+    formula once, over a stack, and score a single pattern as a stack of one.
+    """
 
     name: str = "abstract"
 
     def evaluate(self, pattern: np.ndarray) -> float:
         raise NotImplementedError
 
+    def _scores(self, patterns: np.ndarray) -> np.ndarray:
+        """The scores of a (B, m, m) stack of checked patterns."""
+        return np.array([self.evaluate(pattern) for pattern in patterns], dtype=np.float64)
 
-def _check_pattern(pattern) -> np.ndarray:
-    arr = np.asarray(pattern)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"pattern must be a nonempty square 2-D array, got shape {arr.shape}")
+
+def _check_patterns(patterns, max_ndim: int = 3) -> np.ndarray:
+    """One nonempty square 0/1 pattern, or (with max_ndim=3) a stack of them."""
+    arr = np.asarray(patterns)
+    if not 2 <= arr.ndim <= max_ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+        kind = "a nonempty square 2-D array" + (" or a stack of them" if max_ndim == 3 else "")
+        raise ValueError(f"pattern must be {kind}, got shape {arr.shape}")
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("pattern entries must be exactly 0 or 1")
-    return arr.astype(np.float64)
+    return arr
+
+
+class _StackObjective(FigureOfMerit):
+    """A built-in objective: ``_scores`` holds its formula, and one pattern is a stack of one."""
+
+    def evaluate(self, pattern: np.ndarray) -> float:
+        return float(self._scores(_check_patterns(pattern, max_ndim=2)[None])[0])
 
 
 @dataclass(frozen=True)
-class ProductEfficiencyObjective(FigureOfMerit):
+class ProductEfficiencyObjective(_StackObjective):
     """Product of a fill-factor band term and a boundary-smoothness term.
 
     eff_in  = exp(-(fill - target_fill)^2 / 0.02) rewards patterns whose mean
@@ -67,43 +85,53 @@ class ProductEfficiencyObjective(FigureOfMerit):
         _settings.real("target_fill", self.target_fill, 0, 1, strict=True)
         _settings.real("smoothness_weight", self.smoothness_weight, 0)
 
-    def evaluate(self, pattern: np.ndarray) -> float:
-        arr = _check_pattern(pattern)
-        m = arr.shape[0]
-        fill = float(arr.mean())
-        eff_in = float(np.exp(-((fill - self.target_fill) ** 2) / 0.02))
-        unequal = int(np.sum(arr[:, 1:] != arr[:, :-1])) + int(np.sum(arr[1:, :] != arr[:-1, :]))
+    def _scores(self, patterns: np.ndarray) -> np.ndarray:
+        m = patterns.shape[-1]
+        fill = patterns.sum(axis=(1, 2)) / (m * m)  # an exact count: each pattern's mean to the bit
+        # the C library's pow, as a float's ** 2 calls it: an array's ** 2 is a product, which
+        # rounds differently for some fills and targets
+        eff_in = np.exp(-np.float_power(fill - self.target_fill, 2) / 0.02)
+        unequal = ((patterns[:, :, 1:] != patterns[:, :, :-1]).sum(axis=(1, 2))
+                   + (patterns[:, 1:, :] != patterns[:, :-1, :]).sum(axis=(1, 2)))
         boundary_density = unequal / (2 * m * (m - 1)) if m > 1 else 0.0
         eff_out = 1.0 / (1.0 + self.smoothness_weight * boundary_density)
         return eff_in * eff_out
 
 
 @dataclass(frozen=True)
-class TargetOverlapObjective(FigureOfMerit):
+class TargetOverlapObjective(_StackObjective):
     """Fraction of pixels matching a fixed target; 1 exactly on the target."""
 
     target: np.ndarray
     name: str = "target_overlap"
 
     def __post_init__(self):
-        target = _check_pattern(self.target).astype(np.uint8)
+        target = _check_patterns(self.target, max_ndim=2).astype(np.uint8)
         target.setflags(write=False)
         object.__setattr__(self, "target", target)
 
-    def evaluate(self, pattern: np.ndarray) -> float:
-        arr = _check_pattern(pattern)
-        if arr.shape != self.target.shape:
+    def _scores(self, patterns: np.ndarray) -> np.ndarray:
+        if patterns.shape[1:] != self.target.shape:
             raise ValueError(
-                f"pattern shape {arr.shape} does not match target shape {self.target.shape}"
+                f"pattern shape {patterns.shape[1:]} does not match target shape "
+                f"{self.target.shape}"
             )
-        return float(np.mean(arr == self.target))
+        return (patterns == self.target).mean(axis=(1, 2))
 
 
-def evaluate_fom(obj: FigureOfMerit, pattern) -> float:
-    value = obj.evaluate(np.asarray(pattern))
-    if not 0.0 <= value <= 1.0:
+def evaluate_fom(obj: FigureOfMerit, patterns):
+    """Score one pattern, giving a float, or a (B, m, m) stack, giving B floats.
+
+    A built-in objective scores the whole stack at once; each score has the
+    bits that scoring its pattern alone gives.
+    """
+    arr = _check_patterns(patterns)
+    values = obj._scores(arr[None] if arr.ndim == 2 else arr)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        value = values[np.argmax(outside)]
         raise ValueError(f"objective {obj.name!r} returned {value}, outside [0, 1]")
-    return value
+    return float(values[0]) if arr.ndim == 2 else values
 
 
 @dataclass(frozen=True)
@@ -146,16 +174,13 @@ class StratificationSpec:
 def build_latent_dataset(
     model: BvaeModel, obj: FigureOfMerit, count: int, seed: int, blur: float = 0.0
 ) -> LabeledDataset:
-    """Label uniform random latent vectors by decoding and scoring each."""
+    """Label uniform random latent vectors, decoded and scored in one batch."""
     _settings.count("count", count)
     n = model.architecture.latent_bits
     rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     X = rng.integers(0, 2, size=(count, n)).astype(np.uint8)
-    Y = np.zeros(count)
-    for r in range(count):
-        _, pattern = decode(model, X[r], blur_radius_px=blur)
-        Y[r] = evaluate_fom(obj, pattern)
-    return LabeledDataset(X=X, Y=Y, provenance=("random",) * count)
+    _, patterns = decode(model, X, blur_radius_px=blur)
+    return LabeledDataset(X=X, Y=evaluate_fom(obj, patterns), provenance=("random",) * count)
 
 
 def stratify_dataset(

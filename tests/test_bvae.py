@@ -1,10 +1,13 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
+import latentqubo._native as native
+import latentqubo.bvae as bvae
 
 
 def tiny_arch(m=4, n=4):
@@ -271,6 +274,18 @@ class TestTraining:
     def test_fixture_reconstruction_quality(self, toy_bvae, half_plane_corpus):
         assert lq.reconstruction_accuracy(toy_bvae, half_plane_corpus) >= 0.9
 
+    def test_reconstruction_is_the_mean_of_each_image_alone(self, toy_bvae, half_plane_corpus):
+        total = 0.0
+        for img in half_plane_corpus:
+            _, pattern = lq.decode(toy_bvae, lq.encode(toy_bvae, img))
+            total += float(np.mean(pattern == (img >= 0.5)))
+        expected = total / len(half_plane_corpus)
+        assert lq.reconstruction_accuracy(toy_bvae, half_plane_corpus) == expected
+
+    def test_reconstruction_of_no_images_rejected(self, toy_bvae):
+        with pytest.raises(ValueError, match="empty image set"):
+            lq.reconstruction_accuracy(toy_bvae, np.zeros((0, 8, 8)))
+
 
 class TestEncodeDecode:
     def test_encode_shape_and_dtype(self, toy_bvae, half_plane_corpus):
@@ -359,3 +374,93 @@ class TestCheckpoint:
         a, _ = lq.decode(toy_bvae, bits)
         b, _ = lq.decode(loaded, bits)
         assert np.array_equal(a, b)
+
+
+def decoder_params(n: int, hidden: tuple[int, int], pixels: int, seed: int) -> dict:
+    """Random decoder layers with some weights and biases at -0.0 and +0.0."""
+    rng = np.random.default_rng(seed)
+    sizes = (n, *hidden, pixels)
+    params = {}
+    for layer, (fan_in, units) in enumerate(zip(sizes, sizes[1:]), start=1):
+        w = rng.normal(0.0, 1.0, (fan_in, units))
+        w[rng.random(w.shape) < 0.1] = -0.0
+        w[rng.random(w.shape) < 0.05] = 0.0
+        b = rng.normal(0.0, 0.5, (1, units))
+        b[0, ::3] = -0.0
+        params[f"dec{layer}_w"], params[f"dec{layer}_b"] = w, b
+    return params
+
+
+def latent_rows(n: int, rows: int, seed: int) -> np.ndarray:
+    """Random latent rows, the first all zero and the last all one."""
+    X = np.random.default_rng(seed).integers(0, 2, (rows, n)).astype(np.uint8)
+    X[:1], X[1:][-1:] = 0, 1
+    return X
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+@needs_cc
+class TestDecodeKernel:
+    """The compiled decoder against its numpy twin: the same bits."""
+
+    # hidden sizes below, at and above one block of 16 units, and heads of 9, 16 and 36 pixels,
+    # so the 16-unit blocks and the scalar tail both run in every layer
+    @pytest.mark.parametrize("pixels", [9, 16, 36])
+    @pytest.mark.parametrize("hidden", [(1, 3), (3, 1), (16, 17), (17, 16)])
+    @pytest.mark.parametrize("n", [1, 16, 180])
+    def test_same_heads_as_numpy_twin(self, n, hidden, pixels):
+        params = decoder_params(n, hidden, pixels, seed=n + pixels)
+        assert native.library() is not None
+        for rows in (0, 1, 2, 17):
+            X = latent_rows(n, rows, seed=rows)
+            compiled = bvae._decode_heads(params, X)
+            assert compiled.shape == (rows, pixels)
+            assert compiled.tobytes() == bvae._decode_numpy(params, X).tobytes()
+
+
+class TestBatchDecode:
+    """decode over a batch: each row's bits are the ones it gets alone."""
+
+    @pytest.fixture(params=["compiled", "numpy"])
+    def path(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(native, "library", lambda: None)
+        elif shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        return request.param
+
+    @pytest.mark.parametrize("blur", [0.0, 0.8])
+    def test_a_row_decodes_alike_alone_and_in_any_batch(self, path, blur):
+        arch = lq.BvaeArchitecture(6, 16, encoder_hidden=(8, 6), decoder_hidden=(17, 16))
+        model = random_model(arch, seed=3, bias_scale=1.0)
+        X = latent_rows(16, 40, seed=4)
+        images, patterns = lq.decode(model, X, blur_radius_px=blur)
+        assert images.shape == patterns.shape == (40, 6, 6)
+        for r in (0, 1, 20, 39):
+            image, pattern = lq.decode(model, X[r], blur_radius_px=blur)
+            assert image.tobytes() == images[r].tobytes()
+            assert pattern.tobytes() == patterns[r].tobytes()
+            for size in (2, 17):
+                start = min(r, 40 - size)
+                some, some_patterns = lq.decode(model, X[start : start + size], blur_radius_px=blur)
+                assert some[r - start].tobytes() == images[r].tobytes()
+                assert some_patterns[r - start].tobytes() == patterns[r].tobytes()
+
+    def test_both_paths_decode_alike(self, monkeypatch, toy_bvae):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        X = latent_rows(16, 50, seed=5)
+        compiled = lq.decode(toy_bvae, X, blur_radius_px=0.7)
+        monkeypatch.setattr(native, "library", lambda: None)
+        twin = lq.decode(toy_bvae, X, blur_radius_px=0.7)
+        assert [a.tobytes() for a in compiled] == [a.tobytes() for a in twin]
+
+    def test_a_batch_of_the_wrong_width_or_no_rows_rejected(self, toy_bvae):
+        with pytest.raises(ValueError, match="n=16"):
+            lq.decode(toy_bvae, np.zeros((3, 12), dtype=np.uint8))
+        with pytest.raises(ValueError, match="nonempty"):
+            lq.decode(toy_bvae, np.zeros((0, 16), dtype=np.uint8))
+        with pytest.raises(ValueError, match="0 or 1"):
+            lq.decode(toy_bvae, np.full((2, 16), 2))

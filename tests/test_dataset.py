@@ -94,6 +94,19 @@ class TestMembership:
         # first occurrence wins
         assert merged.Y.tolist() == [0.3, 0.2]
 
+    @pytest.mark.parametrize("n", [1, 8, 16, 180])
+    def test_keys_are_each_rows_bytes(self, n):
+        # rows with trailing zero bytes and all-zero rows among them, and views of other strides
+        rng = np.random.default_rng(n)
+        X = rng.integers(0, 2, (300, n)).astype(np.uint8)
+        X[:3] = 0
+        X[3:6, -1] = 0
+        data = make_dataset(X, np.zeros(300))
+        assert data._keys == {row.tobytes() for row in X}
+        merged, added = lq.LabeledDataset.empty(n).append_rows(X[::-2], np.zeros(150), ("t",) * 150)
+        assert merged._keys == {row.tobytes() for row in X[::-2]} and added == len(merged._keys)
+        assert lq.LabeledDataset.empty(n)._keys == frozenset()
+
     def test_append_width_mismatch(self):
         data = make_dataset([[1, 0]], [0.5])
         with pytest.raises(ValueError):

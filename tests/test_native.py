@@ -21,6 +21,7 @@ import latentqubo.qubo as qubo
 import latentqubo.samplers as samplers
 from latentqubo import _text
 from conftest import random_fm, random_qubo
+from test_bvae import decoder_params, latent_rows
 from test_fm import assert_same_model, random_dataset
 from test_samplers import sample_set_contents
 
@@ -760,6 +761,75 @@ def test_fm_fit_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     exe = sanitized_driver(tmp_path, FM_DRIVER, "_fm.c")
     cases = [fm_fit_case(n, k, epochs, rows) for n in (1, 2, 16, 17, 64) for k in (1, 3, 8)
              for epochs, rows in ((1, 1), (1, 20), (3, 7))]
+    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"".join(expected for _, expected in cases)
+
+
+# decode_heads on each case read from standard input: rows, n, d1, d2 and pixels as five
+# int64, then the rows' bits, then the six decoder layers, each in a heap buffer of exactly its
+# size, with scratch buffers of exactly the sizes the kernel is promised; writes the heads
+DECODE_DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+void decode_heads(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const uint8_t *,
+                  const double *, const double *, const double *, const double *,
+                  const double *, const double *, double *, double *, double *, ptrdiff_t *,
+                  double *);
+
+static void *take(size_t count, size_t size)
+{
+    void *buffer = malloc(count ? count * size : 1);
+    if (!buffer || fread(buffer, size, count, stdin) != count)
+        exit(2);
+    return buffer;
+}
+
+int main(void)
+{
+    int64_t shape[5];
+    while (fread(shape, sizeof shape, 1, stdin) == 1) {
+        const ptrdiff_t rows = shape[0], n = shape[1], d1 = shape[2], d2 = shape[3];
+        const ptrdiff_t pixels = shape[4];
+        const ptrdiff_t widest = n > d1 ? (n > d2 ? n : d2) : (d1 > d2 ? d1 : d2);
+        uint8_t *bits = take(rows * n, 1);
+        double *w1 = take(n * d1, 8), *b1 = take(d1, 8), *w2 = take(d1 * d2, 8);
+        double *b2 = take(d2, 8), *w3 = take(d2 * pixels, 8), *b3 = take(pixels, 8);
+        double *x = malloc(n * sizeof *x), *h1 = malloc(d1 * sizeof *h1);
+        double *h2 = malloc(d2 * sizeof *h2), *heads = malloc(rows ? rows * pixels * 8 : 1);
+        ptrdiff_t *nonzero = malloc(widest * sizeof *nonzero);
+        decode_heads(rows, n, d1, d2, pixels, bits, w1, b1, w2, b2, w3, b3, x, h1, h2, nonzero,
+                     heads);
+        fwrite(heads, sizeof *heads, rows * pixels, stdout);
+        free(bits), free(w1), free(b1), free(w2), free(b2), free(w3), free(b3);
+        free(x), free(h1), free(h2), free(heads), free(nonzero);
+    }
+    return 0;
+}
+"""
+
+
+def decode_case(n: int, hidden: tuple[int, int], pixels: int, rows: int):
+    """One batch's driver input, and the numpy twin's heads for it."""
+    params = decoder_params(n, hidden, pixels, seed=n * 100 + pixels)
+    X = latent_rows(n, rows, seed=rows)
+    layers = [params[f"dec{layer}_{kind}"] for layer in (1, 2, 3) for kind in "wb"]
+    stdin = np.array([rows, n, *hidden, pixels], dtype=np.int64).tobytes() + b"".join(
+        a.tobytes() for a in (X, *layers))
+    return stdin, bvae._decode_numpy(params, X).tobytes()
+
+
+@needs_cc
+def test_decode_heads_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    # hidden sizes and heads on both sides of a 16-unit block, no rows, one and a batch
+    exe = sanitized_driver(tmp_path, DECODE_DRIVER, "_decode.c")
+    cases = [decode_case(n, hidden, pixels, rows) for n in (1, 16, 180)
+             for hidden in ((1, 3), (16, 17), (17, 16)) for pixels in (9, 16, 36)
+             for rows in (0, 1, 17)]
     result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
                             capture_output=True, timeout=120)
     assert (result.returncode, result.stderr) == (0, b"")

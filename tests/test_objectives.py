@@ -111,6 +111,100 @@ class TestEvaluateFom:
             lq.FigureOfMerit().evaluate(np.zeros((2, 2)))
 
 
+def product_efficiency_alone(obj, count: int, unequal: int, m: int) -> float:
+    """The product-efficiency formula in Python floats, for one pattern's two counts."""
+    fill = count / (m * m)
+    eff_in = float(np.exp(-((fill - obj.target_fill) ** 2) / 0.02))
+    eff_out = 1.0 / (1.0 + obj.smoothness_weight * (unequal / (2 * m * (m - 1))))
+    return eff_in * eff_out
+
+
+def every_pattern(m: int) -> np.ndarray:
+    states = np.arange(2 ** (m * m))[:, None] >> np.arange(m * m) & 1
+    return states.astype(np.uint8).reshape(-1, m, m)
+
+
+def every_fill(m: int, per_count: int = 3) -> np.ndarray:
+    """per_count random patterns of each of the m*m + 1 fill counts."""
+    rng = np.random.default_rng(m)
+    flat = np.zeros((m * m + 1, per_count, m * m), dtype=np.uint8)
+    for count in range(m * m + 1):
+        for k in range(per_count):
+            flat[count, k, rng.permutation(m * m)[:count]] = 1
+    return flat.reshape(-1, m, m)
+
+
+def alone(values_by_key, keys) -> list[float]:
+    """Each pattern's value, looked up by its key among the distinct keys."""
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    table = [values_by_key(*key) for key in distinct.tolist()]
+    return [table[i] for i in inverse.ravel().tolist()]
+
+
+class TestStacks:
+    """evaluate_fom over a stack gives each pattern the bits it gets alone."""
+
+    # every pattern at m = 4 and every fill count at m = 8 and 16; at 0.3379... (m = 4) and
+    # 0.9504... (m = 8 and 16), (fill - target) ** 2 and (fill - target) * (fill - target)
+    # differ in their last bit for some fill
+    @pytest.mark.parametrize("target_fill", [0.4, 0.5, 0.33791122550713326, 0.9504636963259353])
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_product_efficiency(self, m, target_fill):
+        obj = lq.ProductEfficiencyObjective(target_fill=target_fill, smoothness_weight=2.0)
+        stack = every_pattern(4) if m == 4 else every_fill(m)
+        values = lq.evaluate_fom(obj, stack)
+        assert values.shape == (len(stack),) and values.dtype == np.float64
+        # a pattern's formula depends on its fill count and its count of unequal neighbours
+        unequal = (np.sum(stack[:, :, 1:] != stack[:, :, :-1], axis=(1, 2))
+                   + np.sum(stack[:, 1:, :] != stack[:, :-1, :], axis=(1, 2)))
+        keys = np.stack([stack.sum(axis=(1, 2)), unequal], axis=1)
+        assert values.tolist() == alone(lambda c, u: product_efficiency_alone(obj, c, u, m), keys)
+        for r in range(0, len(stack), 61):
+            assert lq.evaluate_fom(obj, stack[r]) == obj.evaluate(stack[r]) == values[r]
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_target_overlap(self, m):
+        target = np.zeros((m, m), dtype=np.uint8)
+        target[: m // 2] = 1
+        obj = lq.TargetOverlapObjective(target=target)
+        stack = every_pattern(4) if m == 4 else every_fill(m)
+        values = lq.evaluate_fom(obj, stack)
+        matches = np.sum(stack == target, axis=(1, 2))[:, None]
+        assert values.tolist() == alone(lambda c: float(np.mean(np.arange(m * m) < c)), matches)
+        for r in range(0, len(stack), 61):
+            assert lq.evaluate_fom(obj, stack[r]) == obj.evaluate(stack[r]) == values[r]
+
+    def test_a_custom_objective_scores_each_pattern_of_a_stack(self):
+        class Fill(lq.FigureOfMerit):
+            name = "fill"
+
+            def evaluate(self, pattern):
+                assert pattern.shape == (3, 3)
+                return float(pattern.mean())
+
+        stack = every_fill(3, per_count=1)
+        assert lq.evaluate_fom(Fill(), stack).tolist() == [c / 9 for c in range(10)]
+
+    def test_one_score_outside_the_range_rejects_the_stack(self):
+        class Broken(lq.FigureOfMerit):
+            name = "broken"
+
+            def evaluate(self, pattern):
+                return 2.0 if pattern.all() else 0.5
+
+        with pytest.raises(ValueError, match="returned 2.0, outside"):
+            lq.evaluate_fom(Broken(), every_fill(2, per_count=1))
+
+    def test_a_stack_of_other_shapes_rejected(self):
+        obj = lq.ProductEfficiencyObjective(target_fill=0.5, smoothness_weight=1.0)
+        with pytest.raises(ValueError, match="square"):
+            lq.evaluate_fom(obj, np.zeros((3, 4, 5)))
+        with pytest.raises(ValueError, match="square"):
+            lq.evaluate_fom(obj, np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ValueError, match="square"):
+            obj.evaluate(np.zeros((3, 4, 4)))
+
+
 class TestStratification:
     def spec(self):
         return lq.StratificationSpec(
