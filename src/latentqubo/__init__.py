@@ -34,7 +34,6 @@ from .fm import (
     apply_label_transform,
     fm_gradients,
     fm_predict,
-    fm_predict_batch,
     fm_to_qubo,
     fm_train,
     load_fm,
@@ -67,7 +66,6 @@ from .pipeline import (
 from .qubo import (
     IsingProblem,
     QuboProblem,
-    as_binary_vector,
     ising_energy,
     ising_to_qubo,
     load_qubo,

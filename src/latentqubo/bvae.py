@@ -454,11 +454,8 @@ def decode(
     summation order, or its numpy twin where there is no compiler, so its bits
     depend on neither the batch nor the BLAS.
     """
-    arr = _checked_states(bits, 0, max_ndim=2)
+    arr = _checked_states(bits, 0, max_ndim=2, n=model.architecture.latent_bits)
     X = np.ascontiguousarray(np.atleast_2d(arr), dtype=np.uint8)
-    n = model.architecture.latent_bits
-    if X.shape[1] != n:
-        raise ValueError(f"dimension mismatch: model has n={n}, vector has length {X.shape[1]}")
     _settings.real("blur_radius_px", blur_radius_px, 0)
     m = model.architecture.image_side
     continuous = _sigmoid(_decode_heads(model.params, X)).reshape(-1, m, m)

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from ._text import _count, _counted, _field, _read_tagged, float_rows, write_tagged
-from .qubo import _checked_states, as_binary_vector
+from .qubo import _checked_states
 
 __all__ = ["LabeledDataset", "save_dataset", "load_dataset"]
 
@@ -77,8 +77,8 @@ class LabeledDataset:
 
     def contains(self, bits) -> bool:
         x = np.asarray(bits)
-        if x.dtype != np.uint8 or x.ndim != 1 or x.size == 0 or x.max() > 1:
-            x = as_binary_vector(x)  # converts a binary vector of another kind, or raises
+        if x.dtype != np.uint8 or x.ndim != 1 or x.size != self.n or x.max() > 1:
+            x = _checked_states(x, 0, n=self.n).astype(np.uint8)  # converts, or raises
         return x.tobytes() in self._keys
 
     def max_label(self) -> float:
@@ -105,11 +105,7 @@ class LabeledDataset:
             raise ValueError("X_new, Y_new, and tags must have matching lengths")
         if X_new.shape[0] == 0:
             return self, 0
-        if X_new.shape[1] != self.n:
-            raise ValueError(
-                f"dimension mismatch: dataset has n={self.n}, new rows have {X_new.shape[1]}"
-            )
-        X_new = _checked_states(X_new, 0, max_ndim=2).astype(np.uint8)
+        X_new = _checked_states(X_new, 0, max_ndim=2, n=self.n).astype(np.uint8)
         keep = []
         seen = set(self._keys)
         for r, key in enumerate(_row_keys(X_new)):

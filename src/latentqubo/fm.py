@@ -15,7 +15,7 @@ import numpy as np
 from . import _native, _settings
 from ._text import _count, _read_tagged, _records, _zeros, float_text, write_tagged
 from .dataset import LabeledDataset
-from .qubo import QuboProblem, as_binary_vector
+from .qubo import QuboProblem, _checked_states
 
 __all__ = [
     "FmModel",
@@ -23,7 +23,6 @@ __all__ = [
     "FmTrainReport",
     "LabelTransform",
     "fm_predict",
-    "fm_predict_batch",
     "fm_gradients",
     "fm_train",
     "fm_to_qubo",
@@ -133,29 +132,14 @@ def _predict(m: FmModel, X: np.ndarray):
     return m.w0 + X @ m.w + 0.5 * ((S**2).sum(-1) - X @ (m.V**2).sum(1))
 
 
-def _check_dim(m: FmModel, x: np.ndarray) -> None:
-    if x.shape[-1] != m.n:
-        raise ValueError(
-            f"dimension mismatch: model has n={m.n}, vector has length {x.shape[-1]}"
-        )
+def fm_predict(m: FmModel, bits):
+    """The prediction at one binary vector (a float) or at each row of a (B, n) batch (an array).
 
-
-def _vector(m: FmModel, bits) -> np.ndarray:
-    x = as_binary_vector(bits).astype(np.float64)
-    _check_dim(m, x)
-    return x
-
-
-def fm_predict(m: FmModel, bits) -> float:
-    """Evaluate the model at one binary vector in O(nk)."""
-    return float(_predict(m, _vector(m, bits)))
-
-
-def fm_predict_batch(m: FmModel, X) -> np.ndarray:
-    """Vectorized prediction over the rows of X."""
-    X = np.atleast_2d(np.asarray(X)).astype(np.float64)
-    _check_dim(m, X)
-    return _predict(m, X)
+    A vector is not promoted to a batch of one, so it keeps the 1-D products' bits.
+    """
+    X = _checked_states(bits, 0, max_ndim=2, n=m.n).astype(np.float64)
+    y = _predict(m, X)
+    return float(y) if X.ndim == 1 else y
 
 
 def fm_gradients(m: FmModel, bits, residual: float):
@@ -164,7 +148,7 @@ def fm_gradients(m: FmModel, bits, residual: float):
     residual is y_pred - target; the loss is residual^2, so every partial is
     2 * residual * (partial of the prediction).
     """
-    x = _vector(m, bits)
+    x = _checked_states(bits, 0, n=m.n).astype(np.float64)
     r2 = 2.0 * float(residual)
     return r2, r2 * x, r2 * (np.outer(x, x @ m.V) - m.V * x[:, None])
 

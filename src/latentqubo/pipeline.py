@@ -24,15 +24,14 @@ from .fm import (
     FmTrainReport,
     LabelTransform,
     apply_label_transform,
-    fm_predict,  # noqa: F401  perfbench/tracing.py wraps pipeline.fm_predict by this name
-    fm_predict_batch,
+    fm_predict,
     fm_to_qubo,
     fm_train,
     save_fm,
 )
 from .images import save_pgm
 from .objectives import FigureOfMerit, evaluate_fom
-from .qubo import as_binary_vector
+from .qubo import _checked_states
 from .samplers import (
     BRUTE_FORCE_MAX_BITS,
     AnnealSchedule,
@@ -110,7 +109,7 @@ class PipelineConfig:
 class ConvergenceRecord:
     """Per-iteration statistics over the newly evaluated designs.
 
-    surrogate_error is the mean |fm_predict_batch(x) - (c - actual_fom(x))| over the
+    surrogate_error is the mean |fm_predict(x) - (c - actual_fom(x))| over the
     iteration's designs; it is logged for trend inspection and kept out of the
     CSV schema.
     """
@@ -145,18 +144,13 @@ class RunState:
     history: list[ConvergenceRecord] = dataclass_field(default_factory=list)
 
 
-def bit_flip_augment(bits, copies: int, seed: int) -> list[np.ndarray]:
-    """Hamming-distance-1 copies of a vector, flip positions drawn without replacement."""
-    x = as_binary_vector(bits)
+def bit_flip_augment(bits, copies: int, seed: int) -> np.ndarray:
+    """Hamming-distance-1 copies of a vector as (copies, n) uint8 rows; no bit is flipped twice."""
+    x = _checked_states(bits, 0).astype(np.uint8)
     _settings.count("copies", copies, high=x.size)
     rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     positions = rng.choice(x.size, size=copies, replace=False)
-    out = []
-    for pos in positions:
-        flipped = x.copy()
-        flipped[pos] ^= 1
-        out.append(flipped)
-    return out
+    return x ^ np.eye(x.size, dtype=np.uint8)[positions]
 
 
 def fit_and_sample(
@@ -221,7 +215,7 @@ def run_iteration(state: RunState, cfg: PipelineConfig) -> ConvergenceRecord:
         X = np.stack(selected)
         _, patterns = decode(state.bvae, X, blur_radius_px=cfg.decode_blur)
         labels = evaluate_fom(cfg.objective, patterns)
-        surrogate_gaps = np.abs(fm_predict_batch(state.fm, X) - (transform.c - labels))
+        surrogate_gaps = np.abs(fm_predict(state.fm, X) - (transform.c - labels))
         state.dataset, _ = state.dataset.append_rows(X, labels, selected_tags)
         mean_fom = float(labels.mean())
         std_fom = float(labels.std())

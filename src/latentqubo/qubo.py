@@ -20,7 +20,6 @@ from ._text import _count, _field, _read_tagged, _records, _zeros, float_text, w
 __all__ = [
     "QuboProblem",
     "IsingProblem",
-    "as_binary_vector",
     "qubo_energy",
     "ising_energy",
     "qubo_to_ising",
@@ -30,20 +29,18 @@ __all__ = [
 ]
 
 
-def _checked_states(values, low: int, max_ndim: int = 1) -> np.ndarray:
-    """Array of one state (or, with max_ndim=2, a batch of rows) with entries low or 1."""
+def _checked_states(values, low: int, max_ndim: int = 1, n: int | None = None) -> np.ndarray:
+    """One state, or with max_ndim=2 a batch of rows, of entries low or 1 (and length n, if set)."""
     arr = np.asarray(values)
     kind, allowed = ("binary", "0 or 1") if low == 0 else ("spin", "-1 or +1")
     if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
-        raise ValueError(f"{kind} vector must be 1-D and nonempty, got shape {arr.shape}")
+        shape = "1-D" if max_ndim == 1 else "1-D (or a 2-D batch)"
+        raise ValueError(f"{kind} vector must be {shape} and nonempty, got shape {arr.shape}")
     if not np.all((arr == low) | (arr == 1)):
         raise ValueError(f"{kind} vector entries must be exactly {allowed}")
+    if n is not None and arr.shape[-1] != n:
+        raise ValueError(f"dimension mismatch: expected n={n}, got length {arr.shape[-1]}")
     return arr
-
-
-def as_binary_vector(bits) -> np.ndarray:
-    """Validate a {0,1} vector and return it as a 1-D uint8 array."""
-    return _checked_states(bits, 0).astype(np.uint8)
 
 
 def _coupling_matrix(pairs, n: int) -> np.ndarray:
@@ -173,9 +170,7 @@ def _energy_loop(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: f
 
 
 def _energies(problem: _CoupledProblem, vector: np.ndarray, states, low: int):
-    arr = _checked_states(states, low, max_ndim=2)
-    if (size := arr.shape[-1]) != problem.n:
-        raise ValueError(f"dimension mismatch: problem has n={problem.n}, vector has length {size}")
+    arr = _checked_states(states, low, max_ndim=2, n=problem.n)
     energies = _energy_loop(np.atleast_2d(arr), vector, problem.upper, problem.offset)
     return float(energies[0]) if arr.ndim == 1 else energies
 

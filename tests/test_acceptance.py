@@ -94,7 +94,7 @@ class TestAcceptance:
                 model = random_fm(rng, n, k)
                 q = lq.fm_to_qubo(model)
                 X = all_bit_vectors(n)
-                preds = lq.fm_predict_batch(model, X)
+                preds = lq.fm_predict(model, X)
                 energies = batch_qubo_energies(q, X)
                 assert np.max(np.abs(preds - energies)) <= 1e-9
 
@@ -164,7 +164,7 @@ class TestAcceptance:
                 V=rng.normal(0, 0.5, (12, 3)),
             )
             X = rng.integers(0, 2, (500, 12)).astype(np.uint8)
-            Y = lq.fm_predict_batch(planted, X)
+            Y = lq.fm_predict(planted, X)
             data = lq.LabeledDataset(X=X, Y=Y, provenance=("random",) * 500)
             _, report = lq.fm_train(data, lq.FmTrainConfig(epochs=100, rank=3, seed=1))
             assert report.test_r2 >= 0.95

@@ -464,3 +464,9 @@ class TestBatchDecode:
             lq.decode(toy_bvae, np.zeros((0, 16), dtype=np.uint8))
         with pytest.raises(ValueError, match="0 or 1"):
             lq.decode(toy_bvae, np.full((2, 16), 2))
+
+    def test_the_shape_message_says_a_batch_is_allowed(self, toy_bvae):
+        with pytest.raises(ValueError, match=r"1-D \(or a 2-D batch\) and nonempty"):
+            lq.decode(toy_bvae, np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"1-D \(or a 2-D batch\) and nonempty"):
+            lq.decode(toy_bvae, np.zeros((1, 1, 16), dtype=np.uint8))

@@ -224,6 +224,10 @@ class TestAtScale:
             data.contains(X[-1])
         with pytest.raises(ValueError, match="1-D"):
             data.contains(np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"n={self.N}"):
+            data.contains([0, 0])
+        with pytest.raises(ValueError, match=f"n={self.N}"):
+            data.contains(np.zeros(2 * self.N, dtype=np.uint8))
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
     @pytest.mark.parametrize("order", ["C", "F"])

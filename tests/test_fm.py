@@ -39,6 +39,21 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="n=2.*length 3"):
             lq.fm_predict(example_model(), [1, 0, 1])
+        with pytest.raises(ValueError, match="n=2.*length 3"):
+            lq.fm_predict(example_model(), [[1, 0, 1], [0, 0, 1]])
+
+    def test_a_batch_is_checked_like_a_vector(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            lq.fm_predict(example_model(), [[2, 0.5]])
+        with pytest.raises(ValueError, match="1-D"):
+            lq.fm_predict(example_model(), [[[1, 1]]])
+
+    def test_a_vector_gives_a_float_and_a_batch_an_array(self):
+        m = example_model()
+        assert type(lq.fm_predict(m, [1, 1])) is float
+        batch = lq.fm_predict(m, [[1, 1]])
+        assert isinstance(batch, np.ndarray) and batch.shape == (1,)
+        assert batch[0] == pytest.approx(6.5)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -55,7 +70,7 @@ class TestPredict:
         rng = np.random.default_rng(1)
         m = random_model(rng, 10, 4)
         X = rng.integers(0, 2, (20, 10))
-        batch = lq.fm_predict_batch(m, X)
+        batch = lq.fm_predict(m, X)
         for r in range(20):
             assert batch[r] == pytest.approx(lq.fm_predict(m, X[r]), abs=1e-9)
 
@@ -74,6 +89,13 @@ class TestGradients:
         m = random_model(rng, 6, 3)
         g0, gw, gV = lq.fm_gradients(m, rng.integers(0, 2, 6), residual=0.0)
         assert g0 == 0 and np.all(gw == 0) and np.all(gV == 0)
+
+    def test_one_vector_only(self):
+        m = example_model()
+        with pytest.raises(ValueError, match="vector must be 1-D and nonempty"):
+            lq.fm_gradients(m, [[1, 0]], residual=1.0)
+        with pytest.raises(ValueError, match="n=2.*length 3"):
+            lq.fm_gradients(m, [1, 0, 1], residual=1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_central_differences(self, seed):
@@ -163,7 +185,7 @@ class TestQuboExtraction:
         rng = np.random.default_rng(6)
         m = random_model(rng, 8, 3)
         grid = all_bit_vectors(8)
-        preds = lq.fm_predict_batch(m, grid)
+        preds = lq.fm_predict(m, grid)
         # model trained on c - y means the extracted problem's argmin is the
         # original argmax; emulate by negating the surrogate directly
         neg = lq.FmModel(w0=-m.w0, w=-m.w, V=m.V.copy())
@@ -225,7 +247,7 @@ class TestTraining:
         rng = np.random.default_rng(42)
         planted = random_model(rng, 12, 3)
         X = rng.integers(0, 2, (500, 12)).astype(np.uint8)
-        Y = lq.fm_predict_batch(planted, X)
+        Y = lq.fm_predict(planted, X)
         data = lq.LabeledDataset(X=X, Y=Y, provenance=("random",) * 500)
         _, report = lq.fm_train(data, lq.FmTrainConfig(epochs=100, rank=3, seed=1))
         assert report.test_r2 >= 0.95
@@ -236,7 +258,7 @@ class TestTraining:
         data = lq.LabeledDataset(X=X, Y=np.full(80, 0.625), provenance=("random",) * 80)
         model, report = lq.fm_train(data, lq.FmTrainConfig(epochs=60, rank=2, seed=2))
         assert report.test_mse <= 1e-4
-        preds = lq.fm_predict_batch(model, all_bit_vectors(6))
+        preds = lq.fm_predict(model, all_bit_vectors(6))
         assert np.allclose(preds, 0.625, atol=0.05)
 
     def test_empty_dataset_rejected(self):
@@ -269,7 +291,7 @@ class TestTraining:
         rng = np.random.default_rng(10)
         planted = random_model(rng, 8, 2)
         X = rng.integers(0, 2, (200, 8)).astype(np.uint8)
-        Y = lq.fm_predict_batch(planted, X)
+        Y = lq.fm_predict(planted, X)
         data = lq.LabeledDataset(X=X, Y=Y, provenance=("random",) * 200)
         cfg = lq.FmTrainConfig(epochs=5, rank=2, seed=3)
         stage1, _ = lq.fm_train(data, cfg)

@@ -37,3 +37,36 @@ def test_only_the_text_codec_reads_and_writes_files():
     }
     assert found == {"_native.py": ["read_bytes"]}
     assert file_calls("from pathlib import Path\nPath('x').read_text()\n") == ["read_text"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that source imports and never reads, save ``__all__``'s and ``__future__``'s."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        item.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for item in node.value.elts
+    }
+    return [name for name in imported if name not in read | exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; every other module must read each name it imports
+    package = Path(lq.__file__).parent
+    found = {
+        path.name: names for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+    assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == ["os", "c"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latentqubo as lq
+from latentqubo import pipeline
 from latentqubo.samplers import BRUTE_FORCE_MAX_BITS
 
 
@@ -268,6 +269,66 @@ class TestRunIteration:
         lq.run_iteration(state, cfg)
         assert len(state.dataset) == 64
         assert "iter0" in state.dataset.provenance
+
+    # at seed 3 a copy repeats a sampled row and the source is not the sampler's best
+    @pytest.mark.parametrize("seed", [8, 3])
+    def test_bit_flip_copies_follow_the_samples(self, monkeypatch, seed):
+        # two reads cannot give six new designs, so every iteration reaches the bit-flip branch
+        model = tiny_untrained_bvae(n=6, seed=4)
+        target = np.zeros((4, 4), dtype=np.uint8)
+        target[:, :2] = 1
+        obj = overlap_objective(target)
+        state = lq.RunState(
+            dataset=exhaustive_dataset(model, obj).subset(range(40)),
+            bvae=model,
+            seed_seq=np.random.SeedSequence(seed),
+        )
+        cfg = lq.PipelineConfig(
+            latent_bits=6, fm_rank=2, objective=obj, bvae_checkpoint="unused.txt",
+            dataset_path="unused.txt", output_dir="unused",
+            schedule=lq.AnnealSchedule(num_reads=2), samples_per_iteration=6,
+            iterations=3, augmentation="bit_flip", bit_flip_copies=6,
+        )
+        sample_sets, flips = [], []
+        fit_and_sample, bit_flip_augment = pipeline.fit_and_sample, pipeline.bit_flip_augment
+
+        def recorded_fit_and_sample(*args, **kwargs):
+            result = fit_and_sample(*args, **kwargs)
+            sample_sets.append(result[3])
+            return result
+
+        def recorded_bit_flip_augment(bits, copies, seed):
+            out = bit_flip_augment(bits, copies, seed)
+            flips.append((np.array(bits), np.array(out)))
+            return out
+
+        monkeypatch.setattr(pipeline, "fit_and_sample", recorded_fit_and_sample)
+        monkeypatch.setattr(pipeline, "bit_flip_augment", recorded_bit_flip_augment)
+        for it in range(3):
+            before = state.dataset
+            lq.run_iteration(state, cfg)
+            assert len(sample_sets) == len(flips) == it + 1
+            # the rule: the sampler's rows in order, then the copies, each taken unless
+            # the dataset holds it or it was taken already, until six are taken
+            known = {tuple(row) for row in before.X.tolist()}
+            rows, tags = [], []
+
+            def take(candidates, tag):
+                for x in map(tuple, np.asarray(candidates).tolist()):
+                    if len(rows) < 6 and x not in known:
+                        known.add(x)
+                        rows.append(list(x))
+                        tags.append(tag)
+
+            take([entry.vector for entry in sample_sets[it].entries], f"iter{it}")
+            source, copies = flips[it]
+            assert source.tolist() == (rows[0] if rows else sample_sets[it].best().vector.tolist())
+            take(copies, f"iter{it}_flip")
+            assert state.dataset.X[len(before):].tolist() == rows
+            assert state.dataset.provenance[len(before):] == tuple(tags)
+            labels = [lq.evaluate_fom(obj, lq.decode(model, row)[1]) for row in rows]
+            assert state.dataset.Y[len(before):].tolist() == labels
+        assert any(tag.endswith("_flip") for tag in state.dataset.provenance)
 
     def test_cold_start_retrains_from_scratch(self, toy_bvae, half_plane_target):
         state = self.make_state(toy_bvae, half_plane_target)
