@@ -326,10 +326,18 @@ def _cmd_check_hardware(args) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """text as an RFC 4180 field: quoted, inner quotes doubled, where it holds a comma or quote."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_export_csv(args) -> int:
     data = load_dataset(args.dataset)
     rows = zip(data.X, data.Y, data.provenance)
-    lines = (f"{''.join(map(str, x))},{_text.float_text(y)},{tag}" for x, y, tag in rows)
+    lines = (f"{''.join(map(str, x))},{_text.float_text(y)},{_csv_field(tag)}"
+             for x, y, tag in rows)
     _text.write_lines(args.out, ["bits,label,provenance", *lines])
     print(f"exported {len(data)} rows to {args.out}")
     return EXIT_OK

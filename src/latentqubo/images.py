@@ -70,8 +70,11 @@ def load_images(path) -> np.ndarray:
 
 
 def save_pgm(image, path) -> None:
-    """Write one [0,1] grayscale image as plain-text PGM with maxval 255."""
-    levels = np.rint(_check_images(image)[0] * 255).astype(int)
+    """Write one [0,1] grayscale image, (m, m) or a stack of one, as plain PGM with maxval 255."""
+    images = _check_images(image)
+    if len(images) != 1:
+        raise ValueError(f"save_pgm writes one image, got a stack of {len(images)}")
+    levels = np.rint(images[0] * 255).astype(int)
     m = levels.shape[0]
     rows = [" ".join(map(str, row)) for row in levels]
     _text.write_lines(path, ["P2", f"{m} {m}", "255", *rows])
@@ -88,7 +91,9 @@ def load_pgm(path) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{path}: PGM needs an integer width, height, maxval and pixels") from None
     pixels = np.array(levels, dtype=np.float64)
-    if min(width, height, maxval) < 1 or pixels.size != width * height:
+    if not 1 <= maxval <= 65535:  # Netpbm's range
+        raise ValueError(f"{path}: PGM maxval must be from 1 to 65535, got {maxval}")
+    if min(width, height) < 1 or pixels.size != width * height:
         raise ValueError(f"{path}: PGM {width}x{height} maxval {maxval} has {pixels.size} pixels")
     if not np.all((pixels >= 0) & (pixels <= maxval)):
         raise ValueError(f"{path}: PGM pixel values must lie in [0, {maxval}]")

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 import textwrap
@@ -632,6 +633,18 @@ class TestExportCsv:
         assert set(bits) <= {"0", "1"} and len(bits) == 16
         float(label)
         assert tag == "random"
+
+    def test_tags_with_commas_and_quotes_are_quoted(self, tmp_path):
+        data = lq.LabeledDataset(X=[[0, 1], [1, 0], [1, 1]], Y=[0.5, 0.25, 1.0],
+                                 provenance=("a,b", 'say"hi"', "plain"))
+        lq.save_dataset(data, tmp_path / "data.txt")
+        out = tmp_path / "export.csv"
+        assert main(["export-csv", "--dataset", str(tmp_path / "data.txt"), "--out", str(out)]) == 0
+        assert out.read_bytes().splitlines(keepends=True)[1:] == [
+            b'01,0.5,"a,b"\n', b'10,0.25,"say""hi"""\n', b"11,1,plain\n"]
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[1:] == [["01", "0.5", "a,b"], ["10", "0.25", 'say"hi"'], ["11", "1", "plain"]]
 
     def test_missing_dataset(self, tmp_path):
         rc = main(

@@ -155,6 +155,17 @@ class TestPgm:
         loaded = lq.load_pgm(path)
         assert loaded.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
+    def test_only_one_image_is_written(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        for stack in (np.zeros((2, 3, 3)), np.zeros((0, 3, 3))):
+            with pytest.raises(ValueError, match=f"one image, got a stack of {len(stack)}"):
+                lq.save_pgm(stack, path)
+        assert not path.exists()
+        lq.save_pgm(np.full((1, 3, 3), 0.5), path)
+        single = path.read_bytes()
+        lq.save_pgm(np.full((3, 3), 0.5), path)
+        assert path.read_bytes() == single
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_text("P5\n2 2\n255\n")

@@ -133,6 +133,7 @@ MALFORMED = [
 MALFORMED_PGM = [
     pytest.param("P2\n2\n", id="pgm-truncated-header"),
     pytest.param("P2\n1 1\n0\n0\n", id="pgm-zero-maxval"),
+    pytest.param("P2\n2 1\n70000\n0 1\n", id="pgm-maxval-above-65535"),
     pytest.param("P2\n0 1\n255\n", id="pgm-zero-width"),
     pytest.param("P2\n1 1\n255\n300\n", id="pgm-pixel-above-maxval"),
     pytest.param("P2\n1 1\n255\n-1\n", id="pgm-negative-pixel"),

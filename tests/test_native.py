@@ -1,11 +1,18 @@
-"""The shared build of the C kernels: cached on disk per source tree, numpy without it."""
+"""The shared build of the C kernels: cached on disk per source tree, numpy without it, and
+each kernel's calls replayed under AddressSanitizer and UBSan."""
 
+import collections
+import ctypes
 import dataclasses
+import io
+import itertools
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import unittest.mock
 import warnings
 from pathlib import Path
@@ -347,49 +354,39 @@ def test_the_library_builds_without_warnings(tmp_path):
 
 
 SANITIZERS = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+C_TYPES = {None: "void", ctypes.c_ssize_t: "ptrdiff_t", ctypes.c_double: "double",
+           np.dtype(np.float64): "double", np.dtype(np.uint64): "uint64_t",
+           np.dtype(np.uint8): "uint8_t", np.dtype(np.intp): "ptrdiff_t"}
 
-# parse_floats over every prefix of each text, in heap buffers of exactly the prefix's
-# size, for 1-4 rows of 1-3 columns: plain rows, blank lines, an unended last line, and
-# the tokens it refuses or reads at the edges of its exact and strtod_l paths
-PARSE_DRIVER = r"""
+# Replays kernel calls from standard input: for each, the kernel's index and its number of
+# arguments as two int64, then each argument's byte size (an int64) and bytes, read into a heap
+# buffer of exactly that size.  It writes the result, if any, and every argument after the call.
+DRIVER = r"""
 #include <stddef.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
 
-ptrdiff_t parse_floats(const char *, ptrdiff_t, ptrdiff_t, ptrdiff_t, double *, ptrdiff_t *);
-
-static const char *const TEXTS[] = {
-    "1.5 -2e-3\n0.25 7\n-0 +.5\n",
-    "\t1\t2 \n  \n\n3 4\n5 6",
-    "1_0 2\n5. 1e\n1e+ .\n- +\ne5 0x1p-2\n1,5 inf\nnan 1e400\n1e-400 5e-324\n",
-    "1234567890123456789012345 9999999999999999999e27\n1e-27 0.000000000000000000001\n",
-    "1234567890123456789012345678901234567890123456789012345678901234567890 1\n",
-    "1 2\r\n3 4\v\n5 6 7\n8\n\xc2\x85 9\n",
-};
+%(prototypes)s
 
 int main(void)
 {
-    for (size_t t = 0; t < sizeof TEXTS / sizeof *TEXTS; t++) {
-        const ptrdiff_t length = (ptrdiff_t)strlen(TEXTS[t]);
-        for (ptrdiff_t size = 0; size <= length; size++) {
-            char *text = malloc(size ? (size_t)size : 1);
-            memcpy(text, TEXTS[t], (size_t)size);
-            for (ptrdiff_t rows = 1; rows <= 4; rows++)
-                for (ptrdiff_t cols = 1; cols <= 3; cols++) {
-                    double *out = malloc((size_t)(rows * cols) * sizeof *out);
-                    ptrdiff_t used[2];
-                    const ptrdiff_t read = parse_floats(text, size, rows, cols, out, used);
-                    const int at_line = !used[0] || used[0] == size || text[used[0] - 1] == '\n';
-                    if (read < 0 || read > rows || used[0] < 0 || used[0] > size || used[1] < read
-                        || !at_line) {
-                        printf("text %zu size %td rows %td cols %td: read %td used %td %td\n",
-                               t, size, rows, cols, read, used[0], used[1]);
-                        return 1;
-                    }
-                    free(out);
-                }
-            free(text);
+    int64_t call[2], sizes[%(most)d];
+    void *a[%(most)d];
+    while (fread(call, sizeof *call, 2, stdin) == 2) {
+        for (int64_t j = 0; j < call[1]; j++) {
+            if (fread(&sizes[j], sizeof *sizes, 1, stdin) != 1)
+                return 2;
+            const size_t size = (size_t)sizes[j];
+            if (fread(a[j] = malloc(size), 1, size, stdin) != size)
+                return 2;
+        }
+        switch (call[0]) {
+%(calls)s
+        }
+        for (int64_t j = 0; j < call[1]; j++) {
+            fwrite(a[j], 1, (size_t)sizes[j], stdout);
+            free(a[j]);
         }
     }
     return 0;
@@ -397,212 +394,162 @@ int main(void)
 """
 
 
-def sanitized_build(tmp_path: Path, name: str, sources) -> Path:
-    """An executable of the sources, built with the sanitizers and the library's flags."""
+def kernels(lib) -> list[str]:
+    """The kernels that _native.library() binds: each function it gave argtypes."""
+    return sorted(name for name, f in vars(lib).items()
+                  if isinstance(f, lib._FuncPtr) and f.argtypes is not None)
+
+
+def is_array(argtype) -> bool:
+    return hasattr(argtype, "_dtype_")
+
+
+def writable(argtype) -> bool:
+    return is_array(argtype) and argtype is native._array(argtype._dtype_, argtype._ndim_, out=True)
+
+
+def c_type(argtype) -> str:
+    if not is_array(argtype):
+        return C_TYPES[argtype]
+    return f"{'' if writable(argtype) else 'const '}{C_TYPES[argtype._dtype_]} *"
+
+
+def driver_source(lib) -> str:
+    """The replay driver's C text, with each kernel's prototype from its argtypes and restype."""
+    prototypes, calls = [], []
+    for index, name in enumerate(kernels(lib)):
+        f = getattr(lib, name)
+        prototypes.append(f"{c_type(f.restype)} {name}({', '.join(map(c_type, f.argtypes))});")
+        args = ", ".join(f"a[{j}]" if is_array(t) else f"*({c_type(t)} *)a[{j}]"
+                         for j, t in enumerate(f.argtypes))
+        call = f"{name}({args});"
+        if f.restype is not None:
+            call = f"{{ const {c_type(f.restype)} r = {call} fwrite(&r, sizeof r, 1, stdout); }}"
+        calls.append(f"        case {index}: {call} break;")
+    most = max(len(getattr(lib, name).argtypes) for name in kernels(lib))
+    return DRIVER % dict(prototypes="\n".join(prototypes), most=most, calls="\n".join(calls))
+
+
+@pytest.fixture(scope="session")
+def sanitized_driver(tmp_path_factory) -> Path:
+    """The replay driver, built with every kernel source, the sanitizers and _FLAGS, or a skip."""
+    tmp = tmp_path_factory.mktemp("sanitized")
+    (tmp / "probe.c").write_text("int main(void) { return 0; }\n")
     flags = [flag for flag in native._FLAGS if flag != "-shared"]
-    exe = tmp_path / name
-    subprocess.run([shutil.which("cc"), *flags, *SANITIZERS, "-g", "-o", str(exe),
-                    *map(str, sources), *native._LIBS], check=True, capture_output=True, text=True)
-    return exe
-
-
-def sanitized_driver(tmp_path: Path, text: str, source: str) -> Path:
-    """The driver's text built with the named kernel source and the sanitizers, or a skip."""
-    probe = tmp_path / "probe.c"
-    probe.write_text("int main(void) { return 0; }\n")
+    cc = [shutil.which("cc"), *flags, *SANITIZERS, "-g", "-o"]
     try:
-        exe = sanitized_build(tmp_path, "probe", [probe])
-        subprocess.run([exe], check=True, capture_output=True)
+        subprocess.run([*cc, tmp / "probe", tmp / "probe.c"], check=True, capture_output=True)
+        subprocess.run([tmp / "probe"], check=True, capture_output=True)
     except subprocess.CalledProcessError:
         pytest.skip("cc cannot build or run a program with -fsanitize=address,undefined")
-    driver = tmp_path / "driver.c"
-    driver.write_text(text)
-    return sanitized_build(tmp_path, "driver", [driver, Path(native.__file__).with_name(source)])
+    (tmp / "driver.c").write_text(driver_source(native.library()))
+    here = Path(native.__file__).parent
+    sources = [tmp / "driver.c", *(here / name for name in native.SOURCES), *native._LIBS]
+    build = subprocess.run([*cc, tmp / "driver", *sources], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    return tmp / "driver"
 
 
-@needs_cc
-def test_parser_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    exe = sanitized_driver(tmp_path, PARSE_DRIVER, "_parse.c")
-    result = subprocess.run([exe], capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+# a kernel call: its name, its arguments before and after it with each array copied, its result
+Call = collections.namedtuple("Call", "kernel before after result")
 
 
-# anneal_block on each case read from standard input: n, k, sweeps and lanes as four int64,
-# then each input array, read into a heap buffer of exactly its size; writes the final x
-ANNEAL_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-void anneal_block(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const double *, const double *,
-                  const double *, const double *, const uint64_t *, double *, double *, uint64_t *);
-
-static void *take(size_t count, size_t size)
-{
-    void *buffer = malloc(count * size);
-    if (count && (!buffer || fread(buffer, size, count, stdin) != count))
-        exit(2);
-    return buffer;
-}
-
-int main(void)
-{
-    int64_t shape[4];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const ptrdiff_t n = shape[0], k = shape[1], sweeps = shape[2], lanes = shape[3];
-        const size_t d = sizeof(double);
-        double *linear = take(n, d), *coupling = take(n * (k ? k : 2 * n), d);
-        double *norms = take(k ? n : 0, d), *betas = take(sweeps, d);
-        uint64_t *streams = take(4 * lanes, 8);
-        double *x = take(lanes * n, d), *s = take(16 * k, d);
-        uint64_t *masks = malloc(16 * n * 8);
-        anneal_block(n, k, sweeps, lanes, linear, coupling, norms, betas, streams, x, s, masks);
-        fwrite(x, d, lanes * n, stdout);
-        free(linear), free(coupling), free(norms), free(betas), free(streams), free(x), free(s);
-        free(masks);
-    }
-    return 0;
-}
-"""
+def copied(arg, spare: int = 0):
+    """arg, or where it is an array, a copy of it with spare bytes of its own after it."""
+    if not isinstance(arg, np.ndarray):
+        return arg
+    copy = np.empty(arg.nbytes + spare, np.uint8)[: arg.nbytes].view(arg.dtype).reshape(arg.shape)
+    copy[...] = arg
+    return copy
 
 
-def anneal_case(n: int, k: int, sweeps: int, lanes: int):
-    """One block's kernel input, laid out as _anneal_blocks lays it out, and the numpy loop's final x."""
-    model = random_fm(np.random.default_rng(n * 100 + k), n, max(k, 1))
-    q, V = lq.fm_to_qubo(model), model.V if k else None
-    betas = lq.AnnealSchedule(num_sweeps=sweeps).betas()
+class Recorder:
+    """The loaded library, with each kernel call recorded as a Call.
 
-    def start_states():
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n + k).spawn(lanes)]
-        return rngs, np.array([rng.integers(0, 2, n) for rng in rngs], dtype=np.float64)
+    The kernel runs on copies of the arrays, with 4 KiB to spare after each, and its outputs
+    are copied back, so that a call that overruns a buffer is caught in the replay, not here.
+    """
 
-    rngs, x = start_states()
-    streams = np.array([samplers._pcg64_words(rng) for rng in rngs], dtype=np.uint64)
-    if k:
-        coupling, (norms, start) = V, samplers._factored_start(V, x)
-    else:
-        coupling, norms, start = np.repeat(q.dense_symmetric, 2, axis=1), np.empty(0), np.empty((lanes, 0))
-    s = np.zeros((k, 16))
-    s[:, :lanes] = start.T
-    stdin = np.array([n, k, sweeps, lanes], dtype=np.int64).tobytes() + b"".join(
-        np.ascontiguousarray(a).tobytes() for a in (q.linear, coupling, norms, betas, streams, x, s))
-    rngs, expected = start_states()
-    samplers._anneal_numpy(q, betas, rngs, expected, V)
-    return stdin, expected
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
 
+    def __getattr__(self, name):
+        kernel = getattr(self.lib, name)
 
-@needs_cc
-def test_annealer_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # both forms, dense (k = 0) and factored, at edge sizes of n, of the block and of k
-    exe = sanitized_driver(tmp_path, ANNEAL_DRIVER, "_anneal.c")
-    cases = [anneal_case(n, k, sweeps, lanes) for n in (1, 2, 16, 17, 64) for lanes in (1, 15, 16)
-             for k in (0, 1, 8) for sweeps in (1, 3)]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(x.tobytes() for _, x in cases)
+        def recorded(*args):
+            before, passed = [copied(arg) for arg in args], [copied(arg, 4096) for arg in args]
+            result = kernel(*passed)
+            for argtype, arg, copy in zip(kernel.argtypes, args, passed):
+                if writable(argtype):
+                    arg[...] = copy
+            self.calls.append(Call(name, before, [copied(arg) for arg in passed], result))
+            return result
+
+        return recorded
 
 
-# adam_step on each case read from standard input: size and steps as two int64, then lr,
-# b1, b2 and eps, then the parameters; then per step c1, c2 and the gradient, each in a heap
-# buffer of exactly its size; writes the final parameters and both moments
-ADAM_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-void adam_step(ptrdiff_t, double *, double *, double *, const double *, double, double, double,
-               double, double, double);
-
-static double *take(size_t count)
-{
-    double *buffer = malloc(count * sizeof *buffer);
-    if (!buffer || fread(buffer, sizeof *buffer, count, stdin) != count)
-        exit(2);
-    return buffer;
-}
-
-int main(void)
-{
-    int64_t shape[2];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const ptrdiff_t size = shape[0], steps = shape[1];
-        double *settings = take(4), *p = take(size);
-        double *m = calloc(size, sizeof *m), *v = calloc(size, sizeof *v);
-        for (ptrdiff_t t = 0; t < steps; t++) {
-            double *c = take(2), *g = take(size);
-            adam_step(size, p, m, v, g, settings[0], settings[1], settings[2], c[0], c[1],
-                      settings[3]);
-            free(c), free(g);
-        }
-        fwrite(p, sizeof *p, size, stdout);
-        fwrite(m, sizeof *m, size, stdout);
-        fwrite(v, sizeof *v, size, stdout);
-        free(settings), free(p), free(m), free(v);
-    }
-    return 0;
-}
-"""
+def packed(argtype, value) -> bytes:
+    """An argument's bytes: an array's, or a scalar's as an 8-byte ptrdiff_t or double."""
+    if is_array(argtype):
+        return value.tobytes()
+    return struct.pack("d" if argtype is ctypes.c_double else "q", value)
 
 
-def adam_case(size: int, steps: int):
-    """One case's driver input, and the numpy twin's final parameters and moments."""
-    rng = np.random.default_rng(size * 1000 + steps)
-    p = rng.normal(size=size)
-    gradients = rng.normal(scale=10.0 ** rng.integers(-6, 2, (steps, 1)), size=(steps, size))
-    gradients[rng.random((steps, size)) < 0.1] = 0.0  # zero gradients leave v at +0.0 at first
-    lr = 1e-3
-    stdin = [np.array([size, steps], dtype=np.int64).tobytes(),
-             np.array([lr, bvae._BETA1, bvae._BETA2, bvae._EPS]).tobytes(), p.tobytes()]
-    m, v, scratch = np.zeros(size), np.zeros(size), np.empty(size)
-    for t, g in enumerate(gradients, start=1):
-        c1, c2 = 1.0 - bvae._BETA1**t, 1.0 - bvae._BETA2**t
-        stdin += [np.array([c1, c2]).tobytes(), g.tobytes()]
-        bvae._adam_numpy(p, m, v, g.copy(), lr, c1, c2, scratch)
-    return b"".join(stdin), p.tobytes() + m.tobytes() + v.tobytes()
+def assert_replays_clean(driver: Path, kernel: str) -> None:
+    """Each call of the kernel's cases, recorded with a Recorder as _native.library(), gives back
+    in the driver the recorded result and arguments, each read-only one as it went in."""
+    lib = native.library()
+    recorder, argtypes = Recorder(lib), getattr(lib, kernel).argtypes
+    with unittest.mock.patch.object(native, "library", lambda: recorder):
+        CASES[kernel](recorder)
+    calls = recorder.calls
+    assert calls and {call.kernel for call in calls} == {kernel}
+    head = struct.pack("qq", kernels(lib).index(kernel), len(argtypes))
+    stdin = b"".join(head + b"".join(struct.pack("q", len(given)) + given
+                                     for given in map(packed, argtypes, call.before))
+                     for call in calls)
+    expected = [(b"" if call.result is None else struct.pack("q", call.result)) + b"".join(
+        packed(t, after if writable(t) else before)
+        for t, before, after in zip(argtypes, call.before, call.after)) for call in calls]
+    result = subprocess.run([driver], input=stdin, capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b""), result.stderr.decode(errors="replace")
+    out = io.BytesIO(result.stdout)
+    assert [i for i, want in enumerate(expected) if out.read(len(want)) != want] == []
+    assert out.read() == b""
 
 
-@needs_cc
-def test_adam_step_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # odd and even sizes, so both the 2-wide pairs and the scalar tail run at the edges
-    exe = sanitized_driver(tmp_path, ADAM_DRIVER, "_adam.c")
-    cases = [adam_case(size, steps) for size in (1, 2, 3, 17) for steps in (1, 2, 1000)]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(expected for _, expected in cases)
+def anneal_cases(recorder) -> None:
+    """_anneal_blocks, dense (k = 0) and factored, at edge sizes of n, of the block and of k,
+    giving the numpy loop's reads."""
+    for n, reads, k, sweeps in itertools.product((1, 2, 16, 17, 64), (1, 15, 16), (0, 1, 8), (1, 3)):
+        model = random_fm(np.random.default_rng(n * 100 + k), n, max(k, 1))
+        q, V = lq.fm_to_qubo(model), model.V if k else None
+        betas = lq.AnnealSchedule(num_sweeps=sweeps).betas()
+        finals = []
+        for anneal in (lambda *args: samplers._anneal_blocks(recorder, *args), samplers._anneal_numpy):
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n + k).spawn(reads)]
+            finals.append(np.array([rng.integers(0, 2, n) for rng in rngs], dtype=np.float64))
+            anneal(q, betas, rngs, finals[-1], V)
+        assert finals[0].tobytes() == finals[1].tobytes()
 
 
-# format_floats on each case read from standard input: rows and cols as two int64, then the
-# values, in a heap buffer of exactly their size, and an output buffer of exactly 25 bytes a
-# value; writes the bytes written as one int64, then the text
-FORMAT_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
+def adam_cases(recorder) -> None:
+    """A bVAE's training steps, and steps of odd and even sizes, so that the 2-wide pairs and
+    the scalar tail run at the edges; each step gives the numpy twin's bits."""
+    lq.bvae_train(*bvae_case(), epochs=2, seed=0, batch_size=5)
+    for size, steps in itertools.product((1, 2, 3, 17), (1, 2, 1000)):
+        rng = np.random.default_rng(size * 1000 + steps)
+        p, m, v = rng.normal(size=size), np.zeros(size), np.zeros(size)
+        gradients = rng.normal(scale=10.0 ** rng.integers(-6, 2, (steps, 1)), size=(steps, size))
+        gradients[rng.random((steps, size)) < 0.1] = 0.0  # zero gradients leave v at +0.0 at first
+        for t, g in enumerate(gradients, start=1):
+            recorder.adam_step(size, p, m, v, g, 1e-3, bvae._BETA1, bvae._BETA2,
+                               1.0 - bvae._BETA1**t, 1.0 - bvae._BETA2**t, bvae._EPS)
+    for call in recorder.calls:
+        size, p, m, v, g, lr, _, _, c1, c2, _ = map(copied, call.before)
+        bvae._adam_numpy(p, m, v, g, lr, c1, c2, np.empty(size))
+        assert [a.tobytes() for a in (p, m, v)] == [a.tobytes() for a in call.after[1:4]]
 
-ptrdiff_t format_floats(const double *, ptrdiff_t, ptrdiff_t, char *);
-
-int main(void)
-{
-    int64_t shape[2];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const size_t count = (size_t)(shape[0] * shape[1]);
-        double *values = malloc(count * sizeof *values);
-        char *out = malloc(25 * count);
-        if (!values || !out || fread(values, sizeof *values, count, stdin) != count)
-            return 2;
-        const int64_t written = format_floats(values, shape[0], shape[1], out);
-        fwrite(&written, sizeof written, 1, stdout);
-        fwrite(out, 1, (size_t)written, stdout);
-        free(values), free(out);
-    }
-    return 0;
-}
-"""
 
 # values of 24 bytes, the widest %.17g writes: the buffer has no byte to spare in a row of them
 WIDEST = [-2.2250738585072014e-308, -1.2345678901234567e-300, -9.8765432109876543e+307]
@@ -612,225 +559,112 @@ EDGES = [0.0, -0.0, 1e-4, 1e-5, 9.999999999999999e16, 1.0000000000000002e-16, 0.
          math.nan, -math.nan, math.inf, -math.inf]
 
 
-def format_case(rows: int, cols: int, pool):
-    """A rows x cols block drawn from pool, the driver's input and the text float_text gives it."""
-    rng = np.random.default_rng(rows * 100 + cols)
-    values = rng.choice(np.array(pool), (rows, cols))
-    stdin = np.array([rows, cols], dtype=np.int64).tobytes() + values.tobytes()
-    with unittest.mock.patch.object(native, "library", lambda: None):
-        text = (_text.float_rows(values) + "\n").encode()
-    return stdin, np.array([len(text)], dtype=np.int64).tobytes() + text
-
-
-@needs_cc
-def test_format_floats_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+def format_cases(recorder) -> None:
+    """float_rows on 1, 2 and 17 rows and columns from each pool, giving the numpy text."""
     assert [len(_text.float_text(x)) for x in WIDEST] == [24] * 3
-    exe = sanitized_driver(tmp_path, FORMAT_DRIVER, "_format.c")
     normals = np.random.default_rng(0).normal(size=50) * 10.0 ** np.arange(-25, 25)
     pools = [WIDEST, FALLBACK, EDGES, [*normals, *FALLBACK, *EDGES, *WIDEST]]
-    cases = [format_case(rows, cols, pool) for rows in (1, 2, 17) for cols in (1, 2, 17)
-             for pool in pools]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(expected for _, expected in cases)
+    for rows, cols, pool in itertools.product((1, 2, 17), (1, 2, 17), pools):
+        values = np.random.default_rng(rows * 100 + cols).choice(np.array(pool), (rows, cols))
+        compiled = _text.float_rows(values)
+        with unittest.mock.patch.object(native, "library", lambda: None):
+            assert compiled == _text.float_rows(values)
 
 
-# qubo_energies on each case read from standard input: n, start and count as three int64, then
-# the offset, linear and upper, each in a heap buffer of exactly its size; writes the energies
-ENERGY_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-void qubo_energies(ptrdiff_t, ptrdiff_t, ptrdiff_t, const double *, const double *, double,
-                   double *);
-
-static double *take(size_t count)
-{
-    double *buffer = malloc(count * sizeof *buffer);
-    if (!buffer || fread(buffer, sizeof *buffer, count, stdin) != count)
-        exit(2);
-    return buffer;
-}
-
-int main(void)
-{
-    int64_t shape[3];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const ptrdiff_t n = shape[0], start = shape[1], count = shape[2];
-        double *offset = take(1), *linear = take(n), *upper = take(n * n);
-        double *out = malloc(count * sizeof *out);
-        qubo_energies(n, start, count, linear, upper, *offset, out);
-        fwrite(out, sizeof *out, count, stdout);
-        free(offset), free(linear), free(upper), free(out);
-    }
-    return 0;
-}
-"""
-
-
-def energy_case(n: int, start: int, count: int):
-    """One chunk's driver input, and the numpy energy loop's energies of its states."""
-    q = random_qubo(np.random.default_rng(n), n)
-    stdin = np.array([n, start, count], dtype=np.int64).tobytes() + np.array([q.offset]).tobytes()
-    stdin += q.linear.tobytes() + q.upper.tobytes()
-    states = samplers._bits_from_ints(np.arange(start, start + count, dtype=np.uint64), n)
-    return stdin, qubo._energy_loop(states, q.linear, q.upper, q.offset).tobytes()
-
-
-@needs_cc
-def test_qubo_energies_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # whole runs from state 0, and one-state chunks at the first, last and a middle state
-    exe = sanitized_driver(tmp_path, ENERGY_DRIVER, "_energy.c")
-    cases = []
+def energy_cases(recorder) -> None:
+    """Brute force's chunks, a run from state 0, and chunks at the first, middle and last states."""
     for n in (1, 2, 16, 17, 64):
+        q = random_qubo(np.random.default_rng(n), n)
         last = min((1 << n) - 1, (1 << 63) - 1)  # the kernel's start is a ptrdiff_t
-        tail = max(last - 5, 0)
-        cases += [energy_case(n, 0, min(1 << n, 300)), energy_case(n, tail, last - tail + 1)]
-        cases += [energy_case(n, start, 1) for start in (0, last, last // 3)]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(expected for _, expected in cases)
+        for start, count in ((0, min(1 << n, 300)), (max(last - 5, 0), min(last, 5) + 1),
+                             (0, 1), (last, 1), (last // 3, 1)):
+            recorder.qubo_energies(n, start, count, q.linear, q.upper, q.offset, np.empty(count))
+        if n <= 17:
+            lq.brute_force_sample(q, top_k=3)
+    for call in recorder.calls:
+        n, start, count, linear, upper, offset, _ = call.before
+        states = samplers._bits_from_ints(np.arange(start, start + count, dtype=np.uint64), n)
+        assert call.after[6].tobytes() == qubo._energy_loop(states, linear, upper, offset).tobytes()
 
 
-# fm_fit on each case read from standard input: n, k, epochs, rows (a shuffle's length) and
-# count (the data's rows) as five int64, then lr, the orders, X, Y, w0, w and V, each in a heap
-# buffer of exactly its size; writes w0, w, V and their three accumulators
-FM_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-void fm_fit(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const ptrdiff_t *, const uint8_t *,
-            const double *, double, double *, double *, double *, double *, double *, double *,
-            double *);
-
-static void *take(size_t count, size_t size)
-{
-    void *buffer = malloc(count * size);
-    if (!buffer || fread(buffer, size, count, stdin) != count)
-        exit(2);
-    return buffer;
-}
-
-int main(void)
-{
-    int64_t shape[5];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const ptrdiff_t n = shape[0], k = shape[1], epochs = shape[2], rows = shape[3];
-        const size_t d = sizeof(double), count = (size_t)shape[4];
-        double *lr = take(1, d);
-        ptrdiff_t *orders = take(epochs * rows, sizeof *orders);
-        uint8_t *X = take(count * n, 1);
-        double *Y = take(count, d), *w0 = take(1, d), *w = take(n, d), *V = take(n * k, d);
-        double *acc_w0 = calloc(1, d), *acc_w = calloc(n, d), *acc_V = calloc(n * k, d);
-        double *s = malloc(k * d);
-        fm_fit(n, k, epochs, rows, orders, X, Y, *lr, w0, w, V, acc_w0, acc_w, acc_V, s);
-        fwrite(w0, d, 1, stdout), fwrite(w, d, n, stdout), fwrite(V, d, n * k, stdout);
-        fwrite(acc_w0, d, 1, stdout), fwrite(acc_w, d, n, stdout), fwrite(acc_V, d, n * k, stdout);
-        free(lr), free(orders), free(X), free(Y), free(w0), free(w), free(V);
-        free(acc_w0), free(acc_w), free(acc_V), free(s);
-    }
-    return 0;
-}
-"""
+def fm_fit_cases(recorder) -> None:
+    """fm_train on rows of no set bits and of all, and on rows that no shuffle visits."""
+    for n, k, (epochs, rows) in itertools.product((1, 2, 16, 17, 64), (1, 3, 8),
+                                                  ((1, 1), (1, 20), (3, 7))):
+        rng = np.random.default_rng(n * 100 + k * 10 + rows)
+        X = rng.integers(0, 2, (rows + 2, n)).astype(np.uint8)
+        X[0], X[-1] = 0, 1
+        data = lq.LabeledDataset(X, rng.random(rows + 2), ("case",) * (rows + 2))
+        cfg = lq.FmTrainConfig(epochs=epochs, rank=k, split=(rows / (rows + 2), 2 / (rows + 2), 0))
+        lq.fm_train(data, cfg, warm_start=random_fm(rng, n, k))
+        assert recorder.calls[-1].before[:4] == [n, k, epochs, rows]
+    for call in recorder.calls:
+        orders, X, Y, lr, *state = map(copied, call.before[4:14])  # w0, w, V and accumulators
+        fm._fit_numpy(orders, X, Y, lr, *state)
+        assert [a.tobytes() for a in state] == [a.tobytes() for a in call.after[8:14]]
 
 
-def fm_fit_case(n: int, k: int, epochs: int, rows: int):
-    """One fit's driver input, and the numpy twin's parameters and accumulators after it."""
-    rng = np.random.default_rng(n * 100 + k * 10 + rows)
-    count = rows + 2  # rows the shuffles never visit too
-    X = rng.integers(0, 2, (count, n)).astype(np.uint8)
-    X[0], X[-1] = 0, 1  # a row of no set bits and one of all
-    Y = rng.random(count)
-    orders = np.array([rng.permutation(count)[:rows] for _ in range(epochs)], dtype=np.intp)
-    w0, w, V = np.array([rng.normal()]), rng.normal(size=n), rng.uniform(-0.1, 0.1, (n, k))
-    stdin = np.array([n, k, epochs, rows, count], dtype=np.int64).tobytes() + b"".join(
-        a.tobytes() for a in (np.array([0.05]), orders, X, Y, w0, w, V))
-    accumulators = np.zeros(1), np.zeros(n), np.zeros((n, k))
-    fm._fit_numpy(orders, X, Y, 0.05, w0, w, V, *accumulators)
-    return stdin, b"".join(a.tobytes() for a in (w0, w, V, *accumulators))
+def decode_cases(recorder) -> None:
+    """_decode_heads on 0, 1 and 17 rows, with hidden sizes and heads on both sides of a 16-unit
+    block, giving the numpy twin's heads."""
+    for n, hidden, pixels, rows in itertools.product(
+            (1, 16, 180), ((1, 3), (16, 17), (17, 16)), (9, 16, 36), (0, 1, 17)):
+        params = decoder_params(n, hidden, pixels, seed=n * 100 + pixels)
+        X = latent_rows(n, rows, seed=rows)
+        assert bvae._decode_heads(params, X).tobytes() == bvae._decode_numpy(params, X).tobytes()
 
 
-@needs_cc
-def test_fm_fit_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    exe = sanitized_driver(tmp_path, FM_DRIVER, "_fm.c")
-    cases = [fm_fit_case(n, k, epochs, rows) for n in (1, 2, 16, 17, 64) for k in (1, 3, 8)
-             for epochs, rows in ((1, 1), (1, 20), (3, 7))]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(expected for _, expected in cases)
+# plain rows, blank lines, an unended last line, and the tokens the parser refuses or reads at
+# the edges of its exact and strtod_l paths
+PARSE_TEXTS = [
+    b"1.5 -2e-3\n0.25 7\n-0 +.5\n",
+    b"\t1\t2 \n  \n\n3 4\n5 6",
+    b"1_0 2\n5. 1e\n1e+ .\n- +\ne5 0x1p-2\n1,5 inf\nnan 1e400\n1e-400 5e-324\n",
+    b"1234567890123456789012345 9999999999999999999e27\n1e-27 0.000000000000000000001\n",
+    b"1234567890123456789012345678901234567890123456789012345678901234567890 1\n",
+    b"1 2\r\n3 4\v\n5 6 7\n8\n\xc2\x85 9\n",
+]
 
 
-# decode_heads on each case read from standard input: rows, n, d1, d2 and pixels as five
-# int64, then the rows' bits, then the six decoder layers, each in a heap buffer of exactly its
-# size, with scratch buffers of exactly the sizes the kernel is promised; writes the heads
-DECODE_DRIVER = r"""
-#include <stddef.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-void decode_heads(ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, ptrdiff_t, const uint8_t *,
-                  const double *, const double *, const double *, const double *,
-                  const double *, const double *, double *, double *, double *, ptrdiff_t *,
-                  double *);
-
-static void *take(size_t count, size_t size)
-{
-    void *buffer = malloc(count ? count * size : 1);
-    if (!buffer || fread(buffer, size, count, stdin) != count)
-        exit(2);
-    return buffer;
-}
-
-int main(void)
-{
-    int64_t shape[5];
-    while (fread(shape, sizeof shape, 1, stdin) == 1) {
-        const ptrdiff_t rows = shape[0], n = shape[1], d1 = shape[2], d2 = shape[3];
-        const ptrdiff_t pixels = shape[4];
-        const ptrdiff_t widest = n > d1 ? (n > d2 ? n : d2) : (d1 > d2 ? d1 : d2);
-        uint8_t *bits = take(rows * n, 1);
-        double *w1 = take(n * d1, 8), *b1 = take(d1, 8), *w2 = take(d1 * d2, 8);
-        double *b2 = take(d2, 8), *w3 = take(d2 * pixels, 8), *b3 = take(pixels, 8);
-        double *x = malloc(n * sizeof *x), *h1 = malloc(d1 * sizeof *h1);
-        double *h2 = malloc(d2 * sizeof *h2), *heads = malloc(rows ? rows * pixels * 8 : 1);
-        ptrdiff_t *nonzero = malloc(widest * sizeof *nonzero);
-        decode_heads(rows, n, d1, d2, pixels, bits, w1, b1, w2, b2, w3, b3, x, h1, h2, nonzero,
-                     heads);
-        fwrite(heads, sizeof *heads, rows * pixels, stdout);
-        free(bits), free(w1), free(b1), free(w2), free(b2), free(w3), free(b3);
-        free(x), free(h1), free(h2), free(heads), free(nonzero);
-    }
-    return 0;
-}
-"""
+def parse_cases(recorder) -> None:
+    """A checkpoint load, and each text's every prefix, for 1-4 rows of 1-3 columns."""
+    model, _ = lq.bvae_train(*bvae_case(), epochs=1, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        lq.save_bvae(model, Path(tmp) / "bvae.txt")
+        recorder.calls.clear()  # training's and saving's calls
+        lq.load_bvae(Path(tmp) / "bvae.txt")
+    for text, rows, cols in itertools.product(PARSE_TEXTS, range(1, 5), range(1, 4)):
+        for size in range(len(text) + 1):
+            recorder.parse_floats(np.frombuffer(text[:size], np.uint8), size, rows, cols,
+                                  np.empty((rows, cols)), np.empty(2, np.intp))
+    for call in recorder.calls:
+        text, size, rows, _, _, used = call.after
+        read, at_line = call.result, not used[0] or used[0] == size or text[used[0] - 1] == ord("\n")
+        assert 0 <= read <= rows and 0 <= used[0] <= size and used[1] >= read and at_line
 
 
-def decode_case(n: int, hidden: tuple[int, int], pixels: int, rows: int):
-    """One batch's driver input, and the numpy twin's heads for it."""
-    params = decoder_params(n, hidden, pixels, seed=n * 100 + pixels)
-    X = latent_rows(n, rows, seed=rows)
-    layers = [params[f"dec{layer}_{kind}"] for layer in (1, 2, 3) for kind in "wb"]
-    stdin = np.array([rows, n, *hidden, pixels], dtype=np.int64).tobytes() + b"".join(
-        a.tobytes() for a in (X, *layers))
-    return stdin, bvae._decode_numpy(params, X).tobytes()
+CASES = {"anneal_block": anneal_cases, "adam_step": adam_cases, "format_floats": format_cases,
+         "qubo_energies": energy_cases, "fm_fit": fm_fit_cases, "decode_heads": decode_cases,
+         "parse_floats": parse_cases}
 
 
 @needs_cc
-def test_decode_heads_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # hidden sizes and heads on both sides of a 16-unit block, no rows, one and a batch
-    exe = sanitized_driver(tmp_path, DECODE_DRIVER, "_decode.c")
-    cases = [decode_case(n, hidden, pixels, rows) for n in (1, 16, 180)
-             for hidden in ((1, 3), (16, 17), (17, 16)) for pixels in (9, 16, 36)
-             for rows in (0, 1, 17)]
-    result = subprocess.run([exe], input=b"".join(stdin for stdin, _ in cases),
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == b"".join(expected for _, expected in cases)
+def test_every_kernel_has_replayed_cases():
+    assert kernels(native.library()) == sorted(CASES)
+
+
+def replay_test(kernel: str):
+    """A test that replays the kernel's cases in the sanitized driver."""
+    @needs_cc
+    def test(sanitized_driver):
+        assert_replays_clean(sanitized_driver, kernel)
+    return test
+
+
+test_parser_is_clean_under_address_and_undefined_sanitizers = replay_test("parse_floats")
+test_annealer_is_clean_under_address_and_undefined_sanitizers = replay_test("anneal_block")
+test_adam_step_is_clean_under_address_and_undefined_sanitizers = replay_test("adam_step")
+test_format_floats_is_clean_under_address_and_undefined_sanitizers = replay_test("format_floats")
+test_qubo_energies_is_clean_under_address_and_undefined_sanitizers = replay_test("qubo_energies")
+test_fm_fit_is_clean_under_address_and_undefined_sanitizers = replay_test("fm_fit")
+test_decode_heads_is_clean_under_address_and_undefined_sanitizers = replay_test("decode_heads")

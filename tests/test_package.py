@@ -61,11 +61,14 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports to re-export; every other module must read each name it imports
+    # __init__.py imports to re-export; every other module, test and script must read each name
+    # it imports
     package = Path(lq.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    paths = [*package.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "scripts").glob("*.py")]
     found = {
-        path.name: names for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+        f"{path.parent.name}/{path.name}": names for path in sorted(paths)
+        if path != package / "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert found == {}
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == ["os", "c"]
