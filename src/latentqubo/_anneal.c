@@ -19,9 +19,9 @@
  * is O(k) a step, and an accepted flip adds +-V[i, f] to s[f], O(k) again.
  * The two fields round differently, so the forms part only where a uniform
  * falls between their two thresholds.  The caller takes the factored form for
- * n > 4k, where it costs less: on one x86-64 core a 16-lane block took about
- * 10 ns a lane-step in either form at n = 16, and 32 ns dense against 14 ns
- * factored at n = 180, k = 8.
+ * n > 4k, where it costs less: on one x86-64 core, with 2-wide vectors, a
+ * 16-lane block took about 10 ns a lane-step in either form at n = 16, and
+ * 32 ns dense against 14 ns factored at n = 180, k = 8.
  *
  * Draws.  Each read's uniforms come from its own numpy PCG64 stream, drawn
  * here in (sweep, bit) order: the caller passes the generator's 128-bit state
@@ -33,22 +33,25 @@
  * 128-bit state needs unsigned __int128 (GCC and Clang on 64-bit targets).
  *
  * Lanes.  Read l of the block sits in lane l.  masks[j * 16 + l] is all ones
- * when bit j of read l is set and zero otherwise.  Eight 2-wide vector
- * accumulators (baseline SSE2 on x86-64) hold the 16 lanes' fields, and each
- * lane sums its own terms in index order from +0.0.  In the dense form lane
- * l's term for bit j is one AND of coupling[i, j]'s bits with that word; the
- * caller passes each coefficient twice in a row, so one load fills both
- * lanes of a pair.  So a lane's field is the sum over all j of (bit j set ?
+ * when bit j of read l is set and zero otherwise.  The 16 lanes' fields are
+ * held in 16 / W vector accumulators of W doubles each, W being the widest
+ * vector the target has: 8 under AVX-512F, 4 under AVX2 and otherwise 2
+ * (baseline SSE2 on x86-64).  Each lane sums its own terms in index order from
+ * +0.0, so W changes the speed and never a bit.  In the dense form lane l's
+ * term for bit j is one AND of coupling[i, j]'s bits, broadcast to every lane,
+ * with that word.  So a lane's field is the sum over all j of (bit j set ?
  * coupling[i, j] : +0.0), bit-identical to the sum over the set bits alone,
  * and to the dense sum of coupling[i, j] * x[j]: adding +0.0 (or a -0.0 term)
  * leaves a nonzero sum unchanged and a +0.0 sum +0.0, and a sum that starts
  * at +0.0 never reaches -0.0 when rounding to nearest.  In the factored form
- * s[f * 16 + l] is lane l's s[f], and a flip adds coef * V[i, f] to it, coef
- * being +1.0 or -1.0 in a lane that flipped and +0.0 in the others, which adds
- * a zero there (s is never -0.0, so that leaves it as it is).  Lanes past the
- * block's reads hold zero masks and zero sums and are never read.  The caller
- * owns masks (n * 16 words) and s (k * 16 doubles), so the kernel allocates
- * nothing.
+ * s[f * 16 + l] is lane l's s[f], summed here from x as the same masked sum
+ * over j of V[j, f], and a flip adds coef * V[i, f] to it, coef being +1.0 or
+ * -1.0 in a lane that flipped and +0.0 in the others, which adds a zero there
+ * (s is never -0.0, so that leaves it as it is).  The accept test, too, runs
+ * on whole vectors; only its uniforms are drawn, and its undecided lanes'
+ * exp taken, one lane at a time.  Lanes past the block's reads hold zero
+ * masks and zero sums, never flip and are never read.  The caller owns masks
+ * (n * 16 words) and s (k * 16 doubles), so the kernel allocates nothing.
  *
  * exp's bounds.  For e < 0, 1 + e <= exp(e) <= 1 / (1 - e), so most uphill
  * steps are decided without exp: u < (1 + e) - MARGIN accepts and
@@ -63,20 +66,31 @@
  * MARGIN >= 2^-50 suffices; 2^-46 leaves room for an exp that is 30 ulp off.
  *
  * Compile without -ffast-math and with -ffp-contract=off, so each sum keeps
- * its order and exp stays the C library's.  ptrdiff_t matches numpy's intp.
+ * its order, no multiply and add fuse and exp stays the C library's; the
+ * package builds it with -march=native, which sets W and nothing else that a
+ * result depends on.  ptrdiff_t matches numpy's intp.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define LANES 16
+#if defined(__AVX512F__)
+#define WIDTH 8
+#elif defined(__AVX2__)
+#define WIDTH 4
+#else
+#define WIDTH 2
+#endif
+#define VECS (LANES / WIDTH)
 #define SIGN_BIT 0x8000000000000000ULL
 #define ONE_BITS 0x3FF0000000000000ULL /* 1.0 */
 #define MARGIN 0x1p-46
 
-/* unaligned 2-wide vectors: numpy guarantees only 8-byte alignment */
-typedef double f64x2 __attribute__((vector_size(16), aligned(8)));
-typedef uint64_t u64x2 __attribute__((vector_size(16), aligned(8)));
+/* unaligned vectors of WIDTH lanes: numpy guarantees only 8-byte alignment */
+typedef double f64v __attribute__((vector_size(8 * WIDTH), aligned(8)));
+typedef uint64_t u64v __attribute__((vector_size(8 * WIDTH), aligned(8)));
 typedef unsigned __int128 u128;
 
 static double pcg64_random(u128 *state, u128 inc)
@@ -89,53 +103,53 @@ static double pcg64_random(u128 *state, u128 inc)
     return (double)(v >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Each lane's sum over j of (bit j set ? coupling[i, j] : +0.0); row holds coupling[i, :] in pairs. */
-static void dense_field(ptrdiff_t n, const u64x2 *row, const uint64_t *masks, f64x2 field[LANES / 2])
+static inline uint64_t bits_of(double x)
 {
-    /* eight named accumulators, so that each stays in a register */
-    f64x2 a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+static inline int any_lane(u64v v)
+{
+    const u64v none = {0};
+    return memcmp(&v, &none, sizeof v) != 0;
+}
+
+/* Each lane's sum over j of (bit j set ? row[j] : +0.0); words holds bit j's lanes at j * VECS. */
+static void dense_field(ptrdiff_t n, const double *row, const u64v *words, f64v field[VECS])
+{
+    f64v a[VECS] = {0}; /* one accumulator a vector, each kept in a register */
     for (ptrdiff_t j = 0; j < n; j++) {
-        const u64x2 c = row[j], *word = (const u64x2 *)(masks + j * LANES);
-        a0 += (f64x2)(c & word[0]);
-        a1 += (f64x2)(c & word[1]);
-        a2 += (f64x2)(c & word[2]);
-        a3 += (f64x2)(c & word[3]);
-        a4 += (f64x2)(c & word[4]);
-        a5 += (f64x2)(c & word[5]);
-        a6 += (f64x2)(c & word[6]);
-        a7 += (f64x2)(c & word[7]);
+        const uint64_t c = bits_of(row[j]);
+        const u64v *word = words + j * VECS;
+#pragma GCC unroll 8
+        for (int m = 0; m < VECS; m++)
+            a[m] += (f64v)(c & word[m]);
     }
-    field[0] = a0, field[1] = a1, field[2] = a2, field[3] = a3;
-    field[4] = a4, field[5] = a5, field[6] = a6, field[7] = a7;
+    for (int m = 0; m < VECS; m++)
+        field[m] = a[m];
 }
 
 /* Each lane's sum over f of v[f] * s[f] minus (bit i set ? norm : +0.0). */
-static void factored_field(ptrdiff_t k, const double *v, const f64x2 *s, double norm,
-                           const uint64_t *bit, f64x2 field[LANES / 2])
+static void factored_field(ptrdiff_t k, const double *v, const f64v *s, double norm,
+                           const u64v *bit, f64v field[VECS])
 {
-    f64x2 a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    f64v a[VECS] = {0};
     for (ptrdiff_t f = 0; f < k; f++) {
-        const f64x2 c = {v[f], v[f]}, *sum = s + f * (LANES / 2);
-        a0 += c * sum[0];
-        a1 += c * sum[1];
-        a2 += c * sum[2];
-        a3 += c * sum[3];
-        a4 += c * sum[4];
-        a5 += c * sum[5];
-        a6 += c * sum[6];
-        a7 += c * sum[7];
+        const f64v *sum = s + f * VECS;
+#pragma GCC unroll 8
+        for (int m = 0; m < VECS; m++)
+            a[m] += v[f] * sum[m];
     }
-    const u64x2 self = (u64x2)(f64x2){norm, norm}, *word = (const u64x2 *)bit;
-    field[0] = a0 - (f64x2)(self & word[0]), field[1] = a1 - (f64x2)(self & word[1]);
-    field[2] = a2 - (f64x2)(self & word[2]), field[3] = a3 - (f64x2)(self & word[3]);
-    field[4] = a4 - (f64x2)(self & word[4]), field[5] = a5 - (f64x2)(self & word[5]);
-    field[6] = a6 - (f64x2)(self & word[6]), field[7] = a7 - (f64x2)(self & word[7]);
+    const uint64_t self = bits_of(norm);
+    for (int m = 0; m < VECS; m++)
+        field[m] = a[m] - (f64v)(self & bit[m]);
 }
 
-/* k = 0, dense: coupling is n x 2n, coupling[i, j] twice at [i, 2j] and [i, 2j + 1];
- *   norms and s are not read.
- * k >= 1, factored: coupling is the factors V, n x k; norms[i] is |v_i|^2; s is k x 16,
- *   lane l's start s = V^T x at [f, l] in, scratch after that.
+/* k = 0, dense: coupling is the symmetric n x n matrix; norms and s are not read.
+ * k >= 1, factored: coupling is the factors V, n x k; norms[i] is |v_i|^2; s is k x 16
+ *   of scratch, which gets lane l's s = V^T x at [f, l].
  * streams: lanes x 4 words, each read's PCG64 state then increment, low word first.
  * x: lanes x n start states in, final states out.  masks: n x 16 words of scratch. */
 void anneal_block(ptrdiff_t n, ptrdiff_t k, ptrdiff_t sweeps, ptrdiff_t lanes,
@@ -148,55 +162,72 @@ void anneal_block(ptrdiff_t n, ptrdiff_t k, ptrdiff_t sweeps, ptrdiff_t lanes,
         state[l] = (u128)streams[4 * l + 1] << 64 | streams[4 * l];
         inc[l] = (u128)streams[4 * l + 3] << 64 | streams[4 * l + 2];
     }
+    u64v live[VECS], *words = (u64v *)masks;
+    for (int l = 0; l < LANES; l++)
+        live[l / WIDTH][l % WIDTH] = l < lanes ? UINT64_MAX : 0;
     for (ptrdiff_t j = 0; j < n; j++)
         for (ptrdiff_t l = 0; l < LANES; l++)
             masks[j * LANES + l] = l < lanes && x[l * n + j] != 0.0 ? UINT64_MAX : 0;
-    f64x2 *sums = (f64x2 *)s;
+    /* each lane's s[f] = the sum over j, ascending from +0.0, of (bit j set ? V[j, f] : +0.0) */
+    f64v *sums = (f64v *)s;
+    for (ptrdiff_t f = 0; f < k * VECS; f++)
+        sums[f] = (f64v){0};
+    for (ptrdiff_t j = 0; j < n; j++)
+        for (ptrdiff_t f = 0; f < k; f++) {
+            const uint64_t c = bits_of(coupling[j * k + f]);
+            for (int m = 0; m < VECS; m++)
+                sums[f * VECS + m] += (f64v)(c & words[j * VECS + m]);
+        }
+    f64v u[VECS] = {0}; /* each lane's uniform; lanes past the reads keep +0.0 */
     for (ptrdiff_t t = 0; t < sweeps; t++) {
         const double beta = betas[t];
         for (ptrdiff_t i = 0; i < n; i++) {
-            uint64_t *bit = masks + i * LANES;
-            f64x2 field[LANES / 2];
+            u64v *bit = words + i * VECS;
+            f64v field[VECS];
             if (k)
                 factored_field(k, coupling + i * k, sums, norms[i], bit, field);
             else
-                dense_field(n, (const u64x2 *)(coupling + 2 * i * n), masks, field);
+                dense_field(n, coupling + i * n, words, field);
             /* Every lane draws its uniform.  A downhill or level step (exponent >= 0)
              * flips without exp, since exp(0.0) is 1.0 and u < 1.0, and so do most
              * uphill ones, by exp's bounds; exp decides only the lanes that the
-             * branch-free pass over all lanes leaves undecided. */
-            double u[LANES], exponent[LANES];
-            unsigned undecided = 0, flips = 0;
-            for (ptrdiff_t l = 0; l < lanes; l++) {
-                u[l] = pcg64_random(&state[l], inc[l]);
+             * vector pass leaves undecided. */
+            for (ptrdiff_t l = 0; l < lanes; l++)
+                u[l / WIDTH][l % WIDTH] = pcg64_random(&state[l], inc[l]);
+            f64v exponent[VECS];
+            u64v flips[VECS], undecided[VECS], pending = {0};
+            for (int m = 0; m < VECS; m++) {
                 /* delta is (1 - 2 x[i]) * (linear[i] + field): the sign bit flips where x[i] is set */
-                union { double f; uint64_t bits; } delta = {linear[i] + field[l / 2][l % 2]};
-                delta.bits ^= bit[l] & SIGN_BIT;
-                const double e = exponent[l] = -beta * delta.f;
-                const unsigned flip = !(e < 0.0) | (u[l] < 1.0 + e - MARGIN);
-                const unsigned stay = u[l] * (1.0 - e) > 1.0 + MARGIN;
-                undecided |= !(flip | stay) << l;
-                flips |= flip << l;
+                const f64v delta = (f64v)((u64v)(linear[i] + field[m]) ^ (bit[m] & SIGN_BIT));
+                const f64v e = exponent[m] = -beta * delta;
+                const u64v flip = (u64v)(~(e < 0.0) | (u[m] < 1.0 + e - MARGIN)) & live[m];
+                const u64v stay = (u64v)(u[m] * (1.0 - e) > 1.0 + MARGIN);
+                flips[m] = flip;
+                pending |= undecided[m] = ~(flip | stay) & live[m];
             }
-            for (; undecided; undecided &= undecided - 1) {
-                const int l = __builtin_ctz(undecided);
-                flips |= (unsigned)(u[l] < exp(exponent[l])) << l;
+            if (any_lane(pending))
+                for (ptrdiff_t l = 0; l < lanes; l++) {
+                    const ptrdiff_t m = l / WIDTH, w = l % WIDTH;
+                    if (undecided[m][w])
+                        flips[m][w] = -(uint64_t)(u[m][w] < exp(exponent[m][w]));
+                }
+            u64v flipped = {0};
+            for (int m = 0; m < VECS; m++) {
+                bit[m] ^= flips[m];
+                flipped |= flips[m];
             }
-            for (int l = 0; l < LANES; l++)
-                bit[l] ^= -(uint64_t)(flips >> l & 1);
-            if (!k || !flips)
+            if (!k || !any_lane(flipped))
                 continue;
             /* s[f] += coef * V[i, f]: coef is +1.0 where the bit was set, -1.0 where it
              * was cleared, +0.0 where it stayed */
-            u64x2 coef[LANES / 2];
-            for (int l = 0; l < LANES; l++)
-                coef[l / 2][l % 2] = (ONE_BITS | (~bit[l] & SIGN_BIT)) & -(uint64_t)(flips >> l & 1);
+            u64v coef[VECS];
+            for (int m = 0; m < VECS; m++)
+                coef[m] = (ONE_BITS | (~bit[m] & SIGN_BIT)) & flips[m];
             for (ptrdiff_t f = 0; f < k; f++) {
-                const double vf = coupling[i * k + f];
-                const f64x2 c = {vf, vf};
-                f64x2 *sum = sums + f * (LANES / 2);
-                for (int m = 0; m < LANES / 2; m++)
-                    sum[m] += c * (f64x2)coef[m];
+                f64v *sum = sums + f * VECS;
+#pragma GCC unroll 8
+                for (int m = 0; m < VECS; m++)
+                    sum[m] += coupling[i * k + f] * (f64v)coef[m];
             }
         }
     }

@@ -18,23 +18,35 @@
  * +0.0 or -0.0, which leaves a nonzero sum unchanged and a +0.0 sum +0.0, and
  * a sum that starts at +0.0 never reaches -0.0 when rounding to nearest.
  *
- * Sixteen units at a time are kept in eight 2-wide vector accumulators
- * (baseline SSE2 on x86-64), as _anneal.c's dense_field does; the units past
- * the last whole block of 16 go through the same sums in scalars.  The caller
- * owns every buffer: x (n doubles), h1 (d1), h2 (d2) and nonzero
- * (max(n, d1, d2) indices), so the kernel allocates nothing.
+ * Sixteen units at a time are kept in 16 / W vector accumulators of W doubles
+ * each, as _anneal.c's dense_field does, W being the widest vector the target
+ * has: 8 under AVX-512F, 4 under AVX2 and otherwise 2 (baseline SSE2 on
+ * x86-64).  Each unit sums its own terms in the order above, so W changes the
+ * speed and never a bit.  The units past the last whole block of 16 go
+ * through the same sums in scalars.  The caller owns every buffer: x (n
+ * doubles), h1 (d1), h2 (d2) and nonzero (max(n, d1, d2) indices), so the
+ * kernel allocates nothing.
  *
  * Compile without -ffast-math and with -ffp-contract=off, so that each sum
- * keeps its order and no multiply and add fuse.  ptrdiff_t matches numpy's
- * intp.
+ * keeps its order and no multiply and add fuse; the package builds it with
+ * -march=native, which sets W and nothing else that a result depends on.
+ * ptrdiff_t matches numpy's intp.
  */
 #include <stddef.h>
 #include <stdint.h>
 
 #define BLOCK 16
+#if defined(__AVX512F__)
+#define WIDTH 8
+#elif defined(__AVX2__)
+#define WIDTH 4
+#else
+#define WIDTH 2
+#endif
+#define VECS (BLOCK / WIDTH)
 
-/* unaligned 2-wide vectors: numpy guarantees only 8-byte alignment */
-typedef double f64x2 __attribute__((vector_size(16), aligned(8)));
+/* unaligned vectors of WIDTH lanes: numpy guarantees only 8-byte alignment */
+typedef double f64v __attribute__((vector_size(8 * WIDTH), aligned(8)));
 
 /* One dense layer for one row: out = in W + b in the order above, then the ReLU where relu is set. */
 static void layer(ptrdiff_t fan_in, ptrdiff_t units, const double *in, const double *w,
@@ -46,24 +58,18 @@ static void layer(ptrdiff_t fan_in, ptrdiff_t units, const double *in, const dou
             nonzero[count++] = j;
     ptrdiff_t u = 0;
     for (; u + BLOCK <= units; u += BLOCK) {
-        /* eight named accumulators, so that each stays in a register */
-        f64x2 a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+        f64v a[VECS] = {0}; /* one accumulator a vector, each kept in a register */
         for (ptrdiff_t t = 0; t < count; t++) {
             const ptrdiff_t j = nonzero[t];
-            const f64x2 c = {in[j], in[j]}, *row = (const f64x2 *)(w + j * units + u);
-            a0 += c * row[0];
-            a1 += c * row[1];
-            a2 += c * row[2];
-            a3 += c * row[3];
-            a4 += c * row[4];
-            a5 += c * row[5];
-            a6 += c * row[6];
-            a7 += c * row[7];
+            const f64v *row = (const f64v *)(w + j * units + u);
+#pragma GCC unroll 8
+            for (int m = 0; m < VECS; m++)
+                a[m] += in[j] * row[m];
         }
-        const f64x2 *bias = (const f64x2 *)(b + u);
-        f64x2 *v = (f64x2 *)(out + u);
-        v[0] = a0 + bias[0], v[1] = a1 + bias[1], v[2] = a2 + bias[2], v[3] = a3 + bias[3];
-        v[4] = a4 + bias[4], v[5] = a5 + bias[5], v[6] = a6 + bias[6], v[7] = a7 + bias[7];
+        const f64v *bias = (const f64v *)(b + u);
+        f64v *v = (f64v *)(out + u);
+        for (int m = 0; m < VECS; m++)
+            v[m] = a[m] + bias[m];
     }
     for (; u < units; u++) {
         double a = 0.0;

@@ -15,6 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import _native
 from ._text import _count, _field, _read_tagged, _records, _zeros, float_text, write_tagged
 
 __all__ = [
@@ -158,6 +159,7 @@ def _energy_loop(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: f
 
     A sum that starts at +0.0 is never -0.0, so the +-0.0 terms of unset bits
     leave it as it is, and the same sum over set bits only gives the same bits.
+    The spins' path, and the numpy twin of ``_energy.c``'s ``qubo_row_energies``.
     """
     cols = np.array(X.T, dtype=np.float64, order="C")
     fields = np.repeat((0.0 + vector)[:, None], cols.shape[1], axis=1)
@@ -171,17 +173,26 @@ def _energy_loop(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: f
 
 def _energies(problem: _CoupledProblem, vector: np.ndarray, states, low: int):
     arr = _checked_states(states, low, max_ndim=2, n=problem.n)
-    energies = _energy_loop(np.atleast_2d(arr), vector, problem.upper, problem.offset)
+    X = np.atleast_2d(arr)
+    lib = _native.library() if low == 0 else None  # the kernel sums over set bits, not spins
+    if lib is None:
+        energies = _energy_loop(X, vector, problem.upper, problem.offset)
+    else:
+        X = np.ascontiguousarray(X, dtype=np.uint8)
+        energies = np.empty(X.shape[0])
+        lib.qubo_row_energies(*X.shape, X, vector, problem.upper, problem.offset,
+                              np.empty(problem.n, np.intp), energies)
     return float(energies[0]) if arr.ndim == 1 else energies
 
 
 def qubo_energy(q: QuboProblem, bits):
     """QUBO energy of one binary vector (a float) or of each row of a 2-D batch (an array).
 
-    The summation order is the definition, so any batch and the brute-force
-    sampler's C kernel give the same bits: (0.0 + offset) + sum over set bits
-    i, ascending, of ((0.0 + linear[i]) + sum over set bits j > i, ascending,
-    of upper[i, j]).
+    The summation order is the definition, so any batch and the C kernels give
+    the same bits: (0.0 + offset) + sum over set bits i, ascending, of ((0.0 +
+    linear[i]) + sum over set bits j > i, ascending, of upper[i, j]).  The rows
+    go through ``_energy.c``'s ``qubo_row_energies`` in one call, or through the
+    numpy energy loop where there is no compiler.
     """
     return _energies(q, q.linear, bits, 0)
 

@@ -55,6 +55,12 @@ class AnnealSchedule:
         _settings.real("beta_end", self.beta_end, self.beta_start, strict=True)
         _settings.count("num_sweeps", self.num_sweeps)
         _settings.count("num_reads", self.num_reads)
+        # The ramp rises to its last value, beta_start * (beta_end / beta_start), which can
+        # overflow though both ends are finite: 1e300 / 1e-300 is inf.
+        last = self.beta_start * (self.beta_end / self.beta_start)
+        if self.num_sweeps > 1 and not math.isfinite(last):
+            raise _settings.ConfigError(f"beta_end / beta_start must be finite, got "
+                                        f"{self.beta_end!r} / {self.beta_start!r}")
 
     def betas(self) -> np.ndarray:
         if self.num_sweeps == 1:
@@ -205,9 +211,18 @@ def simulated_annealing_sample(
         _anneal_numpy(q, schedule.betas(), rngs, x, V)
     else:
         _anneal_blocks(lib, q, schedule.betas(), rngs, x, V)
-    finals, counts = np.unique(x.astype(np.uint8), axis=0, return_counts=True)
+    finals, counts = _distinct_rows(x.astype(np.uint8))
     energies = qubo_energy(q, finals)
     return _make_sample_set(finals, energies, counts, "simulated_annealing", seed=seed)
+
+
+def _distinct_rows(X: np.ndarray):
+    """``np.unique(X, axis=0, return_counts=True)`` for a 0/1 uint8 matrix, keyed on each row's
+    packed bytes, whose order is the rows' lexicographic order."""
+    packed = np.packbits(X, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return X[first], counts
 
 
 def _checked_factors(q: QuboProblem, factors) -> np.ndarray:
@@ -220,13 +235,17 @@ def _checked_factors(q: QuboProblem, factors) -> np.ndarray:
     return V
 
 
-def _factored_start(V: np.ndarray, x: np.ndarray):
-    """|v_i|² for each bit and s = Vᵀx for each read, each summed in index order from 0.0."""
-    norms = 0.0 + np.cumsum(V * V, axis=1)[:, -1]
+def _norms(V: np.ndarray) -> np.ndarray:
+    """|v_i|² for each bit, summed in index order from 0.0."""
+    return 0.0 + np.cumsum(V * V, axis=1)[:, -1]
+
+
+def _factored_start(V: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s = Vᵀx for each read, summed in index order from 0.0, as anneal_block sums it."""
     s = np.zeros((x.shape[0], V.shape[1]))
     for j in range(x.shape[1]):
         s += x[:, j, None] * V[j]
-    return norms, s
+    return s
 
 
 def _cores() -> int:
@@ -250,16 +269,14 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
     number of cores: a block costs its 16 lanes' sums however few it holds, so
     fewer, fuller blocks beat one more block per thread.  Read r's generator
     has drawn its start state; the kernel goes on with its stream from the
-    state it is handed.  With factors V each block starts from its reads' s,
-    laid out one lane per read; without, from each coupling twice in a row.
+    state it is handed.  With factors V each block sums its reads' s = Vᵀx
+    itself; without, it reads the symmetric coupling matrix.
     """
     reads, n = x.shape
     if V is None:
-        k, coupling = 0, np.repeat(q.dense_symmetric, 2, axis=1)  # each coefficient twice: one 2-lane load
-        norms, start = np.empty(0), np.empty((reads, 0))
+        k, coupling, norms = 0, q.dense_symmetric, np.empty(0)
     else:
-        k, coupling = V.shape[1], V
-        norms, start = _factored_start(V, x)
+        k, coupling, norms = V.shape[1], V, _norms(V)
     states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
     workers = min(_cores(), _MAX_ANNEAL_WORKERS)
     blocks = -(-reads // _LANES)
@@ -267,9 +284,7 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
 
     def anneal(b: int) -> None:
         lo, hi = bounds[b], bounds[b + 1]
-        masks = np.empty((n, _LANES), dtype=np.uint64)
-        s = np.zeros((k, _LANES))
-        s[:, : hi - lo] = start[lo:hi].T
+        masks, s = np.empty((n, _LANES), dtype=np.uint64), np.empty((k, _LANES))
         lib.anneal_block(n, k, betas.size, hi - lo, q.linear, coupling, norms, betas,
                          states[lo:hi], x[lo:hi], s, masks)
 
@@ -290,7 +305,7 @@ def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:
     if V is None:
         coupling = q.dense_symmetric
     else:
-        norms, s = _factored_start(V, x)
+        norms, s = _norms(V), _factored_start(V, x)
     for beta in betas:
         uniforms = np.array([rng.random(n) for rng in rngs])
         for i in range(n):

@@ -390,6 +390,15 @@ class TestConfigErrors:
         assert "beta_end" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_beta_ramp_that_overflows(self, workspace, capsys):
+        tmp_path, config = workspace
+        path = tmp_path / "run.ini"
+        path.write_text(path.read_text().replace(
+            "num_reads = 5", "num_reads = 5\nbeta_start = 1e-300\nbeta_end = 1e300"))
+        assert main(["run-loop", "--config", config]) == 2
+        assert "beta_end" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "subcommand", [["run-loop"], ["sample-once", "--out", "s.csv"]], ids=lambda argv: argv[0]
     )

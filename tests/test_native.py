@@ -8,6 +8,7 @@ import io
 import itertools
 import math
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -125,7 +126,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 @needs_cc
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     # the first call anneals its four reads on four threads
-    builds = count_calls(monkeypatch, native.subprocess, "run")
+    builds = count_calls(monkeypatch, native, "_compile")
     screens = count_calls(monkeypatch, samplers, "_compiled_energies")
     monkeypatch.setattr(samplers, "_cores", lambda: 4)
     data, cfg = fm_case()
@@ -196,7 +197,7 @@ def fit_and_anneal():
 def test_a_cached_library_loads_without_the_compiler(monkeypatch, fresh_build):
     built = fit_and_anneal()
     native.library.cache_clear()
-    builds = count_calls(monkeypatch, native.subprocess, "run")
+    builds = count_calls(monkeypatch, native, "_compile")
     assert fit_and_anneal() == built
     assert builds == []
     assert len(entries(fresh_build)) == 1
@@ -208,7 +209,7 @@ def test_a_changed_source_byte_rebuilds(monkeypatch, tmp_path, fresh_build):
     for name in native.SOURCES:
         shutil.copy(Path(native.__file__).with_name(name), tmp_path / name)
         sources.append(tmp_path / name)
-    builds = count_calls(monkeypatch, native.subprocess, "run")
+    builds = count_calls(monkeypatch, native, "_compile")
     compiler = shutil.which("cc")
     native._load(compiler, sources)
     first = entries(fresh_build)
@@ -220,6 +221,61 @@ def test_a_changed_source_byte_rebuilds(monkeypatch, tmp_path, fresh_build):
     native._load(compiler, sources)
     assert len(builds) == 2
     assert len(first) == 1 and len(entries(fresh_build)) == 1 and entries(fresh_build) != first
+
+
+def test_the_entry_name_follows_the_cpu(monkeypatch):
+    compiler = shutil.which("cc") or sys.executable  # only stat'ed
+    sources = [Path(native.__file__).with_name(name) for name in native.SOURCES]
+    names = []
+    for cpu in ("flags\t\t: fpu sse2", "flags\t\t: fpu sse2 avx2", "flags\t\t: fpu sse2"):
+        monkeypatch.setattr(native, "_cpu", lambda: cpu)
+        names.append(native._entry_name(compiler, sources))
+    assert names[0] != names[1] and names[0] == names[2]
+
+
+def test_the_cpu_identity_is_its_flags_line_or_the_processor(monkeypatch):
+    if Path("/proc/cpuinfo").is_file():
+        assert native._cpu().startswith(("flags", "Features"))
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(native, "open", unreadable, raising=False)
+    assert native._cpu() == platform.processor()
+
+
+@needs_cc
+def test_an_entry_built_for_one_cpu_is_not_loaded_on_another(monkeypatch, fresh_build):
+    monkeypatch.setattr(native, "_cpu", lambda: "flags\t\t: one")
+    assert native.library() is not None
+    first = entries(fresh_build)
+    native.library.cache_clear()
+    monkeypatch.setattr(native, "_cpu", lambda: "flags\t\t: two")
+    builds = count_calls(monkeypatch, native, "_compile")
+    assert native.library() is not None
+    assert len(builds) == 1
+    assert len(first) == 1 and len(entries(fresh_build)) == 1 and entries(fresh_build) != first
+
+
+@needs_cc
+def test_a_compiler_that_rejects_the_host_flag_builds_for_its_default(
+    monkeypatch, tmp_path, fresh_build
+):
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"""#!/bin/sh
+for arg; do [ "$arg" = {native._HOST} ] && {{ echo "cc: unknown flag $arg" >&2; exit 1; }}; done
+exec {shutil.which("cc")} "$@"
+""")
+    compiler.chmod(0o755)
+    monkeypatch.setattr(native.shutil, "which", lambda name: str(compiler))
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = fit_and_anneal()
+    assert len(builds) == 2  # refused with the flag, then built without it
+    assert len(entries(fresh_build)) == 1
+    with unittest.mock.patch.object(native, "library", lambda: None):
+        assert fit_and_anneal()[1] == built[1]
 
 
 @needs_cc
@@ -238,7 +294,7 @@ def test_an_untrusted_entry_is_rebuilt_not_loaded(monkeypatch, tmp_path, fresh_b
         shutil.copy(fresh_build / name, entry)
         entry.chmod(0o775)
     monkeypatch.setattr(native, "_CACHE_DIR", cache)
-    builds = count_calls(monkeypatch, native.subprocess, "run")
+    builds = count_calls(monkeypatch, native, "_compile")
     assert native.library() is not None
     assert len(builds) == 1
     assert entries(cache) == [name]
@@ -263,7 +319,7 @@ def test_an_unwritable_cache_builds_in_a_temporary_directory(
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(native.tempfile, "tempdir", str(scratch))
-    builds = count_calls(monkeypatch, native.subprocess, "run")
+    builds = count_calls(monkeypatch, native, "_compile")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit_and_anneal()
@@ -330,27 +386,81 @@ def test_every_c_source_is_built_and_packaged():
     assert set(sources) <= set(packaged)
 
 
+# The -march levels the sources are built at, one for each vector width of _anneal.c and _decode.c:
+# baseline x86-64 (SSE2, 2 doubles), x86-64-v3 (AVX2, 4) and the host (8 under AVX-512F).
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+X86_LEVELS = ["-march=x86-64", "-march=x86-64-v3", native._HOST]
+LEVELS = X86_LEVELS if X86_64 else [native._HOST]
+# what a CPU must have to run code built for x86-64-v3, as /proc/cpuinfo names it
+V3_FLAGS = {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+
+
 @needs_cc
 @pytest.mark.parametrize("name", native.SOURCES)
 def test_every_c_source_compiles_without_warnings(name):
     source = Path(native.__file__).with_name(name)
-    result = subprocess.run(
-        [shutil.which("cc"), "-std=c11", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
+    for level in LEVELS:
+        result = subprocess.run(
+            [shutil.which("cc"), "-std=c11", level, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(source)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, f"{level}: {result.stderr}"
+
+
+@pytest.fixture(scope="session")
+def level_builds(tmp_path_factory):
+    """Builds the sources together with the cached build's flags, a -march level and every
+    warning an error: build(level) gives the library's path and the compiler's result."""
+    sources = [str(Path(native.__file__).with_name(name)) for name in native.SOURCES]
+    builds = {}
+
+    def build(level: str):
+        if level not in builds:
+            out = tmp_path_factory.mktemp("level") / "_latentqubo.so"
+            builds[level] = out, subprocess.run(
+                [shutil.which("cc"), *native._FLAGS, level, "-Wall", "-Wextra", "-Werror",
+                 "-o", str(out), *sources, *native._LIBS],
+                capture_output=True, text=True,
+            )
+        return builds[level]
+
+    return build
 
 
 @needs_cc
-def test_the_library_builds_without_warnings(tmp_path):
-    # the sources together, with the flags of the cached build
-    sources = [str(Path(native.__file__).with_name(name)) for name in native.SOURCES]
-    result = subprocess.run(
-        [shutil.which("cc"), *native._FLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "_latentqubo.so"), *sources, *native._LIBS],
-        capture_output=True, text=True,
-    )
+def test_the_library_builds_without_warnings(level_builds):
+    for level in LEVELS:
+        _, result = level_builds(level)
+        assert result.returncode == 0, f"{level}: {result.stderr}"
+
+
+@needs_cc
+@pytest.mark.parametrize("level", X86_LEVELS)
+def test_every_vector_width_gives_the_numpy_bits(monkeypatch, level, level_builds):
+    # each level builds the lane kernels at its own vector width; this host runs the widest it has
+    if not X86_64:
+        pytest.skip("the widths are x86-64 levels")
+    if level == "-march=x86-64-v3" and not V3_FLAGS <= set(native._cpu().split()):
+        pytest.skip("this CPU cannot run x86-64-v3 code")
+    path, result = level_builds(level)
     assert result.returncode == 0, result.stderr
+    lib = native._bind(ctypes.CDLL(str(path)))
+    for reads, k in itertools.product((1, 7, 16), (0, 3)):
+        model = random_fm(np.random.default_rng(reads * 10 + k), 17, max(k, 1))
+        q, V = lq.fm_to_qubo(model), model.V if k else None
+        betas = lq.AnnealSchedule(beta_end=1000.0, num_sweeps=40).betas()
+        finals = []
+        for anneal in (lambda *args: samplers._anneal_blocks(lib, *args), samplers._anneal_numpy):
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(reads + k).spawn(reads)]
+            finals.append(np.array([rng.integers(0, 2, 17) for rng in rngs], dtype=np.float64))
+            anneal(q, betas, rngs, finals[-1], V)
+        assert finals[0].tobytes() == finals[1].tobytes()
+    monkeypatch.setattr(native, "library", lambda: lib)
+    for n, hidden, pixels in ((16, (16, 17), 36), (180, (17, 33), 9)):
+        params = decoder_params(n, hidden, pixels, seed=n)
+        X = latent_rows(n, 17, seed=n)
+        assert bvae._decode_heads(params, X).tobytes() == bvae._decode_numpy(params, X).tobytes()
 
 
 SANITIZERS = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
@@ -432,10 +542,11 @@ def driver_source(lib) -> str:
 
 @pytest.fixture(scope="session")
 def sanitized_driver(tmp_path_factory) -> Path:
-    """The replay driver, built with every kernel source, the sanitizers and _FLAGS, or a skip."""
+    """The replay driver, built with every kernel source, the sanitizers, _FLAGS and _HOST, or a
+    skip."""
     tmp = tmp_path_factory.mktemp("sanitized")
     (tmp / "probe.c").write_text("int main(void) { return 0; }\n")
-    flags = [flag for flag in native._FLAGS if flag != "-shared"]
+    flags = [flag for flag in native._FLAGS if flag != "-shared"] + [native._HOST]
     cc = [shutil.which("cc"), *flags, *SANITIZERS, "-g", "-o"]
     try:
         subprocess.run([*cc, tmp / "probe", tmp / "probe.c"], check=True, capture_output=True)
@@ -587,6 +698,26 @@ def energy_cases(recorder) -> None:
         assert call.after[6].tobytes() == qubo._energy_loop(states, linear, upper, offset).tobytes()
 
 
+def row_energy_cases(recorder) -> None:
+    """qubo_energy on one row and on rows of none, some and all bits set at n = 1, 2, 17 and 180,
+    and the annealer's final energies, each giving the numpy energy loop's bits."""
+    for n in (1, 2, 17, 180):
+        rng = np.random.default_rng(n)
+        q = random_qubo(rng, n)
+        X = rng.integers(0, 2, (6, n)).astype(np.uint8)
+        X[0], X[-1] = 0, 1
+        lq.qubo_energy(q, X)
+        lq.qubo_energy(q, X[1].astype(bool))
+    lq.simulated_annealing_sample(random_qubo(np.random.default_rng(3), 8), SCHEDULE, 0)
+    model = random_fm(np.random.default_rng(4), 40, 3)
+    lq.simulated_annealing_sample(lq.fm_to_qubo(model), SCHEDULE, 0, factors=model.V)
+    recorder.calls[:] = [call for call in recorder.calls if call.kernel == "qubo_row_energies"]
+    assert [call.before[1] for call in recorder.calls[-2:]] == [8, 40]  # the annealer's two calls
+    for call in recorder.calls:
+        _, _, bits, linear, upper, offset, _, _ = call.before
+        assert call.after[7].tobytes() == qubo._energy_loop(bits, linear, upper, offset).tobytes()
+
+
 def fm_fit_cases(recorder) -> None:
     """fm_train on rows of no set bits and of all, and on rows that no shuffle visits."""
     for n, k, (epochs, rows) in itertools.product((1, 2, 16, 17, 64), (1, 3, 8),
@@ -644,8 +775,8 @@ def parse_cases(recorder) -> None:
 
 
 CASES = {"anneal_block": anneal_cases, "adam_step": adam_cases, "format_floats": format_cases,
-         "qubo_energies": energy_cases, "fm_fit": fm_fit_cases, "decode_heads": decode_cases,
-         "parse_floats": parse_cases}
+         "qubo_energies": energy_cases, "qubo_row_energies": row_energy_cases,
+         "fm_fit": fm_fit_cases, "decode_heads": decode_cases, "parse_floats": parse_cases}
 
 
 @needs_cc
@@ -666,5 +797,7 @@ test_annealer_is_clean_under_address_and_undefined_sanitizers = replay_test("ann
 test_adam_step_is_clean_under_address_and_undefined_sanitizers = replay_test("adam_step")
 test_format_floats_is_clean_under_address_and_undefined_sanitizers = replay_test("format_floats")
 test_qubo_energies_is_clean_under_address_and_undefined_sanitizers = replay_test("qubo_energies")
+test_qubo_row_energies_is_clean_under_address_and_undefined_sanitizers = replay_test(
+    "qubo_row_energies")
 test_fm_fit_is_clean_under_address_and_undefined_sanitizers = replay_test("fm_fit")
 test_decode_heads_is_clean_under_address_and_undefined_sanitizers = replay_test("decode_heads")

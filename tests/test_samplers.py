@@ -9,6 +9,7 @@ import pytest
 import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.samplers as samplers
+from latentqubo._settings import ConfigError
 from conftest import all_bit_vectors, random_fm, random_qubo
 
 
@@ -203,6 +204,21 @@ class TestAnnealSchedule:
                 with pytest.raises(ValueError, match=name):
                     lq.AnnealSchedule(**{name: value})
         assert lq.AnnealSchedule(num_sweeps=np.int64(3), num_reads=np.int64(2)).betas().size == 3
+
+    def test_a_ramp_that_overflows_is_rejected(self):
+        # finite ends whose ratio overflows: betas() would be [1e-300, inf, inf], and a zero-delta
+        # step at beta = inf gives -inf * 0 = nan, which the kernel and the numpy loop read apart
+        with pytest.raises(ConfigError, match="beta_end"):
+            lq.AnnealSchedule(beta_start=1e-300, beta_end=1e300, num_sweeps=3)
+        with pytest.raises(ConfigError, match="beta_end"):
+            lq.AnnealSchedule(beta_start=1e-300, beta_end=1e300)
+        with pytest.raises(ConfigError, match="beta_end"):
+            lq.AnnealSchedule(beta_start=1e-8, beta_end=1.7e308, num_sweeps=2)
+        # a single sweep stays at beta_start, and a wide ramp that does not overflow stays allowed
+        assert lq.AnnealSchedule(beta_start=1e-300, beta_end=1e300, num_sweeps=1).betas().tolist() == [
+            1e-300]
+        for beta_start, beta_end in ((1e-150, 1e150), (1e-8, 1e300), (1.0, 1.7976931348623157e308)):
+            assert np.isfinite(lq.AnnealSchedule(beta_start, beta_end, num_sweeps=7).betas()).all()
 
 
 class TestSimulatedAnnealing:
