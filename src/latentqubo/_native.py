@@ -26,7 +26,6 @@ fails, :func:`library` returns None and each caller runs its numpy loop instead.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import platform
@@ -34,6 +33,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -153,9 +153,16 @@ def _load(compiler: str, sources: list[Path]):
     return lib
 
 
-@functools.cache
+_BUILD_LOCK = threading.Lock()
+_built = []  # library()'s result, once it has one
+
+
 def library():
     """The loaded kernels, or None when no C compiler is found or the build fails.
+
+    Built or loaded once per process: a caller that finds no result takes a lock and
+    looks again, so a second thread that calls during the first build waits for it
+    (``functools.cache`` would run the build again in that thread).
 
     Compiled without -ffast-math and with -ffp-contract=off, so every sum
     keeps its written order.  -fno-math-errno lets sqrt compile to one
@@ -167,6 +174,15 @@ def library():
     cache line).  A failed build warns once with the compiler's output and leaves
     nothing in the cache.  ptrdiff_t matches numpy's intp.
     """
+    if not _built:
+        with _BUILD_LOCK:
+            if not _built:
+                _built.append(_build())
+    return _built[0]
+
+
+def _build():
+    """:func:`library`'s one build or load."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,6 +31,10 @@ _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
 # Annealing threads per call.  Each holds one block's lane masks (16 words per
 # bit) while it runs, so the cap also bounds the sampler's memory on any machine.
 _MAX_ANNEAL_WORKERS = 4
+# The process's annealing executors by thread count, each started at its first use and
+# kept, since starting threads costs about as much as a small call's sweeps.
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
 _LANES = 16  # reads per kernel call, one per lane; LANES in _anneal.c
 # An FM QUBO anneals through its rank-k factors when n > _FACTORED_BITS_PER_RANK * k,
 # where a step's O(k) factored field costs less than its O(n) dense one.
@@ -194,8 +199,10 @@ def simulated_annealing_sample(
     that.  One kernel call anneals a block of up to 16 reads, one read per
     vector lane, and draws each read's uniforms from its PCG64 state in C,
     the same numbers ``Generator.random`` would give.  The blocks, of
-    near-equal size, run on a pool of up to ``min(cores, blocks, 4)`` threads
-    with the interpreter lock released.  Without a C compiler the same steps
+    near-equal size, run on up to ``min(cores, blocks, 4)`` threads with the
+    interpreter lock released: the threads of one executor of ``min(cores, 4)``
+    threads, started at the process's first call and kept for its life (a forked
+    child starts its own).  Without a C compiler the same steps
     run in numpy, all reads at once, in the calling thread, drawing each
     read's uniforms one sweep at a time.
     """
@@ -205,7 +212,6 @@ def simulated_annealing_sample(
     streams = np.random.SeedSequence(seed).spawn(schedule.num_reads)
     rngs = [np.random.Generator(np.random.PCG64(stream)) for stream in streams]
     x = np.array([rng.integers(0, 2, q.n) for rng in rngs], dtype=np.float64)
-    # resolved before the pool starts, so two threads never build it at once
     lib = _native.library()
     if lib is None:
         _anneal_numpy(q, schedule.betas(), rngs, x, V)
@@ -255,6 +261,32 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor of ``workers`` threads, all started at its first use."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(workers)
+            go = threading.Event()
+            try:  # the executor starts a thread only while none is idle: hold each until all start
+                for _ in range(workers):
+                    pool.submit(go.wait)
+            finally:
+                go.set()  # also when a thread fails to start, so none is left waiting
+    return pool
+
+
+def _forget_pools() -> None:
+    """In a forked child, which has only the forking thread: start new executors when asked."""
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()  # the parent may have held it while forking
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
 def _pcg64_words(rng: np.random.Generator) -> list[int]:
     """The generator's 128-bit PCG64 state and increment as four uint64 words, low first."""
     state = rng.bit_generator.state["state"]
@@ -267,7 +299,9 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
 
     The reads split into ``ceil(reads / 16)`` blocks of near-equal size, on any
     number of cores: a block costs its 16 lanes' sums however few it holds, so
-    fewer, fuller blocks beat one more block per thread.  Read r's generator
+    fewer, fuller blocks beat one more block per thread.  The blocks run on the
+    kept executor of ``min(cores, 4)`` threads (:func:`_pool`), each with its own
+    lane masks and s, so concurrent calls share it.  Read r's generator
     has drawn its start state; the kernel goes on with its stream from the
     state it is handed.  With factors V each block sums its reads' s = Vᵀx
     itself; without, it reads the symmetric coupling matrix.
@@ -288,8 +322,7 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
         lib.anneal_block(n, k, betas.size, hi - lo, q.linear, coupling, norms, betas,
                          states[lo:hi], x[lo:hi], s, masks)
 
-    with ThreadPoolExecutor(min(workers, blocks)) as pool:
-        list(pool.map(anneal, range(blocks)))  # re-raises any block's exception
+    list(_pool(workers).map(anneal, range(blocks)))  # re-raises any block's exception
 
 
 def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:

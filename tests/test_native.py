@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import unittest.mock
 import warnings
 from pathlib import Path
@@ -42,9 +43,9 @@ def fresh_build(monkeypatch, tmp_path):
     """Forget the loaded library and cache it in a new directory, so it builds again."""
     cache = tmp_path / "__pycache__"
     monkeypatch.setattr(native, "_CACHE_DIR", cache)
-    native.library.cache_clear()
+    native._built.clear()
     yield cache
-    native.library.cache_clear()
+    native._built.clear()
 
 
 def entries(cache: Path) -> list[str]:
@@ -74,7 +75,7 @@ def test_without_compiler_bvae_train_takes_the_numpy_step(monkeypatch, fresh_bui
     compiled, compiled_curves = lq.bvae_train(images, arch, epochs=7, seed=4, batch_size=5)
     steps = count_calls(monkeypatch, bvae, "_adam_numpy")
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
-    native.library.cache_clear()
+    native._built.clear()
     looped, looped_curves = lq.bvae_train(images, arch, epochs=7, seed=4, batch_size=5)
     assert native.library() is None
     assert len(steps) == 7 * 4  # 17 training images in batches of 5
@@ -89,7 +90,7 @@ def test_without_compiler_fm_train_runs_the_numpy_loop(monkeypatch, fresh_build)
     compiled, _ = lq.fm_train(data, cfg)
     fits = count_calls(monkeypatch, fm, "_fit_numpy")
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
-    native.library.cache_clear()
+    native._built.clear()
     looped, _ = lq.fm_train(data, cfg)
     assert native.library() is None
     assert len(fits) == 1
@@ -125,7 +126,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 
 @needs_cc
 def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
-    # the first call anneals its four reads on four threads
+    # the first call starts the four annealing threads
     builds = count_calls(monkeypatch, native, "_compile")
     screens = count_calls(monkeypatch, samplers, "_compiled_energies")
     monkeypatch.setattr(samplers, "_cores", lambda: 4)
@@ -143,6 +144,25 @@ def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
     assert len(builds) == 1
     assert len(screens) == 2
     assert native.library() is not None
+
+
+@needs_cc
+def test_two_threads_that_ask_first_share_one_build(monkeypatch, fresh_build):
+    builds = count_calls(monkeypatch, native, "_compile")
+    ready, libs = threading.Barrier(2, timeout=60), []
+
+    def ask():
+        ready.wait()
+        libs.append(native.library())
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert len(libs) == 2 and libs[0] is libs[1] is not None
 
 
 @needs_cc
@@ -196,7 +216,7 @@ def fit_and_anneal():
 @needs_cc
 def test_a_cached_library_loads_without_the_compiler(monkeypatch, fresh_build):
     built = fit_and_anneal()
-    native.library.cache_clear()
+    native._built.clear()
     builds = count_calls(monkeypatch, native, "_compile")
     assert fit_and_anneal() == built
     assert builds == []
@@ -249,7 +269,7 @@ def test_an_entry_built_for_one_cpu_is_not_loaded_on_another(monkeypatch, fresh_
     monkeypatch.setattr(native, "_cpu", lambda: "flags\t\t: one")
     assert native.library() is not None
     first = entries(fresh_build)
-    native.library.cache_clear()
+    native._built.clear()
     monkeypatch.setattr(native, "_cpu", lambda: "flags\t\t: two")
     builds = count_calls(monkeypatch, native, "_compile")
     assert native.library() is not None
@@ -283,7 +303,7 @@ exec {shutil.which("cc")} "$@"
 def test_an_untrusted_entry_is_rebuilt_not_loaded(monkeypatch, tmp_path, fresh_build, spoil):
     native.library()
     (name,) = entries(fresh_build)
-    native.library.cache_clear()
+    native._built.clear()
     cache = tmp_path / "spoiled"
     cache.mkdir()
     entry = cache / name

@@ -10,6 +10,8 @@ FILE_CALLS = {
     "open", "read_text", "write_text", "read_bytes", "write_bytes",
     "loadtxt", "savetxt", "fromfile", "tofile",
 }
+# calls that start threads; only samplers._pool makes one
+THREAD_CALLS = {"ThreadPoolExecutor", "Thread"}
 
 
 def test_public_names_are_the_modules_exports():
@@ -21,11 +23,11 @@ def test_public_names_are_the_modules_exports():
     assert exported == {name for module in modules for name in module.__all__}
 
 
-def file_calls(source: str) -> list[str]:
-    """The names of the FILE_CALLS that source makes, as functions or as methods."""
+def named_calls(source: str, wanted: set[str]) -> list[str]:
+    """The names in wanted that source calls, as functions or as methods."""
     calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
     names = [getattr(func, "id", None) or getattr(func, "attr", None) for func in calls]
-    return [name for name in names if name in FILE_CALLS]
+    return [name for name in names if name in wanted]
 
 
 def test_only_the_text_codec_reads_and_writes_files():
@@ -34,11 +36,24 @@ def test_only_the_text_codec_reads_and_writes_files():
     package = Path(lq.__file__).parent
     found = {
         path.name: calls for path in sorted(package.glob("*.py"))
-        if path.name != "_text.py" and (calls := file_calls(path.read_text()))
+        if path.name != "_text.py" and (calls := named_calls(path.read_text(), FILE_CALLS))
     }
     assert {name: sorted(calls) for name, calls in found.items()} == {
         "_native.py": ["open", "read_bytes"]}
-    assert file_calls("from pathlib import Path\nPath('x').read_text()\n") == ["read_text"]
+    planted = "from pathlib import Path\nPath('x').read_text()\n"
+    assert named_calls(planted, FILE_CALLS) == ["read_text"]
+
+
+def test_only_the_annealing_pool_starts_threads():
+    # samplers._pool starts its threads once per process; a threaded kernel takes them from it
+    package = Path(lq.__file__).parent
+    found = {
+        path.name: calls for path in sorted(package.glob("*.py"))
+        if (calls := named_calls(path.read_text(), THREAD_CALLS))
+    }
+    assert found == {"samplers.py": ["ThreadPoolExecutor"]}
+    planted = "import threading\nthreading.Thread(target=print).start()\n"
+    assert named_calls(planted, THREAD_CALLS) == ["Thread"]
 
 
 def unused_imports(source: str) -> list[str]:

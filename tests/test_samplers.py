@@ -1,6 +1,10 @@
 import math
+import os
 import shutil
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,8 @@ import latentqubo._native as native
 import latentqubo.samplers as samplers
 from latentqubo._settings import ConfigError
 from conftest import all_bit_vectors, random_fm, random_qubo
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 class TestBruteForce:
@@ -380,7 +386,7 @@ class TestAnnealKernel:
             total += len(finals[0])
         assert same >= 0.95 * total
 
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    @needs_cc
     def test_kernel_loads_where_a_compiler_is_found(self):
         assert native.library() is not None
 
@@ -395,12 +401,12 @@ class TestAnnealKernel:
         )
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
         monkeypatch.setattr(native, "_CACHE_DIR", tmp_path)
-        native.library.cache_clear()
+        native._built.clear()
         try:
             looped = lq.simulated_annealing_sample(q, schedule, seed=4)
             assert native.library() is None
         finally:
-            native.library.cache_clear()
+            native._built.clear()
         assert calls == [1]
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
@@ -408,18 +414,124 @@ class TestAnnealKernel:
         # 40 reads make 3 blocks on any number of cores, run by 1, 2, 3 and 3 threads
         q = random_qubo(np.random.default_rng(140), 40)
         schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
-        results = []
+        results, threads = [], []
+        lib = native.library()
         for cores in (1, 2, 3, 8):
             monkeypatch.setattr(samplers, "_cores", lambda: cores)
+            recorder = BlockThreads(lib, pause=0.1)
+            monkeypatch.setattr(native, "library", lambda: lib and recorder)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
             try:
                 results.append(sample_set_contents(lq.simulated_annealing_sample(q, schedule, 7)))
             finally:
                 sys.setswitchinterval(interval)
+            threads.append(len(set(recorder.threads)))
         monkeypatch.setattr(native, "library", lambda: None)
         looped = sample_set_contents(lq.simulated_annealing_sample(q, schedule, 7))
         assert results == [looped] * 4
+        assert threads == ([1, 2, 3, 3] if lib else [0] * 4)
+
+    @needs_cc
+    def test_calls_after_the_first_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        q = random_qubo(np.random.default_rng(142), 40)
+        schedule = lq.AnnealSchedule(num_sweeps=20, num_reads=40)
+        lq.simulated_annealing_sample(q, schedule, seed=0)
+        count, started = threading.active_count(), []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        recorder = BlockThreads(native.library())
+        monkeypatch.setattr(native, "library", lambda: recorder)
+        for seed in range(1, 21):
+            lq.simulated_annealing_sample(q, schedule, seed)
+        assert started == [] and threading.active_count() == count
+        # 60 blocks on the same two threads, neither of them this one
+        assert len(recorder.threads) == 60
+        assert len(set(recorder.threads)) <= 2
+        assert threading.current_thread() not in recorder.threads
+
+    @needs_cc
+    def test_a_thread_that_fails_to_start_leaves_none_waiting(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        monkeypatch.setattr(samplers, "_pools", {})
+        start, started = threading.Thread.start, []
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        q = random_qubo(np.random.default_rng(145), 40)
+        schedule = lq.AnnealSchedule(num_sweeps=20, num_reads=40)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            lq.simulated_annealing_sample(q, schedule, seed=0)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        recorder = BlockThreads(native.library(), pause=0.1)
+        monkeypatch.setattr(native, "library", lambda: recorder)
+        expected = sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=0))
+        assert started[0] in recorder.threads  # the one thread that started takes blocks
+        monkeypatch.setattr(native, "library", lambda: None)
+        assert sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=0)) == expected
+
+    @needs_cc
+    def test_concurrent_calls_share_the_threads(self, monkeypatch):
+        # a dense and a factored caller, 5 calls of 3 blocks each, at the same time, on four
+        # annealing threads whatever the core count
+        monkeypatch.setattr(samplers, "_cores", lambda: 4)
+        model = random_fm(np.random.default_rng(143), 40, 4)
+        q, schedule = lq.fm_to_qubo(model), lq.AnnealSchedule(num_sweeps=100, num_reads=40)
+        callers = [lambda seed: lq.simulated_annealing_sample(q, schedule, seed),
+                   lambda seed: lq.simulated_annealing_sample(q, schedule, seed, factors=model.V)]
+        serial = [[sample_set_contents(call(seed)) for seed in range(5)] for call in callers]
+        ready, results = threading.Barrier(2, timeout=60), [None, None]
+
+        def run(i):
+            ready.wait()
+            results[i] = [sample_set_contents(callers[i](seed)) for seed in range(5)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    @needs_cc
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX only")
+    def test_a_forked_child_anneals_on_threads_of_its_own(self, monkeypatch):
+        # the parent's pool threads do not exist in the child; a child that handed its blocks
+        # to them would wait for ever
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        q = random_qubo(np.random.default_rng(144), 40)
+        schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
+        expected = sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=7))
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                child = sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=7))
+                os.write(write, b"same" if child == expected else b"differs")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG)[0]) == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        answer = os.read(read, 16)
+        os.close(read)
+        assert (done, answer) == (pid, b"same")
 
     def test_memory_is_bounded_by_one_read(self, monkeypatch):
         # the draws of 100 reads x 200 sweeps x 180 bits alone would take 29 MB; the
@@ -434,6 +546,25 @@ class TestAnnealKernel:
         # holds one sweep's, 144 kB
         monkeypatch.setattr(native, "library", lambda: None)
         assert traced_peak(180, lq.AnnealSchedule(num_sweeps=20, num_reads=100)) < 1.25 * 2**20
+
+
+class BlockThreads:
+    """A loaded library that records the thread of each anneal_block call.
+
+    Each call first sleeps for ``pause`` seconds, so that while one thread holds a block,
+    every waiting block goes to another idle thread.
+    """
+
+    def __init__(self, lib, pause: float = 0.0):
+        self.lib, self.pause, self.threads = lib, pause, []
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def anneal_block(self, *args):
+        self.threads.append(threading.current_thread())
+        time.sleep(self.pause)
+        self.lib.anneal_block(*args)
 
 
 def annealed_reads(q: lq.QuboProblem, schedule: lq.AnnealSchedule, seed: int, V) -> np.ndarray:
