@@ -21,10 +21,10 @@ class ConfigError(ValueError):
 def count(name: str, value, low: int = 1, high: float = math.inf) -> int:
     """value as an int; a ConfigError naming it unless it is an integer in [low, high].
 
-    An integer is an int or anything with __index__, such as numpy's integers.
+    An integer is an int or anything with __index__, such as numpy's integers, but not a bool.
     """
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or not low <= number <= high:
@@ -35,10 +35,12 @@ def count(name: str, value, low: int = 1, high: float = math.inf) -> int:
 def real(name: str, value, low: float = -math.inf, high: float = math.inf, strict=False) -> float:
     """value as a float; a ConfigError naming it unless it is a finite real in [low, high].
 
-    A real is an int or a float, numpy's included.  Where strict, low and high are refused too.
+    A real is an int or a float, numpy's included, but not a bool.  Where strict, low and high
+    are refused too.
     """
     # int and float first: they skip the slower abstract-class check
-    number = float(value) if isinstance(value, (int, float, numbers.Real)) else math.nan
+    real_type = isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    number = float(value) if real_type else math.nan
     inside = low < number < high if strict else low <= number <= high
     if not (inside and math.isfinite(number)):
         _reject(name, "a finite real", value, low, high, strict)

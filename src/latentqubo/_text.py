@@ -6,7 +6,7 @@ buffered file object and numbers its lines as Path.read_text().splitlines() does
 lines counted.  Rows of decimal numbers go to the compiled parser as bytes, in chunks of
 whole lines, so no loader holds a file's text.  A tagged file starts with
 '<NAME> v1 <key>=<value> <key>=<value>'; its readers' ValueErrors name the file and
-the 1-based line.
+the 1-based line.  file_text gives a whole file's text to the INI config's own parser.
 """
 
 from __future__ import annotations
@@ -114,9 +114,7 @@ class _Lines:
         try:
             lines = piece.decode().splitlines()
         except UnicodeDecodeError as exc:
-            lineno = self._lineno + len((piece[: exc.start].decode() + "x").splitlines())
-            what = f"not UTF-8 text ({exc.reason}: 0x{piece[exc.start]:02x})"
-            raise ValueError(f"{self.path}:{lineno}: {what}") from None
+            raise _not_utf8(exc, piece, self.path, self._lineno) from None
         self._queued.extend(enumerate(lines, self._lineno + 1))
         self._lineno += len(lines)
         return True
@@ -159,6 +157,26 @@ class _Lines:
             out[row] = _row(item[1].split(), cols, f"{self.path}:{item[0]}")
             row += 1
         return out[:row]
+
+
+def _not_utf8(exc: UnicodeDecodeError, data: bytes, path, lineno: int) -> ValueError:
+    """The ValueError for data's first byte that is not UTF-8, naming path and the byte's line,
+    where lineno lines come before data."""
+    lineno += len((data[: exc.start].decode() + "x").splitlines())
+    return ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason}: 0x{data[exc.start]:02x})")
+
+
+def file_text(path) -> str:
+    """A whole UTF-8 file's text, newlines read as Path.read_text() reads them, for the one
+    format with a parser of its own, the INI config.  A byte that is not UTF-8 is a ValueError
+    naming its line, as _Lines names it."""
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, data, path, 0) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextmanager

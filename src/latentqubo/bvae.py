@@ -126,7 +126,7 @@ class TemperatureSchedule:
     def __post_init__(self):
         _settings.real("tau_min", self.tau_min, 0, strict=True)
         _settings.real("tau_max", self.tau_max, self.tau_min)
-        if not self.tau_min <= self.tau <= self.tau_max:
+        if not self.tau_min <= _settings.real("tau", self.tau) <= self.tau_max:
             raise ValueError(
                 f"tau must stay within [{self.tau_min}, {self.tau_max}], got {self.tau}"
             )

@@ -91,7 +91,11 @@ def _read_ini(path: str) -> tuple[configparser.ConfigParser, Path]:
         raise FileNotFoundError(f"config file does not exist: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read(config_path)
+        text = _text.file_text(config_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        cp.read_string(text, source=str(config_path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     for section in cp.sections():

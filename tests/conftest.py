@@ -1,14 +1,21 @@
+import ctypes
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import latentqubo as lq
+import latentqubo._native as native
 from helpers import reference_corpus, reference_target, train_reference_bvae
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 1.0) -> lq.QuboProblem:
@@ -48,3 +55,47 @@ def toy_bvae():
 @pytest.fixture(scope="session")
 def half_plane_target():
     return reference_target()
+
+
+@pytest.fixture(scope="session")
+def session_build(tmp_path_factory) -> Path | None:
+    """The session's one real build of native.SOURCES, or None where no compiler is found: a
+    copy of the package's cache entry where _native trusts it, or else one compile.
+
+    A copy, since a test may replace or remove the cache entry; and never library()'s own file,
+    which for a library built in this process is the temporary name that _load renamed away.
+    """
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    sources = [Path(native.__file__).with_name(name) for name in native.SOURCES]
+    entry = native._CACHE_DIR / native._entry_name(compiler, sources)
+    out = tmp_path_factory.mktemp("session_build") / "_latentqubo.so"
+    if native._trusted(entry):
+        shutil.copyfile(entry, out)
+    else:
+        native._compile(compiler, sources, out)
+    return out
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """Forget the loaded library and cache it in a new directory, so the compiler runs again."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(native, "_CACHE_DIR", cache)
+    native._built.clear()
+    yield cache
+    native._built.clear()
+
+
+@pytest.fixture
+def fresh_build(monkeypatch, session_build, fresh_cache):
+    """fresh_cache, with native._compile replaced by a stand-in that installs the session's
+    build at out, as the compiler would have built it, and loads it."""
+    def install(compiler, sources, out: Path):
+        shutil.copyfile(session_build, out)
+        out.chmod(0o755)
+        return ctypes.CDLL(str(out))
+
+    monkeypatch.setattr(native, "_compile", install)
+    return fresh_cache

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.bvae as bvae
+from conftest import needs_cc
 
 
 def tiny_arch(m=4, n=4):
@@ -396,9 +397,6 @@ def latent_rows(n: int, rows: int, seed: int) -> np.ndarray:
     X = np.random.default_rng(seed).integers(0, 2, (rows, n)).astype(np.uint8)
     X[:1], X[1:][-1:] = 0, 1
     return X
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @needs_cc

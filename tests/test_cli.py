@@ -312,6 +312,18 @@ class TestConfigErrors:
         )
         assert main(["run-loop", "--config", config]) == 2
 
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "latin1.ini"
+        config.write_bytes(b"[pipeline]\n# caf\xe9\nlatent_bits = 16\n")
+        assert main(["run-loop", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and str(config) in err
+
+    def test_a_directory_is_not_a_config_file(self, tmp_path, capsys):
+        assert main(["run-loop", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and str(tmp_path) in err
+
     def test_bad_objective_kind(self, workspace):
         tmp_path, _ = workspace
         config = write_config(

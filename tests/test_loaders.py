@@ -9,7 +9,6 @@ import locale
 import os
 import pickle
 import re
-import shutil
 import threading
 import tracemalloc
 import warnings
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
-from conftest import random_qubo
+from conftest import needs_cc, random_qubo
 from latentqubo import _native, _text
 from latentqubo.cli import main
 
@@ -448,9 +447,6 @@ def test_loaded_and_malformed_files_leave_no_file_open(tmp_path):
                 pass
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def count_parses(monkeypatch) -> list:

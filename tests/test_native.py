@@ -29,23 +29,12 @@ import latentqubo.fm as fm
 import latentqubo.qubo as qubo
 import latentqubo.samplers as samplers
 from latentqubo import _text
-from conftest import random_fm, random_qubo
+from conftest import needs_cc, random_fm, random_qubo
 from test_bvae import decoder_params, latent_rows
 from test_fm import assert_same_model, random_dataset
 from test_samplers import sample_set_contents
 
 SCHEDULE = lq.AnnealSchedule(num_sweeps=50, num_reads=4)
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-
-
-@pytest.fixture
-def fresh_build(monkeypatch, tmp_path):
-    """Forget the loaded library and cache it in a new directory, so it builds again."""
-    cache = tmp_path / "__pycache__"
-    monkeypatch.setattr(native, "_CACHE_DIR", cache)
-    native._built.clear()
-    yield cache
-    native._built.clear()
 
 
 def entries(cache: Path) -> list[str]:
@@ -98,7 +87,7 @@ def test_without_compiler_fm_train_runs_the_numpy_loop(monkeypatch, fresh_build)
 
 
 def test_failing_compiler_warns_once_and_both_kernels_fall_back(
-    monkeypatch, tmp_path, fresh_build
+    monkeypatch, tmp_path, fresh_cache
 ):
     compiler = tmp_path / "cc"
     compiler.write_text("#!/bin/sh\necho 'cc: error: toolchain is broken' >&2\nexit 1\n")
@@ -121,7 +110,7 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
     assert len(sweeps) == 1
     assert len(screens) == 1
     assert len(exhaustive.entries) == 5
-    assert entries(fresh_build) == []
+    assert entries(fresh_cache) == []
 
 
 @needs_cc
@@ -279,7 +268,7 @@ def test_an_entry_built_for_one_cpu_is_not_loaded_on_another(monkeypatch, fresh_
 
 @needs_cc
 def test_a_compiler_that_rejects_the_host_flag_builds_for_its_default(
-    monkeypatch, tmp_path, fresh_build
+    monkeypatch, tmp_path, fresh_cache
 ):
     compiler = tmp_path / "cc"
     compiler.write_text(f"""#!/bin/sh
@@ -293,7 +282,7 @@ exec {shutil.which("cc")} "$@"
         warnings.simplefilter("error")
         built = fit_and_anneal()
     assert len(builds) == 2  # refused with the flag, then built without it
-    assert len(entries(fresh_build)) == 1
+    assert len(entries(fresh_cache)) == 1
     with unittest.mock.patch.object(native, "library", lambda: None):
         assert fit_and_anneal()[1] == built[1]
 
@@ -394,6 +383,9 @@ def test_two_processes_building_at_once_share_one_entry(monkeypatch, tmp_path):
     assert outputs == [f"{[(e.vector.tolist(), e.energy) for e in looped]}\n"] * 2
     (name,) = entries(cache)
     assert name.startswith("_latentqubo-") and name.endswith(".so")
+    # _compile's own output, which the cache tests do not see: they install the session build
+    assert (cache / name).read_bytes()[:4] == b"\x7fELF"
+    assert (cache / name).stat().st_mode & 0o777 == 0o755
 
 
 def test_every_c_source_is_built_and_packaged():

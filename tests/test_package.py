@@ -90,3 +90,39 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == {}
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == ["os", "c"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+# what makes _native build again: a new cache directory, another _compile, a forgotten library
+REBUILDS = {"_CACHE_DIR", "_compile"}
+
+
+def rebuilds(source: str) -> list[str]:
+    """Each patch of _native._CACHE_DIR or _native._compile that source makes, by name in a
+    call or by assignment, and each _built.clear() it calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            found += [arg.value for arg in node.args
+                      if isinstance(arg, ast.Constant) and arg.value in REBUILDS]
+            if getattr(node.func, "attr", None) == "clear" and getattr(
+                    node.func.value, "attr", None) == "_built":
+                found.append("_built.clear")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in REBUILDS):
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_only_the_native_tests_build_the_kernels_again():
+    # conftest.py's fixtures forget the library and install the session's build; test_native.py
+    # tests the build itself; every other test uses the library the session has loaded
+    tests = Path(__file__).parent
+    found = {
+        path.name: calls for path in sorted(tests.glob("*.py"))
+        if path.name not in ("conftest.py", "test_native.py")
+        and (calls := rebuilds(path.read_text()))
+    }
+    assert found == {}
+    planted = ('monkeypatch.setattr(native, "_CACHE_DIR", tmp_path)\nnative._built.clear()\n'
+               'native._compile = None\n')
+    assert rebuilds(planted) == ["_CACHE_DIR", "_built.clear", "_compile"]

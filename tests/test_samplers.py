@@ -1,6 +1,5 @@
 import math
 import os
-import shutil
 import signal
 import sys
 import threading
@@ -14,9 +13,7 @@ import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.samplers as samplers
 from latentqubo._settings import ConfigError
-from conftest import all_bit_vectors, random_fm, random_qubo
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+from conftest import all_bit_vectors, needs_cc, random_fm, random_qubo
 
 
 class TestBruteForce:
@@ -390,7 +387,7 @@ class TestAnnealKernel:
     def test_kernel_loads_where_a_compiler_is_found(self):
         assert native.library() is not None
 
-    def test_without_compiler_the_numpy_loop_runs(self, monkeypatch, tmp_path):
+    def test_without_compiler_the_numpy_loop_runs(self, monkeypatch, request):
         q = random_qubo(np.random.default_rng(9), 16)
         schedule = lq.AnnealSchedule(num_sweeps=200)
         compiled = lq.simulated_annealing_sample(q, schedule, seed=4)
@@ -399,14 +396,10 @@ class TestAnnealKernel:
         monkeypatch.setattr(
             samplers, "_anneal_numpy", lambda *args: calls.append(1) or numpy_loop(*args)
         )
+        request.getfixturevalue("fresh_build")  # forget the library that ran `compiled`
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
-        monkeypatch.setattr(native, "_CACHE_DIR", tmp_path)
-        native._built.clear()
-        try:
-            looped = lq.simulated_annealing_sample(q, schedule, seed=4)
-            assert native.library() is None
-        finally:
-            native._built.clear()
+        looped = lq.simulated_annealing_sample(q, schedule, seed=4)
+        assert native.library() is None
         assert calls == [1]
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 

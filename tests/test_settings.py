@@ -22,7 +22,8 @@ VALID = {
     lq.TemperatureSchedule: {},
     lq.ProductEfficiencyObjective: dict(target_fill=0.5, smoothness_weight=1.0),
 }
-BAD = {"int": (2.5, -1), "float": (math.nan, math.inf, -math.inf), "bool": ("false", 1, None)}
+BAD = {"int": (2.5, -1, True), "float": (math.nan, math.inf, -math.inf, True),
+       "bool": ("false", 1, None)}
 
 
 def numeric_fields(cls):
