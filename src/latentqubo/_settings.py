@@ -1,5 +1,5 @@
 """The rules every numeric or boolean setting passes: a count and a finite real, each
-within bounds, and a flag.
+within bounds, and a flag; and a setting that holds several is iterable.
 
 A setting that breaks its rule is a ConfigError naming it, which the command line reports
 as a configuration error (exit 2).  A check that relates two settings stays with them.
@@ -55,6 +55,14 @@ def flag(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be a bool, got {value!r}")
     return bool(value)
+
+
+def items(name: str, value) -> tuple:
+    """value's items; a ConfigError naming it unless it is iterable, such as a tuple or a list."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
 
 
 def _reject(name: str, kind: str, value, low, high, strict: bool):

@@ -68,7 +68,7 @@ class BvaeArchitecture:
         _settings.count("image_side", self.image_side, low=2)
         _settings.count("latent_bits", self.latent_bits)
         for name in ("encoder_hidden", "decoder_hidden"):
-            sizes = getattr(self, name)
+            sizes = _settings.items(name, getattr(self, name))
             if len(sizes) != 2:
                 raise ValueError(f"{name} must be two layer sizes, got {sizes!r}")
             for size in sizes:

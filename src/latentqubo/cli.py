@@ -306,8 +306,8 @@ def _cmd_eval(args) -> int:
     if args.image is not None:
         pattern = (load_pgm(args.image) >= 0.5).astype(np.uint8)
     else:
-        if args.bits is None or args.bvae is None:
-            raise ConfigError("eval needs --image, or --bits together with --bvae")
+        if args.bvae is None:
+            raise ConfigError("eval needs --bits together with --bvae")
         model = load_bvae(args.bvae)
         n = model.architecture.latent_bits
         if len(args.bits) != n or not set(args.bits) <= {"0", "1"}:
@@ -397,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a pattern or latent bit string")
     p.add_argument("--config", required=True)
-    p.add_argument("--image", default=None, help="PGM pattern to score")
-    p.add_argument("--bits", default=None, help="latent 0/1 string to decode and score")
+    scored = p.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--image", default=None, help="PGM pattern to score")
+    scored.add_argument("--bits", default=None, help="latent 0/1 string to decode and score")
     p.add_argument("--bvae", default=None, help="checkpoint used with --bits")
     p.add_argument("--blur", type=float, default=0.0)
     p.set_defaults(func=_cmd_eval)

@@ -52,8 +52,13 @@ class LabeledDataset:
         if len(tags) != X.shape[0]:
             raise ValueError(f"need one provenance tag per row, got {len(tags)}")
         for tag in tags:
-            if tag.split() != [tag]:
-                raise ValueError(f"provenance tags must be nonempty and whitespace-free: {tag!r}")
+            try:  # str.split refuses a tag that is not a str, where b"tag".split() passes
+                whole = str.split(tag) == [tag]
+            except TypeError:
+                whole = False
+            if not whole:
+                raise ValueError(
+                    f"provenance tags must be nonempty, whitespace-free strings: {tag!r}")
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "X", X)

@@ -83,7 +83,7 @@ class FmTrainConfig:
         _settings.count("rank", self.rank)
         _settings.count("seed", self.seed, low=0)
         _settings.real("learning_rate", self.learning_rate, 0, strict=True)
-        fractions = [_settings.real("split", fraction, 0) for fraction in self.split]
+        fractions = [_settings.real("split", f, 0) for f in _settings.items("split", self.split)]
         if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError(f"split must be three fractions that sum to 1, got {self.split!r}")
 

@@ -147,7 +147,8 @@ class StratificationSpec:
 
     def __post_init__(self):
         bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
-        fractions = tuple(_settings.real("fractions", f, 0) for f in self.fractions)
+        fractions = tuple(_settings.real("fractions", f, 0)
+                          for f in _settings.items("fractions", self.fractions))
         if len(bands) != len(fractions) or not bands:
             raise ValueError("need one fraction per band and at least one band")
         for lo, hi in bands:

@@ -620,6 +620,13 @@ class TestEval:
         assert rc == 2
         assert f"--bits must be 16 characters of 0 or 1, got {bits!r}" in capsys.readouterr().err
 
+    def test_image_and_bits_together_rejected_by_parser(self, workspace):
+        tmp_path, config = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", config, "--image", str(tmp_path / "target.pgm"),
+                  "--bits", "xyz"])
+        assert exc.value.code == 2
+
     def test_missing_image(self, workspace):
         tmp_path, config = workspace
         rc = main(["eval", "--config", config, "--image", str(tmp_path / "absent.pgm")])

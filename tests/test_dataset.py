@@ -46,7 +46,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             lq.LabeledDataset(X=X, Y=np.zeros(3), provenance=("a", "b", "c"))
 
-    @pytest.mark.parametrize("tag", ["has space", "", "a\tb", "a\u2003b", "a\x1cb", "a\xa0b"])
+    @pytest.mark.parametrize("tag", ["has space", "", "a\tb", "a\u2003b", "a\x1cb", "a\xa0b",
+                                     b"tag", 7])
     def test_bad_tag_rejected(self, tag):
         X = np.zeros((1, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="tag"):

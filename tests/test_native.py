@@ -1,5 +1,6 @@
 """The shared build of the C kernels: cached on disk per source tree, numpy without it, and
-each kernel's calls replayed under AddressSanitizer and UBSan."""
+each kernel's cases recorded once, checked against its numpy twin, and replayed at every
+vector width and under AddressSanitizer and UBSan."""
 
 import collections
 import ctypes
@@ -407,23 +408,10 @@ LEVELS = X86_LEVELS if X86_64 else [native._HOST]
 V3_FLAGS = {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
 
 
-@needs_cc
-@pytest.mark.parametrize("name", native.SOURCES)
-def test_every_c_source_compiles_without_warnings(name):
-    source = Path(native.__file__).with_name(name)
-    for level in LEVELS:
-        result = subprocess.run(
-            [shutil.which("cc"), "-std=c11", level, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-             str(source)],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, f"{level}: {result.stderr}"
-
-
 @pytest.fixture(scope="session")
 def level_builds(tmp_path_factory):
-    """Builds the sources together with the cached build's flags, a -march level and every
-    warning an error: build(level) gives the library's path and the compiler's result."""
+    """Builds the sources together as C11 with the cached build's flags, a -march level and
+    every warning an error: build(level) gives the library's path and the compiler's result."""
     sources = [str(Path(native.__file__).with_name(name)) for name in native.SOURCES]
     builds = {}
 
@@ -431,8 +419,8 @@ def level_builds(tmp_path_factory):
         if level not in builds:
             out = tmp_path_factory.mktemp("level") / "_latentqubo.so"
             builds[level] = out, subprocess.run(
-                [shutil.which("cc"), *native._FLAGS, level, "-Wall", "-Wextra", "-Werror",
-                 "-o", str(out), *sources, *native._LIBS],
+                [shutil.which("cc"), *native._FLAGS, "-std=c11", level, "-Wall", "-Wextra",
+                 "-Werror", "-o", str(out), *sources, *native._LIBS],
                 capture_output=True, text=True,
             )
         return builds[level]
@@ -445,34 +433,6 @@ def test_the_library_builds_without_warnings(level_builds):
     for level in LEVELS:
         _, result = level_builds(level)
         assert result.returncode == 0, f"{level}: {result.stderr}"
-
-
-@needs_cc
-@pytest.mark.parametrize("level", X86_LEVELS)
-def test_every_vector_width_gives_the_numpy_bits(monkeypatch, level, level_builds):
-    # each level builds the lane kernels at its own vector width; this host runs the widest it has
-    if not X86_64:
-        pytest.skip("the widths are x86-64 levels")
-    if level == "-march=x86-64-v3" and not V3_FLAGS <= set(native._cpu().split()):
-        pytest.skip("this CPU cannot run x86-64-v3 code")
-    path, result = level_builds(level)
-    assert result.returncode == 0, result.stderr
-    lib = native._bind(ctypes.CDLL(str(path)))
-    for reads, k in itertools.product((1, 7, 16), (0, 3)):
-        model = random_fm(np.random.default_rng(reads * 10 + k), 17, max(k, 1))
-        q, V = lq.fm_to_qubo(model), model.V if k else None
-        betas = lq.AnnealSchedule(beta_end=1000.0, num_sweeps=40).betas()
-        finals = []
-        for anneal in (lambda *args: samplers._anneal_blocks(lib, *args), samplers._anneal_numpy):
-            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(reads + k).spawn(reads)]
-            finals.append(np.array([rng.integers(0, 2, 17) for rng in rngs], dtype=np.float64))
-            anneal(q, betas, rngs, finals[-1], V)
-        assert finals[0].tobytes() == finals[1].tobytes()
-    monkeypatch.setattr(native, "library", lambda: lib)
-    for n, hidden, pixels in ((16, (16, 17), 36), (180, (17, 33), 9)):
-        params = decoder_params(n, hidden, pixels, seed=n)
-        X = latent_rows(n, 17, seed=n)
-        assert bvae._decode_heads(params, X).tobytes() == bvae._decode_numpy(params, X).tobytes()
 
 
 SANITIZERS = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
@@ -618,41 +578,62 @@ def packed(argtype, value) -> bytes:
     return struct.pack("d" if argtype is ctypes.c_double else "q", value)
 
 
-def assert_replays_clean(driver: Path, kernel: str) -> None:
-    """Each call of the kernel's cases, recorded with a Recorder as _native.library(), gives back
-    in the driver the recorded result and arguments, each read-only one as it went in."""
-    lib = native.library()
-    recorder, argtypes = Recorder(lib), getattr(lib, kernel).argtypes
-    with unittest.mock.patch.object(native, "library", lambda: recorder):
-        CASES[kernel](recorder)
-    calls = recorder.calls
-    assert calls and {call.kernel for call in calls} == {kernel}
-    head = struct.pack("qq", kernels(lib).index(kernel), len(argtypes))
-    stdin = b"".join(head + b"".join(struct.pack("q", len(given)) + given
-                                     for given in map(packed, argtypes, call.before))
-                     for call in calls)
-    expected = [(b"" if call.result is None else struct.pack("q", call.result)) + b"".join(
-        packed(t, after if writable(t) else before)
-        for t, before, after in zip(argtypes, call.before, call.after)) for call in calls]
-    result = subprocess.run([driver], input=stdin, capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b""), result.stderr.decode(errors="replace")
-    out = io.BytesIO(result.stdout)
-    assert [i for i, want in enumerate(expected) if out.read(len(want)) != want] == []
-    assert out.read() == b""
+def replayed(argtypes, result, args) -> bytes:
+    """A call's bytes as the replay driver writes them: its result, if any, then every argument."""
+    head = b"" if result is None else struct.pack("q", result)
+    return head + b"".join(map(packed, argtypes, args))
+
+
+def recorded(argtypes, call: Call) -> bytes:
+    """The recorded call's bytes as a replay must give them back: its result and its arguments,
+    each read-only one as it went in."""
+    args = [after if writable(t) else before
+            for t, before, after in zip(argtypes, call.before, call.after)]
+    return replayed(argtypes, call.result, args)
+
+
+# (n, k, schedule), k = 0 for the dense form: edge sizes of n and of k, one-sweep schedules, the
+# block of 16 reads one short, full and one over, two and many blocks, n on both sides of 64
+# and of 128, and a cold end of beta 1000
+ANNEAL_ROWS = [
+    *((n, k, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
+      for n, reads, k, sweeps in itertools.product((1, 2, 16, 17, 64), (1, 15, 16), (0, 1, 8),
+                                                   (1, 3))),
+    *((n, 0, schedule) for n, schedule in (
+        (1, lq.AnnealSchedule()), (2, lq.AnnealSchedule(num_sweeps=50, num_reads=1)),
+        (16, lq.AnnealSchedule()), (16, lq.AnnealSchedule(num_sweeps=1)),
+        (16, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=300, num_reads=7)),
+        (40, lq.AnnealSchedule(num_sweeps=100, num_reads=9)),
+        (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
+        (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
+        (63, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (64, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (65, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
+        (130, lq.AnnealSchedule(num_sweeps=20, num_reads=3)))),
+    *((n, 0, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
+      for n, sweeps in ((16, 100), (64, 20), (180, 6)) for reads in (1, 15, 16, 17, 33, 100)),
+    *((n, k, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
+      for n, sweeps in ((64, 20), (130, 8), (180, 6)) for k in (1, 8)
+      for reads in (1, 15, 16, 17, 33)),
+    (180, 8, lq.AnnealSchedule(num_sweeps=1, num_reads=16)),
+    (64, 1, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
+    *((17, k, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=40, num_reads=reads))
+      for reads, k in itertools.product((1, 7, 16), (0, 3))),
+]
 
 
 def anneal_cases(recorder) -> None:
-    """_anneal_blocks, dense (k = 0) and factored, at edge sizes of n, of the block and of k,
-    giving the numpy loop's reads."""
-    for n, reads, k, sweeps in itertools.product((1, 2, 16, 17, 64), (1, 15, 16), (0, 1, 8), (1, 3)):
+    """_anneal_blocks on each of ANNEAL_ROWS' FM QUBOs, dense or through the factors, giving
+    the numpy loop's reads."""
+    for n, k, schedule in ANNEAL_ROWS:
         model = random_fm(np.random.default_rng(n * 100 + k), n, max(k, 1))
         q, V = lq.fm_to_qubo(model), model.V if k else None
-        betas = lq.AnnealSchedule(num_sweeps=sweeps).betas()
         finals = []
         for anneal in (lambda *args: samplers._anneal_blocks(recorder, *args), samplers._anneal_numpy):
-            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(n + k).spawn(reads)]
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(n + k).spawn(schedule.num_reads)]
             finals.append(np.array([rng.integers(0, 2, n) for rng in rngs], dtype=np.float64))
-            anneal(q, betas, rngs, finals[-1], V)
+            anneal(q, schedule.betas(), rngs, finals[-1], V)
         assert finals[0].tobytes() == finals[1].tobytes()
 
 
@@ -730,8 +711,19 @@ def row_energy_cases(recorder) -> None:
         assert call.after[7].tobytes() == qubo._energy_loop(bits, linear, upper, offset).tobytes()
 
 
+# (n, rank, rows, split) of fits from a cold start: a one-row set and an all-training split
+# among them; rank 3 takes the kernel's pairs of factors and its odd last one
+FM_ROWS = [
+    (1, 1, 30, (0.7, 0.1, 0.2)), (2, 8, 30, (0.7, 0.1, 0.2)), (16, 1, 150, (0.7, 0.1, 0.2)),
+    (16, 8, 150, (0.7, 0.1, 0.2)), (16, 8, 1, (0.7, 0.1, 0.2)), (16, 8, 120, (0.4, 0.3, 0.3)),
+    (40, 8, 200, (0.7, 0.1, 0.2)), (180, 1, 150, (1.0, 0.0, 0.0)), (180, 8, 150, (0.7, 0.1, 0.2)),
+    (16, 3, 150, (0.7, 0.1, 0.2)), (180, 3, 150, (0.7, 0.1, 0.2)),
+]
+
+
 def fm_fit_cases(recorder) -> None:
-    """fm_train on rows of no set bits and of all, and on rows that no shuffle visits."""
+    """fm_train on rows of no set bits and of all, on rows that no shuffle visits, on FM_ROWS
+    and from a warm start, each for 1 and 30 epochs there, giving the numpy loop's bits."""
     for n, k, (epochs, rows) in itertools.product((1, 2, 16, 17, 64), (1, 3, 8),
                                                   ((1, 1), (1, 20), (3, 7))):
         rng = np.random.default_rng(n * 100 + k * 10 + rows)
@@ -741,6 +733,14 @@ def fm_fit_cases(recorder) -> None:
         cfg = lq.FmTrainConfig(epochs=epochs, rank=k, split=(rows / (rows + 2), 2 / (rows + 2), 0))
         lq.fm_train(data, cfg, warm_start=random_fm(rng, n, k))
         assert recorder.calls[-1].before[:4] == [n, k, epochs, rows]
+    for (n, k, rows, split), epochs in itertools.product(FM_ROWS, (1, 30)):
+        cfg = lq.FmTrainConfig(epochs=epochs, rank=k, split=split, seed=k)
+        lq.fm_train(random_dataset(n, rows, seed=n + rows), cfg)
+        assert recorder.calls[-1].before[:3] == [n, k, epochs]
+    for epochs in (1, 30):
+        cfg = lq.FmTrainConfig(epochs=epochs, rank=8, seed=7)
+        lq.fm_train(random_dataset(16, 150, seed=5), cfg,
+                    warm_start=random_fm(np.random.default_rng(6), 16, 8))
     for call in recorder.calls:
         orders, X, Y, lr, *state = map(copied, call.before[4:14])  # w0, w, V and accumulators
         fm._fit_numpy(orders, X, Y, lr, *state)
@@ -748,13 +748,17 @@ def fm_fit_cases(recorder) -> None:
 
 
 def decode_cases(recorder) -> None:
-    """_decode_heads on 0, 1 and 17 rows, with hidden sizes and heads on both sides of a 16-unit
-    block, giving the numpy twin's heads."""
+    """_decode_heads on 0, 1, 2 and 17 rows, with hidden sizes and heads below, at and above a
+    16-unit block and two, so the blocks and the scalar tail both run in every layer, giving
+    the numpy twin's heads."""
     for n, hidden, pixels, rows in itertools.product(
-            (1, 16, 180), ((1, 3), (16, 17), (17, 16)), (9, 16, 36), (0, 1, 17)):
+            (1, 16, 180), ((1, 3), (3, 1), (16, 17), (17, 16), (17, 33)), (9, 16, 36),
+            (0, 1, 2, 17)):
         params = decoder_params(n, hidden, pixels, seed=n * 100 + pixels)
         X = latent_rows(n, rows, seed=rows)
-        assert bvae._decode_heads(params, X).tobytes() == bvae._decode_numpy(params, X).tobytes()
+        compiled = bvae._decode_heads(params, X)
+        assert compiled.shape == (rows, pixels)
+        assert compiled.tobytes() == bvae._decode_numpy(params, X).tobytes()
 
 
 # plain rows, blank lines, an unended last line, and the tokens the parser refuses or reads at
@@ -796,20 +800,57 @@ def test_every_kernel_has_replayed_cases():
     assert kernels(native.library()) == sorted(CASES)
 
 
-def replay_test(kernel: str):
-    """A test that replays the kernel's cases in the sanitized driver."""
-    @needs_cc
-    def test(sanitized_driver):
-        assert_replays_clean(sanitized_driver, kernel)
-    return test
+@pytest.fixture(scope="session", params=sorted(CASES))
+def recording(request) -> tuple[str, list[Call]]:
+    """A kernel and its calls, recorded once with a Recorder as _native.library() while its
+    builder in CASES checks them against the numpy twin."""
+    recorder = Recorder(native.library())
+    with unittest.mock.patch.object(native, "library", lambda: recorder):
+        CASES[request.param](recorder)
+    return request.param, recorder.calls
 
 
-test_parser_is_clean_under_address_and_undefined_sanitizers = replay_test("parse_floats")
-test_annealer_is_clean_under_address_and_undefined_sanitizers = replay_test("anneal_block")
-test_adam_step_is_clean_under_address_and_undefined_sanitizers = replay_test("adam_step")
-test_format_floats_is_clean_under_address_and_undefined_sanitizers = replay_test("format_floats")
-test_qubo_energies_is_clean_under_address_and_undefined_sanitizers = replay_test("qubo_energies")
-test_qubo_row_energies_is_clean_under_address_and_undefined_sanitizers = replay_test(
-    "qubo_row_energies")
-test_fm_fit_is_clean_under_address_and_undefined_sanitizers = replay_test("fm_fit")
-test_decode_heads_is_clean_under_address_and_undefined_sanitizers = replay_test("decode_heads")
+@needs_cc
+def test_every_kernel_call_gives_the_numpy_twins_bits(recording):
+    kernel, calls = recording
+    assert calls and {call.kernel for call in calls} == {kernel}
+
+
+@needs_cc
+def test_each_kernel_replays_clean_under_asan_and_ubsan(recording, sanitized_driver):
+    """Each recorded call gives back in the sanitized driver the recorded bytes."""
+    kernel, calls = recording
+    lib = native.library()
+    argtypes = getattr(lib, kernel).argtypes
+    head = struct.pack("qq", kernels(lib).index(kernel), len(argtypes))
+    stdin = b"".join(head + b"".join(struct.pack("q", len(given)) + given
+                                     for given in map(packed, argtypes, call.before))
+                     for call in calls)
+    result = subprocess.run([sanitized_driver], input=stdin, capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b""), result.stderr.decode(errors="replace")
+    out = io.BytesIO(result.stdout)
+    wanted = (recorded(argtypes, call) for call in calls)
+    assert [i for i, want in enumerate(wanted) if out.read(len(want)) != want] == []
+    assert out.read() == b""
+
+
+def rerun(kernel, call: Call) -> bytes:
+    """The recorded call made again on kernel, another build's function, as replay bytes."""
+    args = [copied(arg) for arg in call.before]
+    return replayed(kernel.argtypes, kernel(*args), args)
+
+
+@needs_cc
+@pytest.mark.parametrize("level", X86_LEVELS, ids=lambda level: level.removeprefix("-march="))
+def test_every_vector_width_gives_the_recorded_bits(level, level_builds, recording):
+    # each level builds the lane kernels at its own vector width; this host runs the widest it has
+    if not X86_64:
+        pytest.skip("the widths are x86-64 levels")
+    if level == "-march=x86-64-v3" and not V3_FLAGS <= set(native._cpu().split()):
+        pytest.skip("this CPU cannot run x86-64-v3 code")
+    path, result = level_builds(level)
+    assert result.returncode == 0, result.stderr
+    kernel, calls = recording
+    f = getattr(native._bind(ctypes.CDLL(str(path))), kernel)
+    differ = [i for i, call in enumerate(calls) if rerun(f, call) != recorded(f.argtypes, call)]
+    assert differ == [], f"{level}: {kernel} calls {differ} of {len(calls)} differ"

@@ -283,59 +283,6 @@ def sample_set_contents(ss: lq.SampleSet):
 class TestAnnealKernel:
     """The compiled sweep against the numpy loop it replaces."""
 
-    # (n, schedule): random QUBOs at each size, one-sweep and one-read schedules among them.
-    # At 63, 64, 65 and 130 bits the last word of the kernel's bitmask is
-    # partial, full, holds one bit, and holds two bits.
-    CASES = [
-        (1, lq.AnnealSchedule()),
-        (2, lq.AnnealSchedule(num_sweeps=50, num_reads=1)),
-        (16, lq.AnnealSchedule()),
-        (16, lq.AnnealSchedule(num_sweeps=1)),
-        (16, lq.AnnealSchedule(beta_end=1000.0, num_sweeps=300, num_reads=7)),
-        (40, lq.AnnealSchedule(num_sweeps=100, num_reads=9)),
-        (180, lq.AnnealSchedule(num_sweeps=25, num_reads=4)),
-        (180, lq.AnnealSchedule(num_sweeps=1, num_reads=1)),
-        (63, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
-        (64, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
-        (65, lq.AnnealSchedule(num_sweeps=30, num_reads=5)),
-        (130, lq.AnnealSchedule(num_sweeps=20, num_reads=3)),
-    ]
-    # One kernel call anneals a block of up to 16 reads, one per lane: one read, a block
-    # one short of full, a full block, one read over, two blocks and one over, and many
-    # blocks, each at three sizes.
-    CASES += [
-        (n, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
-        for n, sweeps in ((16, 100), (64, 20), (180, 6))
-        for reads in (1, 15, 16, 17, 33, 100)
-    ]
-
-    @pytest.mark.parametrize("n, schedule", CASES)
-    def test_same_sample_set_as_numpy_loop(self, monkeypatch, n, schedule):
-        q = random_qubo(np.random.default_rng(100 + n), n)
-        compiled = lq.simulated_annealing_sample(q, schedule, seed=n)
-        monkeypatch.setattr(native, "library", lambda: None)
-        looped = lq.simulated_annealing_sample(q, schedule, seed=n)
-        assert sample_set_contents(compiled) == sample_set_contents(looped)
-
-    # FM QUBOs above the crossover, which anneal through their factors: at rank 1 and 8,
-    # the block sizes above, and one sweep of a full block and of one read
-    FACTORED_CASES = [
-        (n, k, lq.AnnealSchedule(num_sweeps=sweeps, num_reads=reads))
-        for n, sweeps in ((64, 20), (130, 8), (180, 6))
-        for k in (1, 8)
-        for reads in (1, 15, 16, 17, 33)
-    ] + [(180, 8, lq.AnnealSchedule(num_sweeps=1, num_reads=16)),
-         (64, 1, lq.AnnealSchedule(num_sweeps=1, num_reads=1))]
-
-    @pytest.mark.parametrize("n, k, schedule", FACTORED_CASES)
-    def test_factored_same_sample_set_as_numpy_loop(self, monkeypatch, n, k, schedule):
-        model = random_fm(np.random.default_rng(300 + n + k), n, k)
-        q = lq.fm_to_qubo(model)
-        compiled = lq.simulated_annealing_sample(q, schedule, seed=n, factors=model.V)
-        monkeypatch.setattr(native, "library", lambda: None)
-        looped = lq.simulated_annealing_sample(q, schedule, seed=n, factors=model.V)
-        assert sample_set_contents(compiled) == sample_set_contents(looped)
-
     @pytest.mark.parametrize("n, k, factored", [(16, 8, False), (32, 8, False), (33, 8, True),
                                                 (5, 1, True), (4, 1, False)])
     def test_factors_are_used_above_four_bits_per_rank(self, monkeypatch, n, k, factored):

@@ -115,6 +115,9 @@ def pool():
 BAD_CALLS = {
     "fractions": lambda: lq.StratificationSpec(bands=((0.0, 1.0),), fractions=(math.nan,)),
     "split": lambda: lq.FmTrainConfig(split=(0.5, math.nan, 0.5)),
+    "split must be a sequence": lambda: lq.FmTrainConfig(split=0.7),
+    "fractions must be a sequence": lambda: lq.StratificationSpec(bands=((0.0, 1.0),),
+                                                                  fractions=0.5),
     "total": lambda: lq.stratify_dataset(pool(), lq.StratificationSpec(((0.0, 1.0),), (1.0,)),
                                          total=-3, seed=0),
     "seed": lambda: lq.generate_toy_corpus("half_planes", m=4, count=2, seed=-1),
@@ -130,6 +133,7 @@ BAD_CALLS = {
     "tau": lambda: lq.gumbel_softmax(np.zeros((1, 1, 2)), math.inf, np.zeros((1, 1, 2))),
     "encoder_hidden": lambda: lq.BvaeArchitecture(image_side=4, latent_bits=4,
                                                   encoder_hidden=(8, 2.5)),
+    "encoder_hidden must be a sequence": lambda: lq.BvaeArchitecture(4, 2, encoder_hidden=5),
     "image_side": lambda: lq.BvaeArchitecture(image_side=1, latent_bits=4),
     "batch_size": lambda: lq.bvae_train(np.zeros((2, 4, 4)), tiny_model().architecture,
                                         epochs=1, seed=0, batch_size=0),
