@@ -5,10 +5,11 @@ dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
 FM Adagrad), ``_energy.c`` (the energies of the brute-force sampler's run of
 states and of any rows of bits, each summed in ``qubo_energy``'s order), ``_parse.c``
 (rows of decimal text straight from the text reader's buffer, read as ``float()``
-reads them), ``_format.c`` (rows of float64 values written as ``"%.17g"`` writes
-them), ``_adam.c`` (one Adam step of the autoencoder over all its parameters) and
-``_decode.c`` (the decoder's head logits for a batch of latent rows) are compiled
-with ``cc`` into one library, loaded through ``ctypes``.  The two lane kernels,
+reads them, or passed over by their bytes alone), ``_format.c`` (rows of float64
+values written as ``"%.17g"`` writes them), ``_adam.c`` (one Adam step of the
+autoencoder over all its parameters) and ``_decode.c`` (the decoder's head logits
+for a batch of latent rows) are compiled with ``cc`` into one library, loaded
+through ``ctypes``.  The two lane kernels,
 ``LANE_SOURCES``, are built with ``-march=native``, so they run at the host
 CPU's vector width, which changes their speed and never a bit.  The other
 kernels are built for the compiler's default target, since on an AVX-512 x86-64
@@ -235,6 +236,11 @@ def _bind(lib):
         _array(np.intp, 1, out=True),  # used: the bytes and the lines passed
     ]
     lib.parse_floats.restype = size  # the number of leading rows read
+    lib.skip_rows.argtypes = [
+        _array(np.uint8, 1), size, size,  # text, its size in bytes, rows
+        _array(np.intp, 1, out=True),  # used: the bytes and the lines passed
+    ]
+    lib.skip_rows.restype = size  # the number of nonblank lines passed
     lib.format_floats.argtypes = [
         _array(f64, 2), size, size,  # values, rows, cols
         _array(np.uint8, 1, out=True),  # out, 25 bytes a value

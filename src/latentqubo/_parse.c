@@ -21,7 +21,16 @@
  * most 64 bits, with a sticky bit for whatever nonzero bits or remainder the
  * cut drops, and its top 53 bits round to the significand.  Every other
  * token goes to strtod_l in the "C" locale, which also rounds correctly,
- * whatever the process locale.  ptrdiff_t matches numpy's intp.
+ * whatever the process locale.
+ *
+ * skip_rows is the kernel of _Lines.skip, which passes a checkpoint's encoder
+ * without reading its numbers.  It passes up to rows lines that are not blank
+ * in text as parse_floats splits it, looking only at the bytes: it stops at
+ * the first line with a byte other than printable ASCII, a space or a tab
+ * (its newline apart), which the caller reads itself.  It reads BLOCK bytes
+ * at a time in vectors, which -O2 compiles to the target's byte compares
+ * where a plain byte loop stays scalar, and the bytes around a newline one
+ * at a time.  ptrdiff_t matches numpy's intp.
  */
 #define _GNU_SOURCE
 #include <locale.h>
@@ -33,6 +42,12 @@
 
 #define TOKEN_MAX 64
 #define EXACT_EXPONENT 27 /* 5^27 < 2^63 */
+#define BLOCK 32  /* bytes skip_rows looks at together */
+#define VECTOR 16 /* bytes: SSE2's and NEON's width; GCC splits a wider compare byte by byte */
+
+typedef int8_t bytes __attribute__((vector_size(VECTOR)));
+typedef uint8_t ubytes __attribute__((vector_size(VECTOR)));
+typedef uint64_t words __attribute__((vector_size(VECTOR)));
 
 typedef unsigned __int128 u128;
 
@@ -188,4 +203,50 @@ ptrdiff_t parse_floats(const char *text, ptrdiff_t size, ptrdiff_t rows, ptrdiff
     const ptrdiff_t read = read_rows(c_locale, text, text + size, rows, cols, out, used);
     freelocale(c_locale);
     return read;
+}
+
+/* Whether the BLOCK bytes at p are all printable ASCII or spaces; where one is not a space,
+ * *nonblank is set. */
+static int plain_block(const char *p, int *nonblank)
+{
+    bytes v[BLOCK / VECTOR], other = {0}, text = {0};
+    memcpy(v, p, BLOCK);
+    for (int m = 0; m < BLOCK / VECTOR; m++) {
+        /* as signed bytes, ' ' to '~' plus one lie in [33, 127]; the others wrap to [-128, 32] */
+        other |= (bytes)((ubytes)v[m] + 1) < '!';
+        text |= v[m] != ' ';
+    }
+    const words bad = (words)other, seen = (words)text;
+    if (bad[0] | bad[1])
+        return 0;
+    *nonblank = *nonblank || (seen[0] | seen[1]) != 0;
+    return 1;
+}
+
+ptrdiff_t skip_rows(const char *text, ptrdiff_t size, ptrdiff_t rows, ptrdiff_t *used)
+{
+    const char *p = text, *end = text + size; /* p: the first byte of the next line */
+    ptrdiff_t row = 0, lines = 0;
+    while (row < rows && p < end) {
+        const char *q = p;
+        int nonblank = 0;
+        for (;;) {
+            while (end - q >= BLOCK && plain_block(q, &nonblank))
+                q += BLOCK;
+            if (q == end || *q == '\n')
+                break;
+            /* a byte above 0x7e is below ' ' where char is signed, and above '~' where not */
+            if ((*q < ' ' || *q > '~') && *q != '\t')
+                goto refused;
+            nonblank = nonblank || (*q != ' ' && *q != '\t');
+            q++;
+        }
+        row += nonblank;
+        lines++;
+        p = q + (q < end); /* past the newline */
+    }
+refused:
+    used[0] = p - text;
+    used[1] = lines;
+    return row;
 }

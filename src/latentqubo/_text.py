@@ -4,7 +4,8 @@ Files are UTF-8 text.  Rows of float64 values are formatted in C, a whole array 
 call, with float_text's bytes.  The reader, _Lines, reads a file line by line through Python's
 buffered file object and numbers its lines as Path.read_text().splitlines() does, blank
 lines counted.  Rows of decimal numbers go to the compiled parser as bytes, in chunks of
-whole lines, so no loader holds a file's text.  A tagged file starts with
+whole lines, so no loader holds a file's text; rows a loader does not need are passed over by
+their bytes alone.  A tagged file starts with
 '<NAME> v1 <key>=<value> <key>=<value>'; its readers' ValueErrors name the file and
 the 1-based line.  file_text gives a whole file's text to the INI config's own parser.
 """
@@ -136,7 +137,38 @@ class _Lines:
             block = [_row(line.split(), cols, f"{self.path}:{n}") for n, line in islice(self, rows)]
             return np.array(block).reshape(-1, cols)
         out = np.empty((rows, cols))
-        used = np.empty(2, dtype=np.intp)  # the bytes and the lines the parser passed
+
+        def parse(text, row, used):
+            return lib.parse_floats(text, text.size, rows - row, cols, out[row:], used)
+
+        def take(row, lineno, line):
+            out[row] = _row(line.split(), cols, f"{self.path}:{lineno}")
+
+        return out[: self._chunked(rows, parse, take)]
+
+    def skip(self, rows: int) -> int:
+        """Pass the next rows nonblank lines without reading their numbers; the number passed.
+
+        Fewer only where the file ends first.  The compiled skip_rows passes chunks as floats
+        passes them, and hands back each line with a byte other than printable ASCII, a space
+        or a tab, which goes through __next__, so the lines are counted and numbered, and a byte
+        that is not UTF-8 rejected, as everywhere else.  Without a compiler, or on a file that
+        cannot seek, every line goes through __next__.
+        """
+        lib = _native.library()
+        if lib is None or not self._file.seekable():
+            return sum(1 for _ in islice(self, rows))
+        return self._chunked(rows, lambda text, row, used: lib.skip_rows(
+            text, text.size, rows - row, used), lambda row, lineno, line: None)
+
+    def _chunked(self, rows: int, kernel, take) -> int:
+        """Pass up to rows nonblank lines through kernel, chunk by chunk; the number passed.
+
+        kernel(text, row, used) passes the lines of a chunk from row on and sets used to the
+        bytes and the lines it passed; the bytes it did not pass go back to the file, and
+        take(row, lineno, line) takes the line it refused.
+        """
+        used = np.empty(2, dtype=np.intp)  # the bytes and the lines the kernel passed
         row = 0
         while row < rows:
             if not self._queued:
@@ -144,19 +176,19 @@ class _Lines:
                 if not chunk:
                     break
                 text = np.frombuffer(chunk, np.uint8)
-                row += lib.parse_floats(text, text.size, rows - row, cols, out[row:], used)
+                row += kernel(text, row, used)
                 self._file.seek(int(used[0]) - text.size, os.SEEK_CUR)
                 self._lineno += int(used[1])
                 refused = used[0] < text.size
                 del text, chunk  # so that the next chunk is the only one
                 if row == rows or not refused:
                     continue
-            item = next(self, None)  # a line of the chunk the parser refused
+            item = next(self, None)  # a line of the chunk the kernel refused
             if item is None:
                 break
-            out[row] = _row(item[1].split(), cols, f"{self.path}:{item[0]}")
+            take(row, *item)
             row += 1
-        return out[:row]
+        return row
 
 
 def _not_utf8(exc: UnicodeDecodeError, data: bytes, path, lineno: int) -> ValueError:

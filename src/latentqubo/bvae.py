@@ -53,6 +53,7 @@ _LAYER_NAMES = (
     "dec2_w", "dec2_b",
     "dec3_w", "dec3_b",
 )
+_DECODER = _LAYER_NAMES[6:]
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,36 @@ class BvaeArchitecture:
         }
 
 
+class _Owned(dict):
+    """Layer arrays that only the model they are given to will hold: it locks them, uncopied."""
+
+
 @dataclass(frozen=True)
 class BvaeModel:
+    """An autoencoder's layers, each a float64 array locked read-only, and its temperature.
+
+    params holds all twelve layers, or the decoder's six alone, as
+    ``load_bvae(path, decoder_only=True)`` reads them; such a model decodes, and refuses to
+    encode, give a loss or reconstruction accuracy, or be saved.  The model copies the arrays
+    it is given, so that no caller can write to its layers.
+    """
+
     architecture: BvaeArchitecture
     params: dict[str, np.ndarray]
     tau: float
 
     def __post_init__(self):
         shapes = self.architecture.layer_shapes()
-        if set(self.params) != set(shapes):
+        if set(self.params) not in (set(shapes), set(_DECODER)):
             raise ValueError(
                 f"parameter names {sorted(self.params)} do not match architecture layers"
             )
+        take = np.asarray if isinstance(self.params, _Owned) else np.array
         locked = {}
         for name, expected in shapes.items():
-            arr = np.array(self.params[name], dtype=np.float64)
+            if name not in self.params:
+                continue
+            arr = take(self.params[name], dtype=np.float64)
             if arr.shape != expected:
                 raise ValueError(f"layer {name} has shape {arr.shape}, expected {expected}")
             if not np.all(np.isfinite(arr)):
@@ -273,16 +289,24 @@ def _backward(params, cache) -> dict[str, np.ndarray]:
     return grads
 
 
+def _with_encoder(model: BvaeModel) -> BvaeModel:
+    """model, which must hold its encoder's layers."""
+    if "enc1_w" not in model.params:
+        raise ValueError("the model was loaded without its encoder (decoder_only=True); "
+                         "it can only decode")
+    return model
+
+
 def bvae_loss(model: BvaeModel, batch, tau: float, noise) -> LossBreakdown:
     """Reconstruction BCE plus Bernoulli KL, both averaged per image."""
-    T = _check_batch(model.architecture, batch)
+    T = _check_batch(_with_encoder(model).architecture, batch)
     cache = _forward(model.params, model.architecture, T, tau, np.asarray(noise, dtype=np.float64))
     return _losses(cache)
 
 
 def bvae_loss_and_grads(model: BvaeModel, batch, tau: float, noise):
     """Loss breakdown together with analytic gradients for every layer."""
-    T = _check_batch(model.architecture, batch)
+    T = _check_batch(_with_encoder(model).architecture, batch)
     params = model.params
     cache = _forward(params, model.architecture, T, tau, np.asarray(noise, dtype=np.float64))
     return _losses(cache), _backward(params, cache)
@@ -404,7 +428,7 @@ def bvae_train(
 
 def encode(model: BvaeModel, image) -> np.ndarray:
     """Deterministic encoding: bit_i = 1 when the category-1 logit leads."""
-    T = _check_batch(model.architecture, image)
+    T = _check_batch(_with_encoder(model).architecture, image)
     if T.shape[0] != 1:
         raise ValueError(f"encode expects a single image, got {T.shape[0]}")
     logits = _mlp(model.params, "enc", T)[2].reshape(-1, CATEGORIES_PER_BIT)
@@ -436,7 +460,7 @@ def _decode_heads(params, X: np.ndarray) -> np.ndarray:
     rows, n = X.shape
     d1, d2, pixels = (params[f"dec{layer}_w"].shape[1] for layer in (1, 2, 3))
     heads = np.empty((rows, pixels))
-    lib.decode_heads(rows, n, d1, d2, pixels, X, *(params[name] for name in _LAYER_NAMES[6:]),
+    lib.decode_heads(rows, n, d1, d2, pixels, X, *(params[name] for name in _DECODER),
                      np.empty(n), np.empty(d1), np.empty(d2), np.empty(max(n, d1, d2), np.intp),
                      heads)
     return heads
@@ -470,7 +494,7 @@ def reconstruction_accuracy(model: BvaeModel, images) -> float:
 
     Each image is encoded alone and all the codes are decoded in one batch.
     """
-    T = _check_batch(model.architecture, images)
+    T = _check_batch(_with_encoder(model).architecture, images)
     if T.shape[0] == 0:
         raise ValueError("cannot measure reconstruction on an empty image set")
     m = model.architecture.image_side
@@ -484,7 +508,7 @@ def reconstruction_accuracy(model: BvaeModel, images) -> float:
 
 def save_bvae(model: BvaeModel, path) -> None:
     """Write the checkpoint, formatting each layer as it is written, so one layer's text is held."""
-    arch = model.architecture
+    arch = _with_encoder(model).architecture
 
     def lines():
         for name in _LAYER_NAMES:
@@ -496,10 +520,19 @@ def save_bvae(model: BvaeModel, path) -> None:
     write_tagged(path, "BVAE", {"m": arch.image_side, "n": arch.latent_bits}, lines())
 
 
-def load_bvae(path) -> BvaeModel:
+def load_bvae(path, decoder_only: bool = False) -> BvaeModel:
+    """The model that save_bvae wrote to path, with each LAYER block read by the text reader.
+
+    Either read checks the header, each LAYER line's name, shape and repeat, each block's
+    count of nonblank lines and the one TAU line.  With decoder_only, the encoder's blocks are
+    passed over by their bytes, their numbers not read, and the model holds the decoder's six
+    layers alone, with the architecture and tau of the full read.  The model takes the arrays
+    read, locked read-only rather than copied.
+    """
     with _read_tagged(path, "BVAE", ("m", "n")) as (head, (m_text, n_text), body):
         m, n = _count(m_text, "m", head), _count(n_text, "n", head)
-        params: dict[str, np.ndarray] = {}
+        shapes: dict[str, tuple[int, int]] = {}
+        params = _Owned()
         tau = None
         for lineno, line in body:
             fields = line.split()
@@ -508,26 +541,32 @@ def load_bvae(path) -> BvaeModel:
                 tau = _field(fields[1], float, np.isfinite, where, "TAU must be finite")
             elif fields[0] == "LAYER" and len(fields) == 4:
                 name = fields[1]
-                if name not in _LAYER_NAMES or name in params:
+                if name not in _LAYER_NAMES or name in shapes:
                     raise ValueError(f"{where}: unknown or repeated layer {name!r}")
                 rows, cols = (_count(t, "a layer size", where) for t in fields[2:])
-                params[name] = block = body.floats(rows, cols)
-                if len(block) != rows:
-                    raise ValueError(
-                        f"{where}: layer {name} ends after {len(block)} of {rows} rows"
-                    )
+                shapes[name] = rows, cols
+                if decoder_only and name not in _DECODER:
+                    passed = body.skip(rows)
+                else:
+                    params[name] = block = body.floats(rows, cols)
+                    passed = len(block)
+                if passed != rows:
+                    raise ValueError(f"{where}: layer {name} ends after {passed} of {rows} rows")
             else:
                 raise ValueError(
                     f"{where}: expected one TAU line or a LAYER block, got {fields[0]!r}"
                 )
     if tau is None:
         raise ValueError(f"{path}: checkpoint is missing the TAU line")
-    if missing := set(_LAYER_NAMES) - set(params):
+    if missing := set(_LAYER_NAMES) - set(shapes):
         raise ValueError(f"{path}: checkpoint is missing layers: {sorted(missing)}")
-    encoder = (params["enc1_w"].shape[1], params["enc2_w"].shape[1])
-    decoder = (params["dec1_w"].shape[1], params["dec2_w"].shape[1])
+    encoder = (shapes["enc1_w"][1], shapes["enc2_w"][1])
+    decoder = (shapes["dec1_w"][1], shapes["dec2_w"][1])
     try:
         arch = BvaeArchitecture(m, n, encoder_hidden=encoder, decoder_hidden=decoder)
+        for name, expected in arch.layer_shapes().items():
+            if shapes[name] != expected:
+                raise ValueError(f"layer {name} has shape {shapes[name]}, expected {expected}")
         return BvaeModel(architecture=arch, params=params, tau=tau)
     except ValueError as exc:
         raise ValueError(f"{head}: {exc}") from None

@@ -255,7 +255,7 @@ def _cmd_gen_dataset(args) -> int:
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
     strat = build_stratification(cp)
-    model = load_bvae(args.bvae)
+    model = load_bvae(args.bvae, decoder_only=True)
     build_seed = int(seeds[0].generate_state(1)[0])
     data = build_latent_dataset(model, objective, args.count, build_seed, blur=args.blur)
     if strat is not None:
@@ -304,15 +304,19 @@ def _cmd_eval(args) -> int:
     cp, base = _read_ini(args.config)
     objective = build_objective(cp, base)
     if args.image is not None:
+        for flag, value in (("--bvae", args.bvae), ("--blur", args.blur)):
+            if value is not None:
+                raise ConfigError(f"{flag} is read only with --bits, not with --image")
         pattern = (load_pgm(args.image) >= 0.5).astype(np.uint8)
     else:
         if args.bvae is None:
             raise ConfigError("eval needs --bits together with --bvae")
-        model = load_bvae(args.bvae)
+        model = load_bvae(args.bvae, decoder_only=True)
         n = model.architecture.latent_bits
         if len(args.bits) != n or not set(args.bits) <= {"0", "1"}:
             raise ConfigError(f"--bits must be {n} characters of 0 or 1, got {args.bits!r}")
-        _, pattern = decode(model, [int(ch) for ch in args.bits], blur_radius_px=args.blur)
+        blur = 0.0 if args.blur is None else args.blur
+        _, pattern = decode(model, [int(ch) for ch in args.bits], blur_radius_px=blur)
     value = evaluate_fom(objective, pattern)
     print(f"figure of merit: {value:.6f}")
     return EXIT_OK
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     scored.add_argument("--image", default=None, help="PGM pattern to score")
     scored.add_argument("--bits", default=None, help="latent 0/1 string to decode and score")
     p.add_argument("--bvae", default=None, help="checkpoint used with --bits")
-    p.add_argument("--blur", type=float, default=0.0)
+    p.add_argument("--blur", type=float, default=None, help="decode blur used with --bits (0)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check-hardware", help="check the clique-size feasibility limit")

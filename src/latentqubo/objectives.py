@@ -146,7 +146,14 @@ class StratificationSpec:
     fractions: tuple[float, ...]
 
     def __post_init__(self):
-        bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
+        bands = []
+        for band in _settings.items("bands", self.bands):
+            try:
+                lo, hi = band
+            except (TypeError, ValueError):
+                raise _settings.ConfigError(f"bands must be pairs, got {band!r}") from None
+            bands.append((_settings.real("bands", lo), _settings.real("bands", hi)))
+        bands = tuple(bands)
         fractions = tuple(_settings.real("fractions", f, 0)
                           for f in _settings.items("fractions", self.fractions))
         if len(bands) != len(fractions) or not bands:

@@ -260,7 +260,7 @@ def load_inputs(cfg: PipelineConfig) -> tuple[BvaeModel, LabeledDataset]:
     for path in (cfg.bvae_checkpoint, cfg.dataset_path):
         if not Path(path).exists():
             raise FileNotFoundError(f"required input file does not exist: {path}")
-    bvae = load_bvae(cfg.bvae_checkpoint)
+    bvae = load_bvae(cfg.bvae_checkpoint, decoder_only=True)
     if bvae.architecture.latent_bits != cfg.latent_bits:
         raise ValueError(
             f"config expects {cfg.latent_bits} latent bits but the checkpoint "

@@ -377,6 +377,40 @@ class TestCheckpoint:
         assert np.array_equal(a, b)
 
 
+    def test_a_caller_writing_to_its_arrays_leaves_the_model_unchanged(self):
+        arch = tiny_arch()
+        rng = np.random.default_rng(23)
+        params = {name: rng.normal(size=shape) for name, shape in arch.layer_shapes().items()}
+        kept = {name: values.tobytes() for name, values in params.items()}
+        models = [lq.BvaeModel(arch, params, tau=1.0),
+                  lq.BvaeModel(arch, {name: params[name] for name in bvae._DECODER}, tau=1.0)]
+        for values in params.values():
+            values += 1.0
+        for model in models:
+            for name, values in model.params.items():
+                assert values.tobytes() == kept[name] and not values.flags.writeable
+
+    @pytest.mark.parametrize("call", [
+        lambda model, images, tmp_path: lq.encode(model, images[0]),
+        lambda model, images, tmp_path: lq.bvae_loss(model, images, 1.0, np.zeros((1, 4, 2))),
+        lambda model, images, tmp_path: lq.bvae_loss_and_grads(model, images, 1.0,
+                                                               np.zeros((1, 4, 2))),
+        lambda model, images, tmp_path: lq.reconstruction_accuracy(model, images),
+        lambda model, images, tmp_path: lq.save_bvae(model, tmp_path / "again.txt"),
+    ], ids=["encode", "bvae_loss", "bvae_loss_and_grads", "reconstruction_accuracy", "save_bvae"])
+    def test_a_model_read_without_its_encoder_only_decodes(self, tmp_path, call):
+        model = random_model(tiny_arch(), 24)
+        path = tmp_path / "model.txt"
+        lq.save_bvae(model, path)
+        decoder = lq.load_bvae(path, decoder_only=True)
+        images = np.zeros((1, 4, 4))
+        with pytest.raises(ValueError, match="loaded without its encoder"):
+            call(decoder, images, tmp_path)
+        assert not (tmp_path / "again.txt").exists()
+        bits = np.eye(4, dtype=np.uint8)
+        assert lq.decode(decoder, bits)[0].tobytes() == lq.decode(model, bits)[0].tobytes()
+
+
 def decoder_params(n: int, hidden: tuple[int, int], pixels: int, seed: int) -> dict:
     """Random decoder layers with some weights and biases at -0.0 and +0.0."""
     rng = np.random.default_rng(seed)

@@ -627,6 +627,16 @@ class TestEval:
                   "--bits", "xyz"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--bvae", "no-such-checkpoint.txt"),
+                                             ("--blur", "3")])
+    def test_bits_only_flag_with_image_is_a_configuration_error(self, workspace, capsys, flag,
+                                                                value):
+        tmp_path, config = workspace
+        rc = main(["eval", "--config", config, "--image", str(tmp_path / "target.pgm"),
+                   flag, value])
+        assert rc == 2
+        assert f"{flag} is read only with --bits" in capsys.readouterr().err
+
     def test_missing_image(self, workspace):
         tmp_path, config = workspace
         rc = main(["eval", "--config", config, "--image", str(tmp_path / "absent.pgm")])

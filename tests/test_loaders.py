@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import latentqubo as lq
 from conftest import needs_cc, random_qubo
-from latentqubo import _native, _text
+from latentqubo import _native, _text, bvae
 from latentqubo.cli import main
 
 QUBO_HEAD = "QUBO v1 n=2 offset=0\n"
@@ -565,18 +565,29 @@ def test_checkpoint_reads_alike_from_a_pipe(saved_checkpoint, tmp_path):
     assert piped == load_or_error(lq.load_bvae, path)
 
 
-@needs_cc
-def test_checkpoint_load_holds_no_more_than_its_arrays(saved_checkpoint):
-    # the arrays, the model's locked copies of them and one chunk; the file is 14 MB
-    path, params = saved_checkpoint(16, 180)
-    arrays = sum(values.nbytes for values in params.values())
+def traced_peak(load, path) -> int:
     tracemalloc.start()
     try:
-        lq.load_bvae(path)
+        load(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * arrays + 2 * 2**20
+    return peak
+
+
+@needs_cc
+def test_checkpoint_load_holds_no_more_than_its_arrays(saved_checkpoint):
+    # the arrays, which the model locks rather than copies, and one chunk; the file is 14 MB
+    path, params = saved_checkpoint(16, 180)
+    arrays = sum(values.nbytes for values in params.values())
+    assert traced_peak(lq.load_bvae, path) < arrays + 2**20
+
+
+@needs_cc
+def test_decoder_only_load_holds_no_more_than_the_decoders_arrays(saved_checkpoint):
+    path, params = saved_checkpoint(16, 180)
+    arrays = sum(params[name].nbytes for name in bvae._DECODER)
+    assert traced_peak(load_decoder, path) < arrays + 2**20
 
 
 @needs_cc
@@ -594,6 +605,102 @@ def test_checkpoint_save_holds_one_layers_text(saved_checkpoint, tmp_path):
         tracemalloc.stop()
     assert peak < 2 * largest + 2 * 2**20
     assert again.read_bytes() == path.read_bytes()
+
+
+def load_decoder(path):
+    return lq.load_bvae(path, decoder_only=True)
+
+
+def decoder_bits(model) -> tuple:
+    return model.architecture, model.tau, {name: values.tobytes()
+                                           for name, values in model.params.items()}
+
+
+@pytest.mark.parametrize("side, bits", CHECKPOINTS)
+def test_decoder_only_read_gives_the_full_reads_decoder(saved_checkpoint, side, bits):
+    path, _ = saved_checkpoint(side, bits)
+    full = lq.load_bvae(path)
+    expected = full.architecture, full.tau, {name: full.params[name].tobytes()
+                                             for name in bvae._DECODER}
+    assert decoder_bits(load_decoder(path)) == expected
+    with numpy_only():
+        assert decoder_bits(load_decoder(path)) == expected
+
+
+def edited(path: Path, out: Path, layer: str, row: int, edit) -> int:
+    """Write path's checkpoint to out with row `row` of layer's block replaced by edit(row's
+    bytes); the row's 1-based line number in out."""
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"LAYER {layer} ".encode()))
+    lines[at + 1 + row] = edit(lines[at + 1 + row])
+    out.write_bytes(b"\n".join(lines))
+    return at + 2 + row
+
+
+@pytest.mark.parametrize("token", [b"x", b"nan"])
+def test_decoder_only_read_passes_a_corrupt_encoder_number(saved_checkpoint, tmp_path, token):
+    path, _ = saved_checkpoint(8, 16)
+    bad = tmp_path / "bad.txt"
+    line = edited(path, bad, "enc2_w", 100, lambda row: token + row[row.index(b" "):])
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:{line}: expected 256 finite numbers")):
+        lq.load_bvae(bad)
+    X = np.random.default_rng(0).integers(0, 2, (5, 16))
+    intact = lq.load_bvae(path)
+    assert lq.decode(load_decoder(bad), X)[0].tobytes() == lq.decode(intact, X)[0].tobytes()
+
+
+def test_a_short_encoder_block_fails_alike_on_both_reads(saved_checkpoint, tmp_path):
+    path, _ = saved_checkpoint(8, 16)
+    data = path.read_bytes()
+    start = data.index(b"LAYER enc2_w")
+    end = start
+    for _ in range(101):  # the LAYER line and 100 of the block's 512 rows
+        end = data.index(b"\n", end) + 1
+    short = write(tmp_path / "short.txt", data[:end])
+    line = data[:start].count(b"\n") + 1
+    expected = f"{short}:{line}: layer enc2_w ends after 100 of 512 rows"
+    assert load_or_error(lq.load_bvae, short) == load_or_error(load_decoder, short) == expected
+    with numpy_only():
+        assert load_or_error(load_decoder, short) == expected
+
+
+# (body, line) of MALFORMED's checkpoints whose fault is not in an encoder block's numbers, which
+# the decoder-only read passes over unread
+DECODER_ONLY_MALFORMED = [
+    case.values[1:] for case in MALFORMED
+    if case.id.startswith("bvae-") and case.id not in ("bvae-nan-value", "bvae-short-row")
+]
+
+
+@pytest.mark.parametrize("body, line", DECODER_ONLY_MALFORMED)
+def test_decoder_only_read_fails_as_the_full_read(tmp_path, body, line):
+    path = write(tmp_path / "bad.txt", body)
+    expected = load_or_error(lq.load_bvae, path)
+    assert expected.startswith(f"{path}:{line}:")
+    assert load_or_error(load_decoder, path) == expected
+    with mock.patch.object(_text, "_BUFFER", 3):
+        assert load_or_error(load_decoder, path) == expected
+    with numpy_only():
+        assert load_or_error(load_decoder, path) == expected
+
+
+def test_decoder_only_read_numbers_an_encoder_blocks_lines_as_the_full_read(saved_checkpoint,
+                                                                          tmp_path):
+    # blank lines of every separator _Lines splits at after row 10 of enc1_w, and a byte that is
+    # not UTF-8 in row 20 (21 pieces between newlines on); the skip hands both lines back
+    path, _ = saved_checkpoint(8, 16)
+    spaced, bad = tmp_path / "spaced.txt", tmp_path / "bad.txt"
+    edited(path, spaced, "enc1_w", 10, lambda row: row + "\n \t\r\v\f\x1c\x85\u2028\r\n".encode())
+    edited(spaced, bad, "enc1_w", 21, lambda row: row[:50] + b"\xff" + row[50:])
+    data = bad.read_bytes()
+    line = len(data[: data.index(b"\xff")].decode().splitlines())  # as read_text() numbers it
+    expected = load_or_error(lq.load_bvae, bad)
+    assert expected.startswith(f"{bad}:{line}: not UTF-8 text")
+    assert load_or_error(load_decoder, bad) == expected
+    with numpy_only():
+        assert load_or_error(load_decoder, bad) == expected
+    assert decoder_bits(load_decoder(spaced)) == decoder_bits(load_decoder(path))
+    assert decoder_bits(lq.load_bvae(spaced)) == decoder_bits(lq.load_bvae(path))
 
 
 # tokens on which the compiled parser and numpy may part: numpy reads 1_0 and the

@@ -790,9 +790,54 @@ def parse_cases(recorder) -> None:
         assert 0 <= read <= rows and 0 <= used[0] <= size and used[1] >= read and at_line
 
 
+# a newline, the bytes on each side of printable ASCII, a tab and a space at every place in and
+# around a 32-byte block of a long line, then a line of its own
+SKIP_TEXTS = [
+    b"1" * at + sep + b"2" * (69 - at) + b"\n3\n"
+    for at in range(70) for sep in (b"\n", b"\x1f", b"\x7f", b"\xc2\x85", b"\t", b" ", b"~")
+] + [  # long blank lines, and long lines of spaces with one byte of text
+    b" " * at + b"\t" * tabs + end + b" " * 40 + b"\n4\n"
+    for at in (0, 31, 32, 33, 64) for tabs in (0, 1) for end in (b"", b"5", b"\xff")
+]
+
+
+def skipped(text: bytes, rows: int) -> tuple[int, int, int]:
+    """skip_rows's result and used by its definition, a line at a time: the nonblank lines,
+    bytes and lines passed, up to rows nonblank lines and before the first line refused."""
+    row = at = lines = 0
+    while row < rows and at < len(text):
+        end = text.find(b"\n", at)
+        end = len(text) if end < 0 else end
+        line = text[at:end]
+        if any(not (32 <= byte <= 126 or byte == 9) for byte in line):
+            break
+        row += bool(line.strip(b" \t"))
+        lines += 1
+        at = min(end + 1, len(text))
+    return row, at, lines
+
+
+def skip_cases(recorder) -> None:
+    """A decoder-only checkpoint load, each of PARSE_TEXTS' prefixes for 1-4 rows, and
+    SKIP_TEXTS for 1-3 rows, each passing what skipped() passes."""
+    model, _ = lq.bvae_train(*bvae_case(), epochs=1, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        lq.save_bvae(model, Path(tmp) / "bvae.txt")
+        lq.load_bvae(Path(tmp) / "bvae.txt", decoder_only=True)
+    recorder.calls[:] = [call for call in recorder.calls if call.kernel == "skip_rows"]
+    prefixes = [(text[:size], rows) for text, rows in itertools.product(PARSE_TEXTS, range(1, 5))
+                for size in range(len(text) + 1)]
+    for text, rows in prefixes + list(itertools.product(SKIP_TEXTS, range(1, 4))):
+        recorder.skip_rows(np.frombuffer(text, np.uint8), len(text), rows, np.empty(2, np.intp))
+    for call in recorder.calls:
+        text, size, rows, used = call.after
+        assert (call.result, *used) == skipped(text.tobytes(), rows)
+
+
 CASES = {"anneal_block": anneal_cases, "adam_step": adam_cases, "format_floats": format_cases,
          "qubo_energies": energy_cases, "qubo_row_energies": row_energy_cases,
-         "fm_fit": fm_fit_cases, "decode_heads": decode_cases, "parse_floats": parse_cases}
+         "fm_fit": fm_fit_cases, "decode_heads": decode_cases, "parse_floats": parse_cases,
+         "skip_rows": skip_cases}
 
 
 @needs_cc

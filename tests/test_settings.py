@@ -118,6 +118,9 @@ BAD_CALLS = {
     "split must be a sequence": lambda: lq.FmTrainConfig(split=0.7),
     "fractions must be a sequence": lambda: lq.StratificationSpec(bands=((0.0, 1.0),),
                                                                   fractions=0.5),
+    "bands": lambda: lq.StratificationSpec(bands=((0.0, math.inf),), fractions=(1.0,)),
+    "bands must be a sequence": lambda: lq.StratificationSpec(bands=0.5, fractions=(1.0,)),
+    "bands must be pairs": lambda: lq.StratificationSpec(bands=(0.5,), fractions=(1.0,)),
     "total": lambda: lq.stratify_dataset(pool(), lq.StratificationSpec(((0.0, 1.0),), (1.0,)),
                                          total=-3, seed=0),
     "seed": lambda: lq.generate_toy_corpus("half_planes", m=4, count=2, seed=-1),
