@@ -7,9 +7,10 @@ PAIRS pairs of ``perfbench/run.py --workload W --seed 1 --seconds 15`` alternate
 runs first: the parent in odd pairs, the head in even ones.  Each run's result record, as
 run.py writes it under ``.perfbench/results/``, is tagged with its side, its pair and that
 side's SHA, and the list of records is written to --out after every run, so an interrupted
-script keeps the runs it finished.
+script keeps the runs it finished.  At the end it prints each side's median and quartiles of
+SUMMARY's metrics per workload.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --head HEAD --out BENCH_34.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --head HEAD --out bench.json
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -24,9 +26,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = ("toy_loop", "wide_latent", "fit_heavy")
-PAIRS = 3
+PAIRS = 10  # the fewest pairs from which a gain may be claimed
 SEED = 1
 SECONDS = 15
+SUMMARY = ("setup_s", "loop_s", "peak_rss_mb")
 
 
 def git(*args: str, cwd: Path = REPO) -> str:
@@ -56,6 +59,20 @@ def run(clone: Path, workload: str) -> dict:
     return json.loads(results.read_text())
 
 
+def summary(records: list[dict]) -> list[str]:
+    """One line per workload, side and SUMMARY metric: the median [first-third quartile]."""
+    lines = []
+    for workload in WORKLOADS:
+        for side in ("parent", "head"):
+            runs = [r["metrics"] for r in records if r["workload"] == workload and r["side"] == side]
+            for name in SUMMARY:
+                values = [run[name]["value"] for run in runs]
+                q1, q2, q3 = statistics.quantiles(values, n=4)
+                lines.append(f"{workload} {side} {name}: {q2:.4f} [{q1:.4f}-{q3:.4f}] "
+                             f"over {len(values)} runs")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -80,6 +97,7 @@ def main() -> None:
                     rss = result["metrics"]["peak_rss_mb"]["value"]
                     print(f"{workload} pair {pair} {side}: loop_s {loop:.4f}, "
                           f"peak_rss_mb {rss:.2f}", flush=True)
+    print("\n".join(summary(records)))
 
 
 if __name__ == "__main__":

@@ -45,16 +45,6 @@ CATEGORIES_PER_BIT = 2
 VAL_FRACTION = 0.15  # share of the images bvae_train holds back for validation
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
-_LAYER_NAMES = (
-    "enc1_w", "enc1_b",
-    "enc2_w", "enc2_b",
-    "enc3_w", "enc3_b",
-    "dec1_w", "dec1_b",
-    "dec2_w", "dec2_b",
-    "dec3_w", "dec3_b",
-)
-_DECODER = _LAYER_NAMES[6:]
-
 
 @dataclass(frozen=True)
 class BvaeArchitecture:
@@ -88,6 +78,11 @@ class BvaeArchitecture:
             "dec2_w": (d1, d2), "dec2_b": (1, d2),
             "dec3_w": (d2, m2), "dec3_b": (1, m2),
         }
+
+
+# the layers in the order of a checkpoint's blocks and of a flat vector's views
+_LAYER_NAMES = tuple(BvaeArchitecture(2, 1).layer_shapes())
+_DECODER = _LAYER_NAMES[6:]
 
 
 class _Owned(dict):
@@ -196,6 +191,10 @@ def gumbel_softmax(logits, tau: float, noise) -> np.ndarray:
         raise ValueError(
             f"last axis must hold {CATEGORIES_PER_BIT} category logits, got {logits.shape}"
         )
+    return _relaxed(logits, tau, noise)
+
+
+def _relaxed(logits: np.ndarray, tau: float, noise: np.ndarray) -> np.ndarray:
     u = (logits + noise) / tau
     u = u - u.max(axis=-1, keepdims=True)
     e = np.exp(u)
@@ -217,12 +216,10 @@ def _check_batch(arch: BvaeArchitecture, batch) -> np.ndarray:
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
+    """1 / (1 + e) where a >= 0, else e / (1 + e), with e = exp(-|a|) and a NaN's sign kept."""
     pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    e = np.exp(np.where(pos, -a, a))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _mlp(params, half: str, inputs: np.ndarray):
@@ -233,28 +230,28 @@ def _mlp(params, half: str, inputs: np.ndarray):
 
 
 def _mlp_backward(params, half: str, inputs, h1, h2, d_head, grads) -> np.ndarray | None:
-    """Backward pass of :func:`_mlp`: fill grads for the half's six layers from d(head).
+    """Backward pass of :func:`_mlp`: write into grads' views the half's six layers' gradients.
 
     A ReLU passes gradient where its output is positive.  Returns d(inputs)
     for the decoder; the encoder's inputs are the data, which need none.
     """
-    grads[f"{half}3_w"] = h2.T @ d_head
-    grads[f"{half}3_b"] = d_head.sum(axis=0, keepdims=True)
+    np.matmul(h2.T, d_head, out=grads[f"{half}3_w"])
+    d_head.sum(axis=0, keepdims=True, out=grads[f"{half}3_b"])
     d_h2 = (d_head @ params[f"{half}3_w"].T) * (h2 > 0)
-    grads[f"{half}2_w"] = h1.T @ d_h2
-    grads[f"{half}2_b"] = d_h2.sum(axis=0, keepdims=True)
+    np.matmul(h1.T, d_h2, out=grads[f"{half}2_w"])
+    d_h2.sum(axis=0, keepdims=True, out=grads[f"{half}2_b"])
     d_h1 = (d_h2 @ params[f"{half}2_w"].T) * (h1 > 0)
-    grads[f"{half}1_w"] = inputs.T @ d_h1
-    grads[f"{half}1_b"] = d_h1.sum(axis=0, keepdims=True)
+    np.matmul(inputs.T, d_h1, out=grads[f"{half}1_w"])
+    d_h1.sum(axis=0, keepdims=True, out=grads[f"{half}1_b"])
     return d_h1 @ params[f"{half}1_w"].T if half == "dec" else None
 
 
-def _forward(params, arch: BvaeArchitecture, T: np.ndarray, tau: float, noise: np.ndarray):
+def _forward(params, arch: BvaeArchitecture, T: np.ndarray, tau: float, noise, relax=_relaxed):
+    """The forward pass's arrays; relax=gumbel_softmax checks tau and noise, the default not."""
     h1, h2, logits = _mlp(params, "enc", T)
-    # gumbel_softmax checks that the noise has this (batch, bits, categories) shape
     logits = logits.reshape(T.shape[0], arch.latent_bits, CATEGORIES_PER_BIT)
     q = _sigmoid(logits[:, :, 1] - logits[:, :, 0])
-    z = gumbel_softmax(logits, tau, noise)[:, :, 1]
+    z = relax(logits, tau, noise)[:, :, 1]
     g1, g2, out_logits = _mlp(params, "dec", z)
     return {
         "T": T, "h1": h1, "h2": h2, "q": q, "z": z, "g1": g1, "g2": g2,
@@ -271,9 +268,8 @@ def _losses(cache) -> LossBreakdown:
     return LossBreakdown(reconstruction=recon, kl=kl)
 
 
-def _backward(params, cache) -> dict[str, np.ndarray]:
+def _backward(params, cache, grads) -> None:
     B = cache["T"].shape[0]
-    grads = {}
     d_out = (cache["p"] - cache["T"]) / B
     d_z = _mlp_backward(params, "dec", cache["z"], cache["g1"], cache["g2"], d_out, grads)
 
@@ -284,9 +280,9 @@ def _backward(params, cache) -> dict[str, np.ndarray]:
     qc = np.clip(q, PROB_CLAMP, 1.0 - PROB_CLAMP)
     d_gap = d_z * z * (1.0 - z) / cache["tau"]
     d_gap += (np.log(qc) - np.log(1.0 - qc)) * q * (1.0 - q) / B
-    d_logits = np.stack([-d_gap, d_gap], axis=-1).reshape(B, -1)
+    d_logits = np.empty((B, CATEGORIES_PER_BIT * d_gap.shape[1]))  # each bit's two categories
+    d_logits[:, 0::2], d_logits[:, 1::2] = -d_gap, d_gap
     _mlp_backward(params, "enc", cache["T"], cache["h1"], cache["h2"], d_logits, grads)
-    return grads
 
 
 def _with_encoder(model: BvaeModel) -> BvaeModel:
@@ -300,32 +296,32 @@ def _with_encoder(model: BvaeModel) -> BvaeModel:
 def bvae_loss(model: BvaeModel, batch, tau: float, noise) -> LossBreakdown:
     """Reconstruction BCE plus Bernoulli KL, both averaged per image."""
     T = _check_batch(_with_encoder(model).architecture, batch)
-    cache = _forward(model.params, model.architecture, T, tau, np.asarray(noise, dtype=np.float64))
-    return _losses(cache)
+    return _losses(_forward(model.params, model.architecture, T, tau, noise, gumbel_softmax))
 
 
 def bvae_loss_and_grads(model: BvaeModel, batch, tau: float, noise):
-    """Loss breakdown together with analytic gradients for every layer."""
+    """Loss breakdown together with analytic gradients for every layer, views of one vector."""
     T = _check_batch(_with_encoder(model).architecture, batch)
-    params = model.params
-    cache = _forward(params, model.architecture, T, tau, np.asarray(noise, dtype=np.float64))
-    return _losses(cache), _backward(params, cache)
+    cache = _forward(model.params, model.architecture, T, tau, noise, gumbel_softmax)
+    grads = _layers(model.architecture)[1]
+    _backward(model.params, cache, grads)
+    return _losses(cache), grads
 
 
-def _init_params(arch: BvaeArchitecture, rng: np.random.Generator):
-    """Initial parameters as one flat vector, and each layer as a reshaped view into it."""
+def _layers(arch: BvaeArchitecture, rng: np.random.Generator | None = None):
+    """Zeros, or the initial parameters drawn from rng, as one vector and each layer's view."""
     shapes = arch.layer_shapes()
     flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-    params, start = {}, 0
+    views, start = {}, 0
     for name, shape in shapes.items():
-        params[name] = layer = flat[start : start + math.prod(shape)].reshape(shape)
+        views[name] = layer = flat[start : start + math.prod(shape)].reshape(shape)
         start += layer.size
-        if not name.endswith("_b"):
+        if rng is not None and not name.endswith("_b"):
             fan_in = shape[0]
             # ReLU-oriented scaling for hidden layers, unit-variance for heads
             gain = 2.0 if name not in ("enc3_w", "dec3_w") else 1.0
             layer[...] = rng.normal(0.0, np.sqrt(gain / fan_in), size=shape)
-    return flat, params
+    return flat, views
 
 
 def _adam_numpy(p, m, v, g, lr: float, c1: float, c2: float, scratch) -> None:
@@ -364,10 +360,11 @@ def bvae_train(
     All stochastic choices (init, shuffles, Gumbel draws) come from a single
     seeded generator, so identical inputs give identical models.
 
-    The parameters, Adam's two moment estimates and the gradient are each
-    one flat vector, so each step is one call of ``_adam.c``'s kernel, built
-    with the other kernels and cached on disk.  Without a C compiler the same
-    step runs in numpy, with the same result.
+    The parameters, Adam's two moment estimates and the gradient are each one
+    flat vector, the backward pass writing the gradient through each layer's
+    view, so each step is one call of ``_adam.c``'s kernel, built with the
+    other kernels and cached on disk.  Without a C compiler the same step runs
+    in numpy, with the same result.
     """
     _settings.count("epochs", epochs)
     _settings.count("batch_size", batch_size)
@@ -378,7 +375,7 @@ def bvae_train(
     if count == 0:
         raise ValueError("cannot train on an empty image set")
     rng = np.random.default_rng(seed)
-    flat, params = _init_params(arch, rng)
+    flat, params = _layers(arch, rng)
 
     perm = rng.permutation(count)
     n_val = min(int(np.floor(VAL_FRACTION * count + 0.5)), count - 1)
@@ -386,7 +383,8 @@ def bvae_train(
     val_idx = perm[count - n_val :]
 
     sched = TemperatureSchedule()
-    mom, vel, grad = (np.zeros_like(flat) for _ in range(3))
+    mom, vel = np.zeros_like(flat), np.zeros_like(flat)
+    grad, grads = _layers(arch)
     lib = _native.library()
     scratch = np.empty_like(flat) if lib is None else None
     step = 0
@@ -401,11 +399,10 @@ def bvae_train(
             noise = sample_gumbel_noise(rng, (batch.shape[0], n, CATEGORIES_PER_BIT))
             cache = _forward(params, arch, batch, sched.tau, noise)
             losses = _losses(cache)
-            grads = _backward(params, cache)
+            _backward(params, cache, grads)
             recon_sum += losses.reconstruction * batch.shape[0]
             kl_sum += losses.kl * batch.shape[0]
             step += 1
-            np.concatenate([grads[name] for name in params], axis=None, out=grad)
             c1, c2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
             if lib is None:
                 _adam_numpy(flat, mom, vel, grad, learning_rate, c1, c2, scratch)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import latentqubo as lq
 import latentqubo._native as native
 import latentqubo.bvae as bvae
-from conftest import needs_cc
 
 
 def tiny_arch(m=4, n=4):
@@ -161,6 +160,15 @@ class TestLoss:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             lq.bvae_loss(model, bad, tau=1.0, noise=np.zeros((1, 4, 2)))
 
+    @pytest.mark.parametrize("loss", [lq.bvae_loss, lq.bvae_loss_and_grads])
+    def test_a_bad_tau_or_noise_shape_rejected(self, loss):
+        model, batch = random_model(tiny_arch(), 3), np.zeros((2, 4, 4))
+        with pytest.raises(ValueError, match="tau"):
+            loss(model, batch, 0.0, np.zeros((2, 4, 2)))
+        for shape in [(1, 4, 2), (2, 4, 1), (2, 8)]:
+            with pytest.raises(ValueError, match=r"noise shape .* \(2, 4, 2\)"):
+                loss(model, batch, 1.0, np.zeros(shape))
+
     def test_nan_pixel_rejected(self):
         model = random_model(tiny_arch(), 3)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -222,6 +230,14 @@ class TestGradients:
         assert set(grads) == set(shapes)
         for name, shape in shapes.items():
             assert grads[name].shape == shape
+
+    def test_each_call_returns_gradients_of_its_own(self):
+        model = random_model(tiny_arch(), 9)
+        rng = np.random.default_rng(11)
+        first = lq.bvae_loss_and_grads(model, rng.random((2, 4, 4)), 1.0, np.zeros((2, 4, 2)))[1]
+        kept = {name: g.copy() for name, g in first.items()}
+        lq.bvae_loss_and_grads(model, rng.random((2, 4, 4)), 1.0, np.ones((2, 4, 2)))
+        assert all(first[name].tobytes() == g.tobytes() for name, g in kept.items())
 
 
 class TestTraining:
@@ -286,6 +302,30 @@ class TestTraining:
     def test_reconstruction_of_no_images_rejected(self, toy_bvae):
         with pytest.raises(ValueError, match="empty image set"):
             lq.reconstruction_accuracy(toy_bvae, np.zeros((0, 8, 8)))
+
+
+def two_branch_sigmoid(a: np.ndarray) -> np.ndarray:
+    """The reference for _sigmoid's bits: the logistic function through exp(-a) where a >= 0
+    and exp(a) elsewhere, each side taken by boolean-mask indexing."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+# zeros, subnormals, where 1 + exp(-a) rounds to 1, where exp over- and underflows,
+# infinities and NaNs, each with both signs
+SIGMOID_EDGES = [0.0, 5e-324, 1e-300, 36.8, 709.8, 745.2, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("shape", [(-1,), (-1, 16)], ids=["1-D", "2-D"])
+def test_sigmoid_gives_the_two_branch_forms_bits(shape):
+    normals = np.random.default_rng(0).normal(0.0, 30.0, 10_000)
+    a = np.concatenate([SIGMOID_EDGES, np.negative(SIGMOID_EDGES), normals]).reshape(shape)
+    assert np.signbit(a.ravel()[:16]).sum() == 8  # -nan too
+    assert bvae._sigmoid(a).tobytes() == two_branch_sigmoid(a).tobytes()
 
 
 class TestEncodeDecode:
@@ -431,25 +471,6 @@ def latent_rows(n: int, rows: int, seed: int) -> np.ndarray:
     X = np.random.default_rng(seed).integers(0, 2, (rows, n)).astype(np.uint8)
     X[:1], X[1:][-1:] = 0, 1
     return X
-
-
-@needs_cc
-class TestDecodeKernel:
-    """The compiled decoder against its numpy twin: the same bits."""
-
-    # hidden sizes below, at and above one block of 16 units, and heads of 9, 16 and 36 pixels,
-    # so the 16-unit blocks and the scalar tail both run in every layer
-    @pytest.mark.parametrize("pixels", [9, 16, 36])
-    @pytest.mark.parametrize("hidden", [(1, 3), (3, 1), (16, 17), (17, 16)])
-    @pytest.mark.parametrize("n", [1, 16, 180])
-    def test_same_heads_as_numpy_twin(self, n, hidden, pixels):
-        params = decoder_params(n, hidden, pixels, seed=n + pixels)
-        assert native.library() is not None
-        for rows in (0, 1, 2, 17):
-            X = latent_rows(n, rows, seed=rows)
-            compiled = bvae._decode_heads(params, X)
-            assert compiled.shape == (rows, pixels)
-            assert compiled.tobytes() == bvae._decode_numpy(params, X).tobytes()
 
 
 class TestBatchDecode:
