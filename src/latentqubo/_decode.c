@@ -53,9 +53,10 @@ static void layer(ptrdiff_t fan_in, ptrdiff_t units, const double *in, const dou
                   const double *b, int relu, ptrdiff_t *nonzero, double *out)
 {
     ptrdiff_t count = 0;
-    for (ptrdiff_t j = 0; j < fan_in; j++)
-        if (in[j] != 0.0)
-            nonzero[count++] = j;
+    for (ptrdiff_t j = 0; j < fan_in; j++) {
+        nonzero[count] = j; /* kept only where in[j] is nonzero, without a branch */
+        count += in[j] != 0.0;
+    }
     ptrdiff_t u = 0;
     for (; u + BLOCK <= units; u += BLOCK) {
         f64v a[VECS] = {0}; /* one accumulator a vector, each kept in a register */

@@ -12,7 +12,10 @@
  * r2 x_i (s_f - V_if) for V_if.  Each gradient's square is added to its
  * accumulator and the parameter steps by lr * g / (sqrt(acc) + 1e-8).  A bit
  * with x_i = 0 has zero gradient and leaves w_i, V_i and their accumulators
- * as they are, so only set bits are visited.
+ * as they are, so only set bits are visited: each row's set-bit indices are
+ * written once, in ascending order and without a branch, into the list on,
+ * and both the prediction and the update run over that list (a test per bit
+ * mispredicts on random rows, which cost a third of the call).
  *
  * Every sum starts at 0.0 and adds its terms in index order (the squares
  * over i, then f), as fm._fit_numpy does, so both give the same bits.
@@ -21,8 +24,8 @@
  * expressions in scalars: each lane rounds as the scalar lines do, and the
  * update is bound by the divider and the square root, which then take two
  * factors per instruction.  Compile with -ffp-contract=off, and with
- * -fno-math-errno so that sqrt is one instruction.  s is k doubles of
- * scratch; ptrdiff_t is numpy's intp.
+ * -fno-math-errno so that sqrt is one instruction.  s is k doubles and on n
+ * indices of scratch; ptrdiff_t is numpy's intp.
  */
 #include <math.h>
 #include <stddef.h>
@@ -34,17 +37,21 @@ typedef double f64x2 __attribute__((vector_size(16), aligned(8)));
 void fm_fit(ptrdiff_t n, ptrdiff_t k, ptrdiff_t epochs, ptrdiff_t rows,
             const ptrdiff_t *orders, const uint8_t *X, const double *Y, double lr,
             double *w0, double *w, double *V,
-            double *acc_w0, double *acc_w, double *acc_V, double *s)
+            double *acc_w0, double *acc_w, double *acc_V, double *s, ptrdiff_t *on)
 {
     const double eps = 1e-8;
     for (ptrdiff_t r = 0; r < epochs * rows; r++) {
         const uint8_t *x = X + orders[r] * n;
+        ptrdiff_t count = 0;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            on[count] = i;
+            count += x[i] != 0;
+        }
         double linear = 0.0, squares = 0.0;
         for (ptrdiff_t f = 0; f < k; f++)
             s[f] = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++) {
-            if (!x[i])
-                continue;
+        for (ptrdiff_t c = 0; c < count; c++) {
+            const ptrdiff_t i = on[c];
             const double *v = V + i * k;
             linear += w[i];
             for (ptrdiff_t f = 0; f < k; f++) {
@@ -60,9 +67,8 @@ void fm_fit(ptrdiff_t n, ptrdiff_t k, ptrdiff_t epochs, ptrdiff_t rows,
 
         *acc_w0 += r2 * r2;
         *w0 -= lr * r2 / (sqrt(*acc_w0) + eps);
-        for (ptrdiff_t i = 0; i < n; i++) {
-            if (!x[i])
-                continue;
+        for (ptrdiff_t c = 0; c < count; c++) {
+            const ptrdiff_t i = on[c];
             acc_w[i] += r2 * r2;
             w[i] -= lr * r2 / (sqrt(acc_w[i]) + eps);
             double *v = V + i * k, *acc = acc_V + i * k;

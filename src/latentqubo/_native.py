@@ -1,20 +1,19 @@
 """The package's C kernels, built once per source tree and host CPU and cached on disk.
 
-``_anneal.c`` (the annealer's Metropolis sweeps of a block of up to 16 reads, over a
-dense QUBO or through an FM's factors), ``_fm.c`` (every epoch of
-FM Adagrad), ``_energy.c`` (the energies of the brute-force sampler's run of
-states and of any rows of bits, each summed in ``qubo_energy``'s order), ``_parse.c``
-(rows of decimal text straight from the text reader's buffer, read as ``float()``
-reads them, or passed over by their bytes alone), ``_format.c`` (rows of float64
-values written as ``"%.17g"`` writes them), ``_adam.c`` (one Adam step of the
-autoencoder over all its parameters) and ``_decode.c`` (the decoder's head logits
-for a batch of latent rows) are compiled with ``cc`` into one library, loaded
-through ``ctypes``.  The two lane kernels,
-``LANE_SOURCES``, are built with ``-march=native``, so they run at the host
-CPU's vector width, which changes their speed and never a bit.  The other
-kernels are built for the compiler's default target, since on an AVX-512 x86-64
-the flag made the brute-force energies about 5 % slower; so are the lane kernels
-where a compiler rejects the flag.  The library is kept in the package's ``__pycache__/`` under a
+``_fm.c`` (every epoch of FM Adagrad), ``_energy.c`` (the energies of the
+brute-force sampler's run of states and of any rows of bits, each summed in
+``qubo_energy``'s order), ``_parse.c`` (rows of decimal text straight from the
+text reader's buffer, read as ``float()`` reads them, or passed over by their
+bytes alone), ``_format.c`` (rows of float64 values written as ``"%.17g"``
+writes them), ``_adam.c`` (one Adam step of the autoencoder over all its
+parameters), ``_anneal.c`` (the annealer's Metropolis sweeps of a block of up
+to 16 reads, over a dense QUBO or through an FM's factors) and ``_decode.c``
+(the decoder's head logits for a batch of latent rows) are compiled with
+``cc`` in one command into one library, loaded through ``ctypes``.  The build
+takes ``-march=native``, so the kernels run at the host CPU's vector width,
+which changes their speed and never a bit; where a compiler rejects the flag,
+the same command runs again without it, for the compiler's default target.
+The library is kept in the package's ``__pycache__/`` under a
 name that carries a SHA-256 of the sources and of this module, which holds the
 flags and the build's steps, the compiler, the machine and the host CPU's
 identity (:func:`_cpu`), so only the first process after a change to any of them
@@ -40,11 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = ("_anneal.c", "_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c", "_decode.c")
+# _anneal.c and _decode.c last: code placement moves a kernel's speed by a few per cent even with
+# -falign-loops, and on an AVX-512 x86-64, linked first, they made fm_fit about 4 % slower
+SOURCES = ("_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c", "_anneal.c", "_decode.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-shared",
           "-fPIC")
 _HOST = "-march=native"  # the host CPU's instructions, where the compiler takes the flag
-LANE_SOURCES = ("_anneal.c", "_decode.c")  # built with _HOST, at the host's vector width
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"
 
@@ -56,25 +56,13 @@ def _array(dtype, ndim: int, out: bool = False):
 
 
 def _compile(compiler: str, sources: list[Path], out: Path):
-    """Build the library at out: LANE_SOURCES for the host CPU where the compiler takes _HOST,
-    every other source, and the lane sources where it does not, for its default target.
-
-    The lane objects are linked after the other sources.  Code placement moves a kernel's
-    speed by a few per cent even with -falign-loops: on an AVX-512 x86-64, linked first,
-    they made fm_fit about 4 % slower; linked last, no kernel measured slower than in the
-    one-command build.
-    """
-    lanes = [path for path in sources if path.name in LANE_SOURCES]
-    rest = [path for path in sources if path.name not in LANE_SOURCES]
-    with tempfile.TemporaryDirectory(dir=out.parent) as objects:
-        try:
-            subprocess.run([compiler, *_FLAGS, _HOST, "-c", *map(str, lanes)], cwd=objects,
-                           check=True, capture_output=True, text=True)
-            lanes = [Path(objects, path.with_suffix(".o").name) for path in lanes]
-        except subprocess.CalledProcessError:
-            pass  # the compiler rejects the flag
-        subprocess.run([compiler, *_FLAGS, "-o", str(out), *map(str, rest + lanes), *_LIBS],
-                       check=True, capture_output=True, text=True)
+    """Build the library at out in one compiler command, for the host CPU where the compiler
+    takes _HOST and for its default target where it does not."""
+    command = [compiler, *_FLAGS, "-o", str(out), *map(str, sources), *_LIBS]
+    try:
+        subprocess.run([*command, _HOST], check=True, capture_output=True, text=True)
+    except subprocess.CalledProcessError:
+        subprocess.run(command, check=True, capture_output=True, text=True)
     out.chmod(0o755)  # never group-writable, whatever the umask, so the entry stays loadable
     return ctypes.CDLL(str(out))
 
@@ -215,7 +203,7 @@ def _bind(lib):
         _array(np.intp, 2), _array(np.uint8, 2), _array(f64, 1), ctypes.c_double,  # orders, X, Y, lr
         _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 2, out=True),  # w0, w, V
         _array(f64, 1, out=True), _array(f64, 1, out=True), _array(f64, 2, out=True),  # accumulators
-        _array(f64, 1, out=True),  # s, k doubles of scratch
+        _array(f64, 1, out=True), _array(np.intp, 1, out=True),  # s and on: k and n of scratch
     ]
     lib.fm_fit.restype = None
     lib.qubo_energies.argtypes = [

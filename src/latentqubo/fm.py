@@ -248,7 +248,7 @@ def fm_train(
         _fit_numpy(orders, data.X, Y, cfg.learning_rate, w0, w, V, acc_w0, acc_w, acc_V)
     else:
         lib.fm_fit(n, cfg.rank, *orders.shape, orders, data.X, Y, cfg.learning_rate,
-                   w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank))
+                   w0, w, V, acc_w0, acc_w, acc_V, np.empty(cfg.rank), np.empty(n, np.intp))
 
     model = FmModel(w0=w0[0], w=w, V=V)
     X = data.X.astype(np.float64)

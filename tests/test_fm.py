@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,16 +211,6 @@ def random_dataset(n, rows, seed) -> lq.LabeledDataset:
     return lq.LabeledDataset(X=X, Y=rng.random(rows), provenance=("random",) * rows)
 
 
-def assert_same_fit(monkeypatch, data, cfg, warm_start=None):
-    """fm_train gives the same fit and report with the kernel as with the numpy loop."""
-    compiled, compiled_report = lq.fm_train(data, cfg, warm_start)
-    with monkeypatch.context() as patched:
-        patched.setattr(native, "library", lambda: None)
-        looped, looped_report = lq.fm_train(data, cfg, warm_start)
-    assert_same_model(compiled, looped)
-    assert bits(*astuple(compiled_report)) == bits(*astuple(looped_report))
-
-
 def one_step_case():
     """A one-row, one-epoch fit from a known model, and the model one Adagrad step gives.
 
@@ -318,40 +308,6 @@ class TestTraining:
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             lq.FmTrainConfig(learning_rate=rate)
-
-
-class TestFmKernel:
-    """The compiled Adagrad fit against the numpy loop it replaces: the same bits."""
-
-    # (n, rank, rows, split): one-row and all-training splits among them; rank 3 takes the
-    # kernel's pairs of factors and its odd last one
-    CASES = [
-        (1, 1, 30, (0.7, 0.1, 0.2)),
-        (2, 8, 30, (0.7, 0.1, 0.2)),
-        (16, 1, 150, (0.7, 0.1, 0.2)),
-        (16, 8, 150, (0.7, 0.1, 0.2)),
-        (16, 8, 1, (0.7, 0.1, 0.2)),
-        (16, 8, 120, (0.4, 0.3, 0.3)),
-        (40, 8, 200, (0.7, 0.1, 0.2)),
-        (180, 1, 150, (1.0, 0.0, 0.0)),
-        (180, 8, 150, (0.7, 0.1, 0.2)),
-        (16, 3, 150, (0.7, 0.1, 0.2)),
-        (180, 3, 150, (0.7, 0.1, 0.2)),
-    ]
-
-    @pytest.mark.parametrize("epochs", [1, 30])
-    @pytest.mark.parametrize("n, rank, rows, split", CASES)
-    def test_same_fit_as_numpy_loop(self, monkeypatch, n, rank, rows, split, epochs):
-        data = random_dataset(n, rows, seed=n + rows)
-        cfg = lq.FmTrainConfig(epochs=epochs, rank=rank, split=split, seed=rank)
-        assert_same_fit(monkeypatch, data, cfg)
-
-    @pytest.mark.parametrize("epochs", [1, 30])
-    def test_same_warm_start_as_numpy_loop(self, monkeypatch, epochs):
-        data = random_dataset(16, 150, seed=5)
-        start = random_model(np.random.default_rng(6), 16, 8)
-        cfg = lq.FmTrainConfig(epochs=epochs, rank=8, seed=7)
-        assert_same_fit(monkeypatch, data, cfg, warm_start=start)
 
 
 class TestCheckpoint:

@@ -32,7 +32,7 @@ import latentqubo.samplers as samplers
 from latentqubo import _text
 from conftest import needs_cc, random_fm, random_qubo
 from test_bvae import decoder_params, latent_rows
-from test_fm import assert_same_model, random_dataset
+from test_fm import assert_same_model, random_dataset, random_model
 from test_samplers import sample_set_contents
 
 SCHEDULE = lq.AnnealSchedule(num_sweeps=50, num_reads=4)
@@ -265,6 +265,14 @@ def test_an_entry_built_for_one_cpu_is_not_loaded_on_another(monkeypatch, fresh_
     assert native.library() is not None
     assert len(builds) == 1
     assert len(first) == 1 and len(entries(fresh_build)) == 1 and entries(fresh_build) != first
+
+
+@needs_cc
+def test_a_compiler_that_takes_the_host_flag_builds_in_one_command(monkeypatch, fresh_cache):
+    builds = count_calls(monkeypatch, native.subprocess, "run")
+    assert native.library() is not None
+    assert len(builds) == 1
+    assert len(entries(fresh_cache)) == 1
 
 
 @needs_cc
@@ -723,7 +731,8 @@ FM_ROWS = [
 
 def fm_fit_cases(recorder) -> None:
     """fm_train on rows of no set bits and of all, on rows that no shuffle visits, on FM_ROWS
-    and from a warm start, each for 1 and 30 epochs there, giving the numpy loop's bits."""
+    and from warm starts of normal and of uniform draws, each for 1 and 30 epochs there, giving
+    the numpy loop's bits."""
     for n, k, (epochs, rows) in itertools.product((1, 2, 16, 17, 64), (1, 3, 8),
                                                   ((1, 1), (1, 20), (3, 7))):
         rng = np.random.default_rng(n * 100 + k * 10 + rows)
@@ -737,10 +746,10 @@ def fm_fit_cases(recorder) -> None:
         cfg = lq.FmTrainConfig(epochs=epochs, rank=k, split=split, seed=k)
         lq.fm_train(random_dataset(n, rows, seed=n + rows), cfg)
         assert recorder.calls[-1].before[:3] == [n, k, epochs]
-    for epochs in (1, 30):
+    for start, epochs in itertools.product((random_model, random_fm), (1, 30)):
         cfg = lq.FmTrainConfig(epochs=epochs, rank=8, seed=7)
         lq.fm_train(random_dataset(16, 150, seed=5), cfg,
-                    warm_start=random_fm(np.random.default_rng(6), 16, 8))
+                    warm_start=start(np.random.default_rng(6), 16, 8))
     for call in recorder.calls:
         orders, X, Y, lr, *state = map(copied, call.before[4:14])  # w0, w, V and accumulators
         fm._fit_numpy(orders, X, Y, lr, *state)
@@ -888,7 +897,7 @@ def rerun(kernel, call: Call) -> bytes:
 @needs_cc
 @pytest.mark.parametrize("level", X86_LEVELS, ids=lambda level: level.removeprefix("-march="))
 def test_every_vector_width_gives_the_recorded_bits(level, level_builds, recording):
-    # each level builds the lane kernels at its own vector width; this host runs the widest it has
+    # each level builds the kernels at its own vector width; this host runs the widest it has
     if not X86_64:
         pytest.skip("the widths are x86-64 levels")
     if level == "-march=x86-64-v3" and not V3_FLAGS <= set(native._cpu().split()):
