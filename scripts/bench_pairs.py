@@ -29,7 +29,7 @@ WORKLOADS = ("toy_loop", "wide_latent", "fit_heavy")
 PAIRS = 10  # the fewest pairs from which a gain may be claimed
 SEED = 1
 SECONDS = 15
-SUMMARY = ("setup_s", "loop_s", "peak_rss_mb")
+SUMMARY = ("setup_s", "loop_s", "designs_per_s", "best_fom", "peak_rss_mb")  # the end-to-end ones
 
 
 def git(*args: str, cwd: Path = REPO) -> str:

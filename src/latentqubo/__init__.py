@@ -66,7 +66,6 @@ from .pipeline import (
 from .qubo import (
     IsingProblem,
     QuboProblem,
-    ising_energy,
     ising_to_qubo,
     load_qubo,
     qubo_energy,

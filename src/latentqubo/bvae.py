@@ -475,7 +475,7 @@ def decode(
     summation order, or its numpy twin where there is no compiler, so its bits
     depend on neither the batch nor the BLAS.
     """
-    arr = _checked_states(bits, 0, max_ndim=2, n=model.architecture.latent_bits)
+    arr = _checked_states(bits, max_ndim=2, n=model.architecture.latent_bits)
     X = np.ascontiguousarray(np.atleast_2d(arr), dtype=np.uint8)
     _settings.real("blur_radius_px", blur_radius_px, 0)
     m = model.architecture.image_side

@@ -83,7 +83,7 @@ class LabeledDataset:
     def contains(self, bits) -> bool:
         x = np.asarray(bits)
         if x.dtype != np.uint8 or x.ndim != 1 or x.size != self.n or x.max() > 1:
-            x = _checked_states(x, 0, n=self.n).astype(np.uint8)  # converts, or raises
+            x = _checked_states(x, n=self.n).astype(np.uint8)  # converts, or raises
         return x.tobytes() in self._keys
 
     def max_label(self) -> float:
@@ -110,7 +110,7 @@ class LabeledDataset:
             raise ValueError("X_new, Y_new, and tags must have matching lengths")
         if X_new.shape[0] == 0:
             return self, 0
-        X_new = _checked_states(X_new, 0, max_ndim=2, n=self.n).astype(np.uint8)
+        X_new = _checked_states(X_new, max_ndim=2, n=self.n).astype(np.uint8)
         keep = []
         seen = set(self._keys)
         for r, key in enumerate(_row_keys(X_new)):

@@ -137,7 +137,7 @@ def fm_predict(m: FmModel, bits):
 
     A vector is not promoted to a batch of one, so it keeps the 1-D products' bits.
     """
-    X = _checked_states(bits, 0, max_ndim=2, n=m.n).astype(np.float64)
+    X = _checked_states(bits, max_ndim=2, n=m.n).astype(np.float64)
     y = _predict(m, X)
     return float(y) if X.ndim == 1 else y
 
@@ -148,7 +148,7 @@ def fm_gradients(m: FmModel, bits, residual: float):
     residual is y_pred - target; the loss is residual^2, so every partial is
     2 * residual * (partial of the prediction).
     """
-    x = _checked_states(bits, 0, n=m.n).astype(np.float64)
+    x = _checked_states(bits, n=m.n).astype(np.float64)
     r2 = 2.0 * float(residual)
     return r2, r2 * x, r2 * (np.outer(x, x @ m.V) - m.V * x[:, None])
 
@@ -260,9 +260,14 @@ def fm_train(
     return model, report
 
 
+def _coupling(V: np.ndarray) -> np.ndarray:
+    """The couplings that the factors V give a QUBO: <v_i, v_j> above the diagonal, 0 elsewhere."""
+    return np.triu(V @ V.T, 1)
+
+
 def fm_to_qubo(m: FmModel) -> QuboProblem:
     """Exact extraction: Q_i = w_i, Q_ij = <v_i, v_j>, offset = w0."""
-    return QuboProblem(m.w, np.triu(m.V @ m.V.T, 1), m.w0)
+    return QuboProblem(m.w, _coupling(m.V), m.w0)
 
 
 def save_fm(m: FmModel, path) -> None:

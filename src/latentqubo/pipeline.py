@@ -146,7 +146,7 @@ class RunState:
 
 def bit_flip_augment(bits, copies: int, seed: int) -> np.ndarray:
     """Hamming-distance-1 copies of a vector as (copies, n) uint8 rows; no bit is flipped twice."""
-    x = _checked_states(bits, 0).astype(np.uint8)
+    x = _checked_states(bits).astype(np.uint8)
     _settings.count("copies", copies, high=x.size)
     rng = np.random.default_rng(_settings.count("seed", seed, low=0))
     positions = rng.choice(x.size, size=copies, replace=False)

@@ -10,6 +10,7 @@ read-only, strictly upper-triangular matrix; a QUBO file stays sparse.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -22,7 +23,6 @@ __all__ = [
     "QuboProblem",
     "IsingProblem",
     "qubo_energy",
-    "ising_energy",
     "qubo_to_ising",
     "ising_to_qubo",
     "save_qubo",
@@ -30,31 +30,36 @@ __all__ = [
 ]
 
 
-def _checked_states(values, low: int, max_ndim: int = 1, n: int | None = None) -> np.ndarray:
-    """One state, or with max_ndim=2 a batch of rows, of entries low or 1 (and length n, if set)."""
+def _checked_states(values, max_ndim: int = 1, n: int | None = None) -> np.ndarray:
+    """One binary vector, or with max_ndim=2 a batch of rows, of 0s and 1s (and length n if set)."""
     arr = np.asarray(values)
-    kind, allowed = ("binary", "0 or 1") if low == 0 else ("spin", "-1 or +1")
     if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
         shape = "1-D" if max_ndim == 1 else "1-D (or a 2-D batch)"
-        raise ValueError(f"{kind} vector must be {shape} and nonempty, got shape {arr.shape}")
-    if not np.all((arr == low) | (arr == 1)):
-        raise ValueError(f"{kind} vector entries must be exactly {allowed}")
+        raise ValueError(f"binary vector must be {shape} and nonempty, got shape {arr.shape}")
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("binary vector entries must be exactly 0 or 1")
     if n is not None and arr.shape[-1] != n:
         raise ValueError(f"dimension mismatch: expected n={n}, got length {arr.shape[-1]}")
     return arr
 
 
+def _pair(key, n: int) -> tuple[int, int]:
+    """key as (i, j); a ValueError naming it unless it is two integers, not bools, i < j < n."""
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(hasattr(k, "__index__") and not isinstance(k, bool) for k in key)):
+        raise ValueError(f"coupling key {key!r} must be a pair of integers")
+    i, j = map(operator.index, key)
+    if not 0 <= i < j < n:
+        raise ValueError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n with n={n}")
+    return i, j
+
+
 def _coupling_matrix(pairs, n: int) -> np.ndarray:
     """Read-only strictly upper-triangular (n, n) matrix from a pair map or an (n, n) array."""
     if isinstance(pairs, Mapping):
-        keys = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        i, j = keys.T
-        bad = keys[~((0 <= i) & (i < j) & (j < n))]
-        if bad.size:
-            key = tuple(bad[0].tolist())
-            raise ValueError(f"coupling key {key} must satisfy 0 <= i < j < n with n={n}")
+        keys = np.array([_pair(key, n) for key in pairs], dtype=np.int64).reshape(-1, 2)
         upper = np.zeros((n, n))
-        upper[i, j] = np.array(list(pairs.values()), dtype=np.float64)
+        upper[keys[:, 0], keys[:, 1]] = np.array(list(pairs.values()), dtype=np.float64)
     else:
         upper = np.zeros((n, n)) if pairs is None else np.array(pairs, dtype=np.float64)
         if upper.shape != (n, n):
@@ -154,35 +159,22 @@ class IsingProblem(_CoupledProblem):
         return self._pairs()
 
 
-def _energy_loop(X: np.ndarray, vector: np.ndarray, upper: np.ndarray, offset: float):
-    """The energy of every row of X (0/1 bits or -1/+1 spins), summed in qubo_energy's order.
+def _energy_loop(X: np.ndarray, linear: np.ndarray, upper: np.ndarray, offset: float):
+    """The energy of every 0/1 row of X, summed in qubo_energy's order.
 
     A sum that starts at +0.0 is never -0.0, so the +-0.0 terms of unset bits
     leave it as it is, and the same sum over set bits only gives the same bits.
-    The spins' path, and the numpy twin of ``_energy.c``'s ``qubo_row_energies``.
+    The numpy twin of both energy kernels, ``_energy.c``'s ``qubo_row_energies``
+    and ``qubo_energies``, and the path where there is no compiler.
     """
     cols = np.array(X.T, dtype=np.float64, order="C")
-    fields = np.repeat((0.0 + vector)[:, None], cols.shape[1], axis=1)
+    fields = np.repeat((0.0 + linear)[:, None], cols.shape[1], axis=1)
     for j in range(1, cols.shape[0]):
         fields[:j] += cols[j] * upper[:j, j, None]  # field i gains x_j upper[i, j], j ascending
     energies = np.full(cols.shape[1], 0.0 + offset)
     for x, field in zip(cols, fields):
         energies += x * field
     return energies
-
-
-def _energies(problem: _CoupledProblem, vector: np.ndarray, states, low: int):
-    arr = _checked_states(states, low, max_ndim=2, n=problem.n)
-    X = np.atleast_2d(arr)
-    lib = _native.library() if low == 0 else None  # the kernel sums over set bits, not spins
-    if lib is None:
-        energies = _energy_loop(X, vector, problem.upper, problem.offset)
-    else:
-        X = np.ascontiguousarray(X, dtype=np.uint8)
-        energies = np.empty(X.shape[0])
-        lib.qubo_row_energies(*X.shape, X, vector, problem.upper, problem.offset,
-                              np.empty(problem.n, np.intp), energies)
-    return float(energies[0]) if arr.ndim == 1 else energies
 
 
 def qubo_energy(q: QuboProblem, bits):
@@ -194,12 +186,17 @@ def qubo_energy(q: QuboProblem, bits):
     go through ``_energy.c``'s ``qubo_row_energies`` in one call, or through the
     numpy energy loop where there is no compiler.
     """
-    return _energies(q, q.linear, bits, 0)
-
-
-def ising_energy(m: IsingProblem, spins):
-    """Ising energy of one spin vector (a float) or of each row of a 2-D batch (an array)."""
-    return _energies(m, m.h, spins, -1)
+    arr = _checked_states(bits, max_ndim=2, n=q.n)
+    X = np.atleast_2d(arr)
+    lib = _native.library()
+    if lib is None:
+        energies = _energy_loop(X, q.linear, q.upper, q.offset)
+    else:
+        X = np.ascontiguousarray(X, dtype=np.uint8)
+        energies = np.empty(X.shape[0])
+        lib.qubo_row_energies(*X.shape, X, q.linear, q.upper, q.offset, np.empty(q.n, np.intp),
+                              energies)
+    return float(energies[0]) if arr.ndim == 1 else energies
 
 
 def qubo_to_ising(q: QuboProblem) -> IsingProblem:

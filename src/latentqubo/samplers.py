@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native, _settings, _text
+from .fm import _coupling
 from .qubo import QuboProblem, _energy_loop, qubo_energy
 
 __all__ = [
@@ -28,13 +29,13 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 _CHUNK_BITS = 16  # enumerate at most 2**_CHUNK_BITS states per batch
-# Annealing threads per call.  Each holds one block's lane masks (16 words per
-# bit) while it runs, so the cap also bounds the sampler's memory on any machine.
+# Annealing threads in the process, which all its calls share.  Each holds one block's lane
+# masks (16 words per bit) while it runs, so the cap also bounds the sampler's memory.
 _MAX_ANNEAL_WORKERS = 4
-# The process's annealing executors by thread count, each started at its first use and
-# kept, since starting threads costs about as much as a small call's sweeps.
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+# The process's one annealing executor, made at its first use and kept with its threads,
+# since starting threads costs about as much as a small call's sweeps.
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
 _LANES = 16  # reads per kernel call, one per lane; LANES in _anneal.c
 # An FM QUBO anneals through its rank-k factors when n > _FACTORED_BITS_PER_RANK * k,
 # where a step's O(k) factored field costs less than its O(n) dense one.
@@ -189,9 +190,9 @@ def simulated_annealing_sample(
     q was read off (``fm_to_qubo``), lets a step cost O(k) instead of O(n):
     q's coupling is then V Vᵀ off the diagonal, so bit i's field is
     v_i·s - |v_i|² x_i with s = Vᵀx kept per read.  A ValueError rejects
-    factors whose ``np.triu(V @ V.T, 1)`` is not ``q.upper`` exactly.  The
-    sampler takes this form where it is the cheaper one, for n > 4k; below
-    that, and without factors, each field sums all n couplings.  The two
+    factors whose couplings, as ``fm_to_qubo`` computes them, are not ``q.upper``
+    exactly.  The sampler takes this form where it is the cheaper one, for n > 4k;
+    below that, and without factors, each field sums all n couplings.  The two
     fields round differently, so a read can take another step at a near-tie.
 
     The sweeps run in a small C kernel, compiled at the first call after the
@@ -200,11 +201,11 @@ def simulated_annealing_sample(
     vector lane, and draws each read's uniforms from its PCG64 state in C,
     the same numbers ``Generator.random`` would give.  The blocks, of
     near-equal size, run on up to ``min(cores, blocks, 4)`` threads with the
-    interpreter lock released: the threads of one executor of ``min(cores, 4)``
-    threads, started at the process's first call and kept for its life (a forked
-    child starts its own).  Without a C compiler the same steps
-    run in numpy, all reads at once, in the calling thread, drawing each
-    read's uniforms one sweep at a time.
+    interpreter lock released, on the process's one executor, made at its first
+    call: it keeps at most ``min(cores, 4)`` threads for all the process's calls,
+    starting one only when a block finds none idle (a forked child makes its own).
+    Without a C compiler the same steps run in numpy, all reads at once, in the
+    calling thread, drawing each read's uniforms one sweep at a time.
     """
     V = None if factors is None else _checked_factors(q, factors)
     if V is not None and q.n <= _FACTORED_BITS_PER_RANK * V.shape[1]:
@@ -232,12 +233,12 @@ def _distinct_rows(X: np.ndarray):
 
 
 def _checked_factors(q: QuboProblem, factors) -> np.ndarray:
-    """factors as a C-contiguous float64 (n, k) matrix V, or a ValueError unless triu(V Vᵀ, 1) is q.upper."""
+    """factors as a C-contiguous float64 (n, k) matrix V, or a ValueError unless V gives q.upper."""
     V = np.ascontiguousarray(factors, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != q.n or V.shape[1] == 0:
         raise ValueError(f"factors must have shape (n, k) with n={q.n} and k >= 1, got {V.shape}")
-    if not np.array_equal(np.triu(V @ V.T, 1), q.upper):
-        raise ValueError("factors V must give the problem's couplings: np.triu(V @ V.T, 1) != q.upper")
+    if not np.array_equal(_coupling(V), q.upper):
+        raise ValueError("factors V must give the problem's couplings, as fm_to_qubo computes them")
     return V
 
 
@@ -261,30 +262,24 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's executor of ``workers`` threads, all started at its first use."""
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(workers)
-            go = threading.Event()
-            try:  # the executor starts a thread only while none is idle: hold each until all start
-                for _ in range(workers):
-                    pool.submit(go.wait)
-            finally:
-                go.set()  # also when a thread fails to start, so none is left waiting
-    return pool
+def _pool() -> ThreadPoolExecutor:
+    """The process's annealing executor, made at its first use: it keeps up to ``min(cores, 4)``
+    threads, each started when a block finds none idle."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(min(_cores(), _MAX_ANNEAL_WORKERS))
+    return _executor
 
 
-def _forget_pools() -> None:
-    """In a forked child, which has only the forking thread: start new executors when asked."""
-    global _pools_lock
-    _pools.clear()
-    _pools_lock = threading.Lock()  # the parent may have held it while forking
+def _forget_pool() -> None:
+    """In a forked child, which has only the forking thread: make a new executor when asked."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()  # the parent may have held the lock
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pcg64_words(rng: np.random.Generator) -> list[int]:
@@ -300,8 +295,8 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
     The reads split into ``ceil(reads / 16)`` blocks of near-equal size, on any
     number of cores: a block costs its 16 lanes' sums however few it holds, so
     fewer, fuller blocks beat one more block per thread.  The blocks run on the
-    kept executor of ``min(cores, 4)`` threads (:func:`_pool`), each with its own
-    lane masks and s, so concurrent calls share it.  Read r's generator
+    process's one executor of ``min(cores, 4)`` threads (:func:`_pool`), each with
+    its own lane masks and s, so concurrent calls share it.  Read r's generator
     has drawn its start state; the kernel goes on with its stream from the
     state it is handed.  With factors V each block sums its reads' s = Vᵀx
     itself; without, it reads the symmetric coupling matrix.
@@ -312,7 +307,6 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
     else:
         k, coupling, norms = V.shape[1], V, _norms(V)
     states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
-    workers = min(_cores(), _MAX_ANNEAL_WORKERS)
     blocks = -(-reads // _LANES)
     bounds = [reads * b // blocks for b in range(blocks + 1)]
 
@@ -322,7 +316,7 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
         lib.anneal_block(n, k, betas.size, hi - lo, q.linear, coupling, norms, betas,
                          states[lo:hi], x[lo:hi], s, masks)
 
-    list(_pool(workers).map(anneal, range(blocks)))  # re-raises any block's exception
+    list(_pool().map(anneal, range(blocks)))  # re-raises any block's exception
 
 
 def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:

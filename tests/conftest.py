@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 import latentqubo as lq
 import latentqubo._native as native
+import latentqubo.samplers as samplers
 from helpers import reference_corpus, reference_target, train_reference_bvae
 
 settings.register_profile(
@@ -99,3 +100,21 @@ def fresh_build(monkeypatch, session_build, fresh_cache):
 
     monkeypatch.setattr(native, "_compile", install)
     return fresh_cache
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """A function that makes samplers see a given number of cores and forgets its annealing
+    executor, so that the next call makes one of that width; the executors it made are shut
+    down after the test, and the process's own comes back."""
+    made = []
+
+    def use(count: int) -> None:
+        made.append(samplers._executor)
+        monkeypatch.setattr(samplers, "_cores", lambda: count)
+        monkeypatch.setattr(samplers, "_executor", None)
+
+    own = samplers._executor
+    yield use
+    for executor in {*made, samplers._executor} - {own, None}:
+        executor.shutdown()

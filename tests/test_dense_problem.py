@@ -117,12 +117,6 @@ class TestBatchedEnergy:
         ]
         assert lq.qubo_energy(q, X) == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
-    def test_ising_batch_equals_row_by_row(self):
-        rng = np.random.default_rng(5)
-        m = lq.qubo_to_ising(dense_qubo(rng, 20))
-        S = 2 * rng.integers(0, 2, (30, 20)) - 1
-        assert lq.ising_energy(m, S).tolist() == [lq.ising_energy(m, s) for s in S]
-
     def test_batch_validation(self):
         q = lq.QuboProblem(linear=[1.0, 2.0])
         with pytest.raises(ValueError, match="n=2.*length 3"):

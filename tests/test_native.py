@@ -115,11 +115,11 @@ def test_failing_compiler_warns_once_and_both_kernels_fall_back(
 
 
 @needs_cc
-def test_training_and_annealing_run_the_compiler_once(monkeypatch, fresh_build):
-    # the first call starts the four annealing threads
+def test_training_and_annealing_run_the_compiler_once(monkeypatch, cores, fresh_build):
+    # the first call makes an executor of up to four annealing threads
     builds = count_calls(monkeypatch, native, "_compile")
     screens = count_calls(monkeypatch, samplers, "_compiled_energies")
-    monkeypatch.setattr(samplers, "_cores", lambda: 4)
+    cores(4)
     data, cfg = fm_case()
     q = random_qubo(np.random.default_rng(1), 8)
     images, arch = bvae_case()

@@ -10,17 +10,44 @@ FILE_CALLS = {
     "open", "read_text", "write_text", "read_bytes", "write_bytes",
     "loadtxt", "savetxt", "fromfile", "tofile",
 }
-# calls that start threads; only samplers._pool makes one
+# calls that start threads; only samplers._pool makes one, the process's annealing executor
 THREAD_CALLS = {"ThreadPoolExecutor", "Thread"}
 
 
-def test_public_names_are_the_modules_exports():
-    exported = {
+def public_names() -> set[str]:
+    return {
         name for name, value in vars(lq).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
+
+
+def test_public_names_are_the_modules_exports():
     modules = (bvae, dataset, fm, images, objectives, pipeline, qubo, samplers)
-    assert exported == {name for module in modules for name in module.__all__}
+    assert public_names() == {name for module in modules for name in module.__all__}
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names that source reads, as names or as attributes."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_is_read_outside_its_unit_tests():
+    # the package's own modules, perfbench, the scripts and the acceptance criteria read every
+    # exported name; a name that only its unit tests read is dead API
+    package = Path(lq.__file__).parent
+    root, tests = Path(__file__).resolve().parents[1], Path(__file__).parent
+    paths = [
+        *(path for path in package.glob("*.py") if path.name != "__init__.py"),
+        *(root / "perfbench").rglob("*.py"), *(root / "scripts").glob("*.py"),
+        tests / "test_acceptance.py", tests / "helpers.py", tests / "conftest.py",
+    ]
+    read = set().union(*(loaded_names(path.read_text()) for path in paths))
+    assert sorted(public_names() - read) == []
+    assert loaded_names("import a\na.b = c.d(e)\n") == {"a", "c", "d", "e"}
 
 
 def named_calls(source: str, wanted: set[str]) -> list[str]:
@@ -45,7 +72,7 @@ def test_only_the_text_codec_reads_and_writes_files():
 
 
 def test_only_the_annealing_pool_starts_threads():
-    # samplers._pool starts its threads once per process; a threaded kernel takes them from it
+    # samplers._pool makes one executor per process; a threaded kernel takes its threads from it
     package = Path(lq.__file__).parent
     found = {
         path.name: calls for path in sorted(package.glob("*.py"))

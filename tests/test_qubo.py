@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,11 @@ class TestEnergy:
             lq.qubo_energy(q, [0, 2])
 
     def test_ising_known_values(self):
-        m = lq.IsingProblem(h=[1.5, 2], j={(0, 1): 1.0}, offset=2.5)
-        assert lq.ising_energy(m, [1, 1]) == 7.0
-        assert lq.ising_energy(m, [-1, -1]) == 0.0
-        assert lq.ising_energy(m, [1, -1]) == 1.0
+        # the spins s score as the bits x = (s + 1) / 2 of the QUBO form
+        q = lq.ising_to_qubo(lq.IsingProblem(h=[1.5, 2], j={(0, 1): 1.0}, offset=2.5))
+        assert lq.qubo_energy(q, [1, 1]) == 7.0
+        assert lq.qubo_energy(q, [0, 0]) == 0.0
+        assert lq.qubo_energy(q, [1, 0]) == 1.0
 
 
 class TestConstruction:
@@ -42,6 +45,18 @@ class TestConstruction:
             lq.QuboProblem(linear=[1, 2], quadratic={(0, 0): 4.0})
         with pytest.raises(ValueError, match="0 <= i < j < n"):
             lq.QuboProblem(linear=[1, 2], quadratic={(0, 2): 4.0})
+
+    @pytest.mark.parametrize("problem", [lq.QuboProblem, lq.IsingProblem])
+    @pytest.mark.parametrize("key", [(0.5, 1), (1.9, 2), ("0", "1"), (0, 1, 2), (0,), (True, 1),
+                                     0, "01"])
+    def test_coupling_keys_must_be_pairs_of_integers(self, problem, key):
+        with pytest.raises(ValueError, match=f"coupling key {re.escape(repr(key))} must be a "
+                                             f"pair of integers"):
+            problem([1, 2, 3], {key: 4.0})
+
+    def test_coupling_keys_take_numpy_integers(self):
+        q = lq.QuboProblem(linear=[1, 2, 3], quadratic={(np.int8(0), np.uint64(2)): 4.0})
+        assert q.quadratic == {(0, 2): 4.0}
 
     def test_zero_coefficients_dropped(self):
         q = lq.QuboProblem(linear=[1, 2], quadratic={(0, 1): 0.0})
@@ -94,7 +109,8 @@ class TestConversion:
             back = lq.ising_to_qubo(m)
             for x in all_bit_vectors(n):
                 e = lq.qubo_energy(q, x)
-                assert lq.ising_energy(m, 2 * x.astype(int) - 1) == pytest.approx(e, abs=1e-9)
+                s = 2.0 * x - 1.0
+                assert m.offset + m.h @ s + s @ m.upper @ s == pytest.approx(e, abs=1e-9)
                 assert lq.qubo_energy(back, x) == pytest.approx(e, abs=1e-9)
 
     def test_offset_shift_keeps_argmin_set(self):

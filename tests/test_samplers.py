@@ -350,14 +350,14 @@ class TestAnnealKernel:
         assert calls == [1]
         assert sample_set_contents(looped) == sample_set_contents(compiled)
 
-    def test_same_result_on_any_number_of_cores(self, monkeypatch):
+    def test_same_result_on_any_number_of_cores(self, cores, monkeypatch):
         # 40 reads make 3 blocks on any number of cores, run by 1, 2, 3 and 3 threads
         q = random_qubo(np.random.default_rng(140), 40)
         schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
         results, threads = [], []
         lib = native.library()
-        for cores in (1, 2, 3, 8):
-            monkeypatch.setattr(samplers, "_cores", lambda: cores)
+        for count in (1, 2, 3, 8):
+            cores(count)
             recorder = BlockThreads(lib, pause=0.1)
             monkeypatch.setattr(native, "library", lambda: lib and recorder)
             interval = sys.getswitchinterval()
@@ -373,15 +373,19 @@ class TestAnnealKernel:
         assert threads == ([1, 2, 3, 3] if lib else [0] * 4)
 
     @needs_cc
-    def test_calls_after_the_first_start_no_thread(self, monkeypatch):
-        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+    def test_calls_after_the_first_start_no_thread(self, cores, monkeypatch):
+        cores(2)
         q = random_qubo(np.random.default_rng(142), 40)
         schedule = lq.AnnealSchedule(num_sweeps=20, num_reads=40)
+        lib = native.library()
+        first = BlockThreads(lib, pause=0.1)  # a block holds its thread, so the next needs another
+        monkeypatch.setattr(native, "library", lambda: first)
         lq.simulated_annealing_sample(q, schedule, seed=0)
+        assert len(set(first.threads)) == 2
         count, started = threading.active_count(), []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
-        recorder = BlockThreads(native.library())
+        recorder = BlockThreads(lib)
         monkeypatch.setattr(native, "library", lambda: recorder)
         for seed in range(1, 21):
             lq.simulated_annealing_sample(q, schedule, seed)
@@ -392,9 +396,10 @@ class TestAnnealKernel:
         assert threading.current_thread() not in recorder.threads
 
     @needs_cc
-    def test_a_thread_that_fails_to_start_leaves_none_waiting(self, monkeypatch):
-        monkeypatch.setattr(samplers, "_cores", lambda: 2)
-        monkeypatch.setattr(samplers, "_pools", {})
+    def test_a_thread_that_fails_to_start_leaves_none_waiting(self, cores, monkeypatch):
+        # the first block holds the one thread that starts, so the second block's thread is
+        # needed, and fails to start; the next call anneals the same reads, that thread included
+        cores(2)
         start, started = threading.Thread.start, []
 
         def start_one(thread):
@@ -404,23 +409,26 @@ class TestAnnealKernel:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start_one)
+        lib = native.library()
+        failing = BlockThreads(lib, pause=0.1)
+        monkeypatch.setattr(native, "library", lambda: failing)
         q = random_qubo(np.random.default_rng(145), 40)
         schedule = lq.AnnealSchedule(num_sweeps=20, num_reads=40)
         with pytest.raises(RuntimeError, match="can't start new thread"):
             lq.simulated_annealing_sample(q, schedule, seed=0)
         monkeypatch.setattr(threading.Thread, "start", start)
-        recorder = BlockThreads(native.library(), pause=0.1)
+        recorder = BlockThreads(lib, pause=0.1)
         monkeypatch.setattr(native, "library", lambda: recorder)
         expected = sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=0))
-        assert started[0] in recorder.threads  # the one thread that started takes blocks
+        assert started[0] in recorder.threads and len(recorder.threads) == 3
         monkeypatch.setattr(native, "library", lambda: None)
         assert sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=0)) == expected
 
     @needs_cc
-    def test_concurrent_calls_share_the_threads(self, monkeypatch):
+    def test_concurrent_calls_share_the_threads(self, cores):
         # a dense and a factored caller, 5 calls of 3 blocks each, at the same time, on four
         # annealing threads whatever the core count
-        monkeypatch.setattr(samplers, "_cores", lambda: 4)
+        cores(4)
         model = random_fm(np.random.default_rng(143), 40, 4)
         q, schedule = lq.fm_to_qubo(model), lq.AnnealSchedule(num_sweeps=100, num_reads=40)
         callers = [lambda seed: lq.simulated_annealing_sample(q, schedule, seed),
@@ -447,10 +455,10 @@ class TestAnnealKernel:
 
     @needs_cc
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX only")
-    def test_a_forked_child_anneals_on_threads_of_its_own(self, monkeypatch):
-        # the parent's pool threads do not exist in the child; a child that handed its blocks
-        # to them would wait for ever
-        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+    def test_a_forked_child_anneals_on_threads_of_its_own(self, cores):
+        # the parent's executor threads do not exist in the child; a child that handed its
+        # blocks to them would wait for ever
+        cores(2)
         q = random_qubo(np.random.default_rng(144), 40)
         schedule = lq.AnnealSchedule(num_sweeps=150, num_reads=40)
         expected = sample_set_contents(lq.simulated_annealing_sample(q, schedule, seed=7))
@@ -473,12 +481,12 @@ class TestAnnealKernel:
         os.close(read)
         assert (done, answer) == (pid, b"same")
 
-    def test_memory_is_bounded_by_one_read(self, monkeypatch):
+    def test_memory_is_bounded_by_one_read(self, cores):
         # the draws of 100 reads x 200 sweeps x 180 bits alone would take 29 MB; the
-        # kernel draws none, and on 64 cores the pool holds four blocks' masks at once
+        # kernel draws none, and on 64 cores the executor holds four blocks' masks at once
         if native.library() is None:
             pytest.skip("no compiled kernel")
-        monkeypatch.setattr(samplers, "_cores", lambda: 64)
+        cores(64)
         assert traced_peak(180, lq.AnnealSchedule(num_sweeps=200, num_reads=100)) < 1.25 * 2**20
 
     def test_numpy_loop_memory_is_bounded_by_one_sweep(self, monkeypatch):
