@@ -7,8 +7,9 @@ PAIRS pairs of ``perfbench/run.py --workload W --seed 1 --seconds 15`` alternate
 runs first: the parent in odd pairs, the head in even ones.  Each run's result record, as
 run.py writes it under ``.perfbench/results/``, is tagged with its side, its pair and that
 side's SHA, and the list of records is written to --out after every run, so an interrupted
-script keeps the runs it finished.  At the end it prints each side's median and quartiles of
-SUMMARY's metrics per workload.
+script keeps the runs it finished.  At the end it prints, per workload, each side's median and
+quartiles of every end-to-end metric that BENCHMARK.json names, and in how many pairs the head
+did better than the parent by that metric's ``better`` (a tie counts for neither side).
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --head HEAD --out bench.json
 """
@@ -29,7 +30,6 @@ WORKLOADS = ("toy_loop", "wide_latent", "fit_heavy")
 PAIRS = 10  # the fewest pairs from which a gain may be claimed
 SEED = 1
 SECONDS = 15
-SUMMARY = ("setup_s", "loop_s", "designs_per_s", "best_fom", "peak_rss_mb")  # the end-to-end ones
 
 
 def git(*args: str, cwd: Path = REPO) -> str:
@@ -59,17 +59,29 @@ def run(clone: Path, workload: str) -> dict:
     return json.loads(results.read_text())
 
 
-def summary(records: list[dict]) -> list[str]:
-    """One line per workload, side and SUMMARY metric: the median [first-third quartile]."""
+def end_to_end() -> list[dict]:
+    """BENCHMARK.json's end-to-end metrics, each with its name and which way is ``better``."""
+    return json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def summary(records: list[dict], metrics: list[dict]) -> list[str]:
+    """Per workload and metric, one line per side, the median [first-third quartile], and one
+    line with the pairs in which the head did better than the parent."""
     lines = []
     for workload in WORKLOADS:
-        for side in ("parent", "head"):
-            runs = [r["metrics"] for r in records if r["workload"] == workload and r["side"] == side]
-            for name in SUMMARY:
-                values = [run[name]["value"] for run in runs]
+        runs = {(r["side"], r["pair"]): r["metrics"] for r in records if r["workload"] == workload}
+        for metric in metrics:
+            name = metric["name"]
+            for side in ("parent", "head"):
+                values = [run[name]["value"] for (s, _), run in runs.items() if s == side]
                 q1, q2, q3 = statistics.quantiles(values, n=4)
                 lines.append(f"{workload} {side} {name}: {q2:.4f} [{q1:.4f}-{q3:.4f}] "
                              f"over {len(values)} runs")
+            sign = 1 if metric["better"] == "higher" else -1
+            diffs = [sign * (runs["head", p][name]["value"] - runs["parent", p][name]["value"])
+                     for s, p in runs if s == "head" and ("parent", p) in runs]
+            lines.append(f"{workload} {name}: head better in {sum(d > 0 for d in diffs)} of "
+                         f"{len(diffs)} pairs, worse in {sum(d < 0 for d in diffs)}")
     return lines
 
 
@@ -80,6 +92,7 @@ def main() -> None:
     parser.add_argument("--head", default="HEAD", help="the head revision")
     parser.add_argument("--out", required=True, help="the JSON file of raw records")
     args = parser.parse_args()
+    metrics = end_to_end()
     shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("parent", args.parent), ("head", args.head))}
     out = Path(args.out).resolve()
@@ -97,7 +110,7 @@ def main() -> None:
                     rss = result["metrics"]["peak_rss_mb"]["value"]
                     print(f"{workload} pair {pair} {side}: loop_s {loop:.4f}, "
                           f"peak_rss_mb {rss:.2f}", flush=True)
-    print("\n".join(summary(records)))
+    print("\n".join(summary(records, metrics)))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,12 @@
  *
  * c1 = 1 - b1^t and c2 = 1 - b2^t are the caller's bias corrections for step
  * t.  Each operation rounds once, in the written order, as the ufuncs of
- * bvae._adam_numpy do, so the two give the same bits.  Pairs of elements go
- * through 2-wide vectors (baseline SSE2 on x86-64), and an odd last element
- * through the same expressions in scalars.
+ * bvae._adam_numpy do, so the two give the same bits.  The loop is written
+ * once, in scalars, under omp simd (the package builds with -fopenmp-simd):
+ * the compiler runs it at the target's vector width, each lane rounding as
+ * the scalar lines do, and its epilogue takes the elements past the last
+ * whole vector.  omp simd takes it as given that the four arrays do not
+ * overlap, as bvae_train's never do.
  *
  * Compile with -ffp-contract=off, so that no multiply and add fuse, and with
  * -fno-math-errno, so that sqrt is one instruction; that flag only spares
@@ -21,25 +24,11 @@
 #include <math.h>
 #include <stddef.h>
 
-/* unaligned 2-wide vectors: numpy guarantees only 8-byte alignment */
-typedef double f64x2 __attribute__((vector_size(16), aligned(8)));
-
 void adam_step(ptrdiff_t size, double *p, double *m, double *v, const double *g,
                double lr, double b1, double b2, double c1, double c2, double eps)
 {
-    ptrdiff_t i = 0;
-    for (; i + 2 <= size; i += 2) {
-        f64x2 *pp = (f64x2 *)(p + i), *mm = (f64x2 *)(m + i), *vv = (f64x2 *)(v + i);
-        const f64x2 gg = *(const f64x2 *)(g + i);
-        const f64x2 mi = b1 * *mm + (1.0 - b1) * gg;
-        const f64x2 vi = b2 * *vv + (1.0 - b2) * (gg * gg);
-        const f64x2 scaled = vi / c2;
-        const f64x2 root = {sqrt(scaled[0]), sqrt(scaled[1])};
-        *mm = mi;
-        *vv = vi;
-        *pp = *pp - lr * (mi / c1) / (root + eps);
-    }
-    for (; i < size; i++) {
+#pragma omp simd
+    for (ptrdiff_t i = 0; i < size; i++) {
         m[i] = b1 * m[i] + (1.0 - b1) * g[i];
         v[i] = b2 * v[i] + (1.0 - b2) * (g[i] * g[i]);
         p[i] = p[i] - lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);

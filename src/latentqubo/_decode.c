@@ -18,35 +18,24 @@
  * +0.0 or -0.0, which leaves a nonzero sum unchanged and a +0.0 sum +0.0, and
  * a sum that starts at +0.0 never reaches -0.0 when rounding to nearest.
  *
- * Sixteen units at a time are kept in 16 / W vector accumulators of W doubles
- * each, as _anneal.c's dense_field does, W being the widest vector the target
- * has: 8 under AVX-512F, 4 under AVX2 and otherwise 2 (baseline SSE2 on
- * x86-64).  Each unit sums its own terms in the order above, so W changes the
- * speed and never a bit.  The units past the last whole block of 16 go
- * through the same sums in scalars.  The caller owns every buffer: x (n
- * doubles), h1 (d1), h2 (d2) and nonzero (max(n, d1, d2) indices), so the
- * kernel allocates nothing.
+ * Sixteen units at a time are kept in 16 accumulators, whose loops run under
+ * omp simd (the package builds with -fopenmp-simd), so the compiler holds
+ * them in vectors of the target's width.  Each unit sums its own terms in the
+ * order above, so the width changes the speed and never a bit.  The units past
+ * the last whole block of 16 go through the same sums in scalars: a block of
+ * variable width that took them too ran 40-50 % slower.  The caller owns every
+ * buffer: x (n doubles), h1 (d1), h2 (d2) and nonzero (max(n, d1, d2)
+ * indices), so the kernel allocates nothing.
  *
  * Compile without -ffast-math and with -ffp-contract=off, so that each sum
  * keeps its order and no multiply and add fuse; the package builds it with
- * -march=native, which sets W and nothing else that a result depends on.
- * ptrdiff_t matches numpy's intp.
+ * -march=native, which sets the width and nothing else that a result depends
+ * on.  ptrdiff_t matches numpy's intp.
  */
 #include <stddef.h>
 #include <stdint.h>
 
 #define BLOCK 16
-#if defined(__AVX512F__)
-#define WIDTH 8
-#elif defined(__AVX2__)
-#define WIDTH 4
-#else
-#define WIDTH 2
-#endif
-#define VECS (BLOCK / WIDTH)
-
-/* unaligned vectors of WIDTH lanes: numpy guarantees only 8-byte alignment */
-typedef double f64v __attribute__((vector_size(8 * WIDTH), aligned(8)));
 
 /* One dense layer for one row: out = in W + b in the order above, then the ReLU where relu is set. */
 static void layer(ptrdiff_t fan_in, ptrdiff_t units, const double *in, const double *w,
@@ -59,18 +48,16 @@ static void layer(ptrdiff_t fan_in, ptrdiff_t units, const double *in, const dou
     }
     ptrdiff_t u = 0;
     for (; u + BLOCK <= units; u += BLOCK) {
-        f64v a[VECS] = {0}; /* one accumulator a vector, each kept in a register */
+        double a[BLOCK] = {0}; /* one accumulator a unit, kept in vector registers */
         for (ptrdiff_t t = 0; t < count; t++) {
-            const ptrdiff_t j = nonzero[t];
-            const f64v *row = (const f64v *)(w + j * units + u);
-#pragma GCC unroll 8
-            for (int m = 0; m < VECS; m++)
-                a[m] += in[j] * row[m];
+            const double *row = w + nonzero[t] * units + u;
+#pragma omp simd
+            for (int m = 0; m < BLOCK; m++)
+                a[m] += in[nonzero[t]] * row[m];
         }
-        const f64v *bias = (const f64v *)(b + u);
-        f64v *v = (f64v *)(out + u);
-        for (int m = 0; m < VECS; m++)
-            v[m] = a[m] + bias[m];
+#pragma omp simd
+        for (int m = 0; m < BLOCK; m++)
+            out[u + m] = a[m] + b[u + m];
     }
     for (; u < units; u++) {
         double a = 0.0;

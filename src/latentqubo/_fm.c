@@ -19,20 +19,18 @@
  *
  * Every sum starts at 0.0 and adds its terms in index order (the squares
  * over i, then f), as fm._fit_numpy does, so both give the same bits.
- * A set bit's k factors are updated in pairs through 2-wide vectors
- * (baseline SSE2 on x86-64), and an odd last factor through the same
- * expressions in scalars: each lane rounds as the scalar lines do, and the
- * update is bound by the divider and the square root, which then take two
- * factors per instruction.  Compile with -ffp-contract=off, and with
- * -fno-math-errno so that sqrt is one instruction.  s is k doubles and on n
- * indices of scratch; ptrdiff_t is numpy's intp.
+ * A set bit's k factors are updated under omp simd simdlen(2) (the package
+ * builds with -fopenmp-simd): the compiler takes two factors a vector, each
+ * lane rounding as the scalar lines do, and its epilogue takes an odd last
+ * factor.  The update is bound by the divider and the square root, which then
+ * take two factors per instruction; at the host's full width of 8, a rank-8
+ * fit ran 6-11 % slower on an AVX-512 x86-64.  Compile with -ffp-contract=off,
+ * and with -fno-math-errno so that sqrt is one instruction.  s is k doubles
+ * and on n indices of scratch; ptrdiff_t is numpy's intp.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-
-/* unaligned 2-wide vectors: numpy guarantees only 8-byte alignment */
-typedef double f64x2 __attribute__((vector_size(16), aligned(8)));
 
 void fm_fit(ptrdiff_t n, ptrdiff_t k, ptrdiff_t epochs, ptrdiff_t rows,
             const ptrdiff_t *orders, const uint8_t *X, const double *Y, double lr,
@@ -72,16 +70,8 @@ void fm_fit(ptrdiff_t n, ptrdiff_t k, ptrdiff_t epochs, ptrdiff_t rows,
             acc_w[i] += r2 * r2;
             w[i] -= lr * r2 / (sqrt(acc_w[i]) + eps);
             double *v = V + i * k, *acc = acc_V + i * k;
-            ptrdiff_t f = 0;
-            for (; f + 2 <= k; f += 2) {
-                f64x2 *vv = (f64x2 *)(v + f), *aa = (f64x2 *)(acc + f);
-                const f64x2 g = r2 * (*(const f64x2 *)(s + f) - *vv);
-                const f64x2 a = *aa + g * g;
-                const f64x2 root = {sqrt(a[0]), sqrt(a[1])};
-                *aa = a;
-                *vv = *vv - lr * g / (root + eps);
-            }
-            for (; f < k; f++) {
+#pragma omp simd simdlen(2)
+            for (ptrdiff_t f = 0; f < k; f++) {
                 const double g = r2 * (s[f] - v[f]);
                 acc[f] += g * g;
                 v[f] -= lr * g / (sqrt(acc[f]) + eps);

@@ -13,6 +13,11 @@ to 16 reads, over a dense QUBO or through an FM's factors) and ``_decode.c``
 takes ``-march=native``, so the kernels run at the host CPU's vector width,
 which changes their speed and never a bit; where a compiler rejects the flag,
 the same command runs again without it, for the compiler's default target.
+``_anneal.c`` writes its lanes out in vector types of that width; the loops of
+``_adam.c``, ``_decode.c`` and ``_fm.c`` (two lanes) are plain scalar loops
+under ``#pragma omp simd``, which ``-fopenmp-simd`` turns on (without OpenMP's
+threads or run-time library), so the compiler picks their width and its
+epilogue takes the elements past the last whole vector.
 The library is kept in the package's ``__pycache__/`` under a
 name that carries a SHA-256 of the sources and of this module, which holds the
 flags and the build's steps, the compiler, the machine and the host CPU's
@@ -42,8 +47,8 @@ import numpy as np
 # _anneal.c and _decode.c last: code placement moves a kernel's speed by a few per cent even with
 # -falign-loops, and on an AVX-512 x86-64, linked first, they made fm_fit about 4 % slower
 SOURCES = ("_fm.c", "_energy.c", "_parse.c", "_format.c", "_adam.c", "_anneal.c", "_decode.c")
-_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-shared",
-          "-fPIC")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=32", "-fopenmp-simd",
+          "-shared", "-fPIC")
 _HOST = "-march=native"  # the host CPU's instructions, where the compiler takes the flag
 _LIBS = ("-lm",)
 _CACHE_DIR = Path(__file__).parent / "__pycache__"

@@ -300,6 +300,11 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
     has drawn its start state; the kernel goes on with its stream from the
     state it is handed.  With factors V each block sums its reads' s = Vᵀx
     itself; without, it reads the symmetric coupling matrix.
+
+    A block that begins after the call has returned or raised does nothing:
+    where starting a thread fails, ``submit`` has already queued that block,
+    with no future for ``map`` to cancel, and the thread that did start would
+    otherwise anneal it into the arrays of a call that has raised.
     """
     reads, n = x.shape
     if V is None:
@@ -309,14 +314,20 @@ def _anneal_blocks(lib, q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> N
     states = np.array([_pcg64_words(rng) for rng in rngs], dtype=np.uint64)
     blocks = -(-reads // _LANES)
     bounds = [reads * b // blocks for b in range(blocks + 1)]
+    over = threading.Event()
 
     def anneal(b: int) -> None:
+        if over.is_set():
+            return
         lo, hi = bounds[b], bounds[b + 1]
         masks, s = np.empty((n, _LANES), dtype=np.uint64), np.empty((k, _LANES))
         lib.anneal_block(n, k, betas.size, hi - lo, q.linear, coupling, norms, betas,
                          states[lo:hi], x[lo:hi], s, masks)
 
-    list(_pool().map(anneal, range(blocks)))  # re-raises any block's exception
+    try:
+        list(_pool().map(anneal, range(blocks)))  # re-raises any block's exception
+    finally:
+        over.set()
 
 
 def _anneal_numpy(q: QuboProblem, betas, rngs, x: np.ndarray, V=None) -> None:
