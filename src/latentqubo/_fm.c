@@ -24,7 +24,7 @@
  * lane rounding as the scalar lines do, and its epilogue takes an odd last
  * factor.  The update is bound by the divider and the square root, which then
  * take two factors per instruction; at the host's full width of 8, a rank-8
- * fit ran 6-11 % slower on an AVX-512 x86-64.  Compile with -ffp-contract=off,
+ * fit ran 6-14 % slower on an AVX-512 x86-64.  Compile with -ffp-contract=off,
  * and with -fno-math-errno so that sqrt is one instruction.  s is k doubles
  * and on n indices of scratch; ptrdiff_t is numpy's intp.
  */
